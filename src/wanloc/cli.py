@@ -53,7 +53,6 @@ class PipelineConfig:
     gamma_list: tuple = (0.025, 0.05, 0.1, 0.2)
     d_min: float = 0.25
     d_max: float = 0.5
-    lambda_rule: str = "midpoints"
     chern_windows: tuple = ()
     output_dir: str = "out"
 
@@ -67,8 +66,8 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be nonempty")
         if min(self.delta_list) < 2.0:
             raise ConfigError("every Delta must be >= 2")
-        if self.lambda_rule != "midpoints":
-            raise ConfigError(f"unknown lambda rule {self.lambda_rule!r}")
+        if any(w < 1 for w in self.chern_windows):
+            raise ConfigError("every Chern window must be >= 1")
         return self
 
 
@@ -99,7 +98,6 @@ def parse_config(path) -> PipelineConfig:
             gamma_list=_floats(pipe.get("gamma_list", "0.025 0.05 0.1 0.2")),
             d_min=float(pipe.get("d_min", "0.25")),
             d_max=float(pipe.get("d_max", "0.5")),
-            lambda_rule=pipe.get("lambda_rule", "midpoints"),
             chern_windows=tuple(int(v) for v in
                                 _floats(pipe.get("chern_windows", ""))),
             output_dir=pipe.get("output_dir", "out"),
@@ -145,6 +143,23 @@ def _default_anchors(grid):
     c = (grid.width - 1) / 2.0
     off = max(grid.width // 4, 1)
     return [(c, c), (c - off, c - off), (c + off, c + off)]
+
+
+def _chern_reports(cfg, P):
+    """Chern markers at the configured windows, by default at L/8 and L/4."""
+    width = P.grid.width
+    windows = cfg.chern_windows or (max(width // 8, 1), width // 4)
+    return [diagnostics.chern_marker(P, w) for w in sorted(set(windows))]
+
+
+def _delta_step(P, xt, delta, lambdas):
+    """X-hat at one width, its projected spectrum and its certificates."""
+    spec = FilterSpec(delta)
+    xh = build_xhat(xt, spec)
+    spectrum, _ = projected_spectrum(P, xh.matrix)
+    certs = [gap_certificate(P, xt, xh, lam, spec, spectrum=spectrum)
+             for lam in lambdas]
+    return xh, spectrum, certs
 
 
 def _fit_passes(fit):
@@ -215,10 +230,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
         cert_rows = []
         chosen = None
         for delta in cfg.delta_list:
-            xh = build_xhat(xt, FilterSpec(delta))
-            spectrum, _ = projected_spectrum(P, xh.matrix)
-            certs = [gap_certificate(P, xt, xh, lam, FilterSpec(delta),
-                                     spectrum=spectrum) for lam in lambdas]
+            xh, spectrum, certs = _delta_step(P, xt, delta, lambdas)
             report.certificates.extend(certs)
             cert_rows.extend(c.as_csv_row() for c in certs)
             gaps = detect_uniform_gaps(spectrum, cfg.d_min, cfg.d_max)
@@ -268,10 +280,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
                      strip_rows, meta)
         stages["strips"] = "ok"
 
-        Y = np.diag(grid.y.astype(float))
         vec_blocks, ctr_blocks, band_ids = [], [], []
         for j, Pj in enumerate(bands.projectors):
-            vecs, ctrs = wannierize_band(Pj, Y, float(gaps.xi[j]),
+            vecs, ctrs = wannierize_band(Pj, grid.y, float(gaps.xi[j]),
                                          rank=bands.ranks[j])
             vec_blocks.append(vecs)
             ctr_blocks.append(ctrs)
@@ -306,16 +317,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
         stages["fits"] = "ok" if all_fits_ok else "failed"
 
         if grid.ndim == 2:
-            windows = cfg.chern_windows or (max(grid.width // 8, 1),
-                                            grid.width // 4)
-            chern_rows = []
-            for w in sorted(set(windows)):
-                rep = diagnostics.chern_marker(P, w)
-                report.chern.append(rep)
-                chern_rows.append(rep.as_csv_row())
+            report.chern = _chern_reports(cfg, P)
             io.write_csv(os.path.join(out, "chern.csv"),
                          ("window", "value", "imag_residual", "trace_terms"),
-                         chern_rows, meta)
+                         [r.as_csv_row() for r in report.chern], meta)
             stages["chern"] = " ".join(f"C(w={r.window})={r.value:.4f}"
                                        for r in report.chern)
 
@@ -402,12 +407,8 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
 
     cert_rows, close_rows, tilt_rows = [], [], []
     for delta in cfg.delta_list:
-        xh = build_xhat(xt, FilterSpec(delta))
-        spectrum, _ = projected_spectrum(P, xh.matrix)
-        for lam in lambdas:
-            cert = gap_certificate(P, xt, xh, lam, FilterSpec(delta),
-                                   spectrum=spectrum)
-            cert_rows.append(cert.as_csv_row())
+        xh, _, certs = _delta_step(P, xt, delta, lambdas)
+        cert_rows.extend(c.as_csv_row() for c in certs)
         close_rows.append((delta, closeness_norm(xh, X)))
         sup, rows = tilt_lipschitz(xh, cfg.gamma_list, anchors, grid_m)
         tilt_rows.extend((delta,) + r for r in rows)
@@ -445,14 +446,12 @@ def run_chern(cfg: PipelineConfig, out_dir=None):
         raise ConfigError("chern requires a 2-D model")
     meta = {"model": cfg.model_type, "seed": cfg.seed, "L": cfg.L, "Delta": 0}
     P = fermi_projector(model, cfg.fermi_energy)
-    windows = cfg.chern_windows or (max(model.grid.width // 8, 1),
-                                    model.grid.width // 4)
     oracle = ""
     if cfg.model_type in ("haldane", "atomic"):
         p = model.params
         oracle = diagnostics.chern_number_kspace(p["t1"], p["t2"], p["phi"],
                                                  p["m"])
-    reports = [diagnostics.chern_marker(P, w) for w in sorted(set(windows))]
+    reports = _chern_reports(cfg, P)
     rows = [r.as_csv_row() + (oracle,) for r in reports]
     io.write_csv(os.path.join(out, "chern.csv"),
                  ("window", "value", "imag_residual", "trace_terms", "oracle"),

@@ -11,7 +11,7 @@ from .errors import (GaplessModelError, InsufficientRangeError,
                      UnsupportedGeometryError, WindowTooLargeError)
 from .lattice import SiteGrid
 from .spectral import (DECAY_FLOOR, DecayProfile, Projector, _log_linear_fit,
-                       bracket, diag_of, operator_norm)
+                       bracket, operator_norm)
 from .xhat import XtildeOperator, in_gap_set, sqrt_resolvent
 
 MIN_SHELLS = 10
@@ -112,7 +112,8 @@ def chern_marker(P: Projector, L_w) -> ChernReport:
     value = Re[ 2 pi i / (2 L_w)^2 * tr(chi P [[X,P],[Y,P]] P chi) ] with chi
     the indicator of the centred half-open window (c - L_w, c + L_w]^2, which
     always contains exactly (2 L_w)^2 sites.  The imaginary residual of the
-    trace is reported and must vanish for Hermitian P.
+    trace is reported and must vanish for Hermitian P.  Only the window rows
+    of P [[X,P],[Y,P]] P are formed.
     """
     grid = P.grid
     if grid.ndim != 2:
@@ -129,9 +130,9 @@ def chern_marker(P: Projector, L_w) -> ChernReport:
     Pm = P.P
     CX = x[:, None] * Pm - Pm * x[None, :]
     CY = y[:, None] * Pm - Pm * y[None, :]
-    K = CX @ CY - CY @ CX
-    T = Pm @ K @ Pm
-    tr = complex(np.sum(np.diagonal(T)[win]))
+    Pw = Pm[win]
+    PK = (Pw @ CX) @ CY - (Pw @ CY) @ CX
+    tr = complex(np.sum(PK * Pm[:, win].T))
     val = 2.0 * math.pi * 1j * tr / (2.0 * L_w) ** 2
     residual = abs(float(val.imag))
     if residual > CHERN_IMAG_TOL:
@@ -218,7 +219,7 @@ class SchurReport:
     direct_norm: float
 
 
-def schur_row_sums(basis: GeneralizedWannierBasis, X=None) -> SchurReport:
+def schur_row_sums(basis: GeneralizedWannierBasis) -> SchurReport:
     """Schur sums of the centred position kernel in the basis coordinates.
 
     The kernel is K[a,b] = <psi_a, X psi_b> - m1(a) delta_ab, i.e. the
@@ -226,8 +227,7 @@ def schur_row_sums(basis: GeneralizedWannierBasis, X=None) -> SchurReport:
     implied bound sqrt(sup_row * sup_col) always dominates the direct
     spectral norm.
     """
-    grid = basis.grid
-    x = grid.x.astype(float) if X is None else np.real(diag_of(X))
+    x = basis.grid.x.astype(float)
     W = basis.psi
     K = W.conj().T @ (x[:, None] * W) - np.diag(basis.m1)
     absK = np.abs(K)

@@ -90,9 +90,7 @@ def projected_spectrum(P: Projector, A):
     The eigenvalues are independent of the orthonormal basis chosen for
     range(P); returned eigenvectors live in range(P) and are phase fixed.
     """
-    if P.rank == 0:
-        return np.zeros(0), np.zeros((P.P.shape[0], 0), dtype=complex)
-    W = range_basis(P.P, P.rank)
+    W = P.V
     M = W.conj().T @ np.asarray(A) @ W
     M = 0.5 * (M + M.conj().T)
     evals, U = np.linalg.eigh(M)
@@ -168,6 +166,11 @@ class BandDecomposition:
 def band_projectors(P: Projector, A, gaps: GapStructure) -> BandDecomposition:
     """Spectral projectors of P A P onto each cluster, lifted to N x N."""
     _, vecs = projected_spectrum(P, A)
+    # bounds every ||P_j P_k||, j != k, and the orthonormality inside a band
+    gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(vecs.shape[1]))
+    if gram > BAND_TOL:
+        raise NumericalDegeneracyError(
+            f"band vectors not orthonormal: defect {gram:.3e}")
     projs, ranks, profiles = [], [], []
     for idx in gaps.members:
         V = vecs[:, idx]
@@ -179,17 +182,10 @@ def band_projectors(P: Projector, A, gaps: GapStructure) -> BandDecomposition:
             profiles.append(matrix_decay_fit(Pj, P.grid))
         except InsufficientRangeError:
             profiles.append(None)
-    total = sum(projs)
-    if np.linalg.norm(total - P.P) > BAND_TOL:
+    defect = np.linalg.norm(sum(projs) - P.P)
+    if defect > BAND_TOL:
         raise NumericalDegeneracyError(
-            f"band projectors do not sum to P (defect "
-            f"{np.linalg.norm(total - P.P):.3e})")
-    for j in range(len(projs)):
-        for k in range(j + 1, len(projs)):
-            cross = np.linalg.norm(projs[j] @ projs[k])
-            if cross > BAND_TOL:
-                raise NumericalDegeneracyError(
-                    f"bands ({j},{k}) not orthogonal: {cross:.3e}")
+            f"band projectors do not sum to P (defect {defect:.3e})")
     return BandDecomposition(projectors=projs, xi=gaps.xi.copy(),
                              ranks=ranks, decay_profiles=profiles)
 
@@ -293,10 +289,10 @@ def initial_basis(P: Projector, mode="columns",
         raise ValueError("projector has empty range")
     grid = P.grid
     if mode == "columns":
-        V = range_basis(P.P, P.rank)
+        V = P.V
         _, _, pivots = qr(V.conj().T, mode="economic", pivoting=True)
         cols = np.sort(pivots[:P.rank])
-        A = P.P[:, cols]
+        A = V @ V[cols].conj().T
         sv = svdvals(A)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
         if cond > SELECTION_COND_MAX:

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import svdvals
@@ -10,7 +11,6 @@ from .errors import InsufficientRangeError, NoGapError, TiltTooLargeError
 from .lattice import SiteGrid, TightBindingModel
 
 IDEMPOTENCY_TOL = 1e-10
-HERMITICITY_TOL = 1e-12
 DECAY_FLOOR = 1e-14
 MIN_DECAY_BINS = 10
 TILT_MAX_WEIGHT = 1e12
@@ -45,26 +45,32 @@ def operator_norm(A):
 
 @dataclass(frozen=True)
 class Projector:
-    """Fermi projection P with its rank, gap and grid metadata."""
+    """Fermi projection P = V V^H, carried as its occupied eigenvectors V
+    (orthonormal columns), with gap and grid metadata.  The N x N matrix P
+    is formed on first use and kept."""
 
-    P: np.ndarray = field(repr=False)
-    rank: int
+    V: np.ndarray = field(repr=False)
     fermi_energy: float
     gap: float
     grid: SiteGrid
 
     def __post_init__(self):
-        P = self.P
-        if np.linalg.norm(P - P.conj().T) > HERMITICITY_TOL * max(1.0, np.linalg.norm(P)):
-            raise ValueError("projector not Hermitian")
-        if np.linalg.norm(P @ P - P) > IDEMPOTENCY_TOL:
-            raise ValueError("projector not idempotent")
-        if abs(np.trace(P).real - self.rank) > 1e-8:
-            raise ValueError("trace does not match rank")
+        defect = np.linalg.norm(self.V.conj().T @ self.V - np.eye(self.rank))
+        if defect > IDEMPOTENCY_TOL:
+            raise ValueError(f"projector basis not orthonormal: {defect:.3e}")
+
+    @property
+    def rank(self):
+        return self.V.shape[1]
+
+    @cached_property
+    def P(self):
+        P = self.V @ self.V.conj().T
+        return 0.5 * (P + P.conj().T)
 
     @property
     def Q(self):
-        return np.eye(self.P.shape[0]) - self.P
+        return np.eye(self.V.shape[0]) - self.P
 
 
 def fermi_projector(model: TightBindingModel, fermi_energy: float) -> Projector:
@@ -80,12 +86,9 @@ def fermi_projector(model: TightBindingModel, fermi_energy: float) -> Projector:
         raise NoGapError(
             f"E_F={fermi_energy} within 1e-6 of spectrum "
             f"(bracketing eigenvalues {lo}, {hi})")
-    occ = evals < fermi_energy
-    V = evecs[:, occ]
-    P = V @ V.conj().T
-    P = 0.5 * (P + P.conj().T)
-    return Projector(P=P, rank=int(occ.sum()), fermi_energy=fermi_energy,
-                     gap=2.0 * float(dist[nearest]), grid=model.grid)
+    return Projector(V=evecs[:, evals < fermi_energy],
+                     fermi_energy=fermi_energy, gap=2.0 * float(dist[nearest]),
+                     grid=model.grid)
 
 
 def range_basis(P, rank=None):

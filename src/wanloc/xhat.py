@@ -54,14 +54,13 @@ class XtildeOperator:
         return self.basis.grid
 
 
-def build_xtilde(basis: GeneralizedWannierBasis, P: Projector, X=None) -> XtildeOperator:
+def build_xtilde(basis: GeneralizedWannierBasis, P: Projector) -> XtildeOperator:
     """Sum of m1-weighted basis projectors plus the complement part Q X Q."""
     defect = basis.completeness_defect(P.P)
     if defect > COMPLETENESS_TOL:
         raise IncompleteBasisError(
             f"basis does not span range(P): defect {defect:.3e}")
-    grid = basis.grid
-    x = grid.x.astype(float) if X is None else np.real(diag_of(X))
+    x = basis.grid.x.astype(float)
     W = basis.psi
     m1 = basis.m1
     Q = P.Q
@@ -109,9 +108,8 @@ def build_xhat(xtilde: XtildeOperator, spec: FilterSpec, grid=None) -> XhatOpera
 
 def closeness_norm(xhat: XhatOperator, X):
     """Spectral norm distance between the smoothed surrogate and X."""
-    x = np.diagonal(np.atleast_2d(X)) if np.asarray(X).ndim == 2 else np.asarray(X)
     D = xhat.matrix.copy()
-    D[np.diag_indices_from(D)] -= x
+    D[np.diag_indices_from(D)] -= diag_of(X)
     return operator_norm(D)
 
 
@@ -198,14 +196,15 @@ def gap_certificate(P: Projector, xtilde: XtildeOperator, xhat: XhatOperator,
     Reports the direct distance from the projected spectrum to lam together
     with the symmetrized difference norm ||S (PXhatP - PXtildeP) S||; the
     certificate passes when that norm is below 1/2, the contraction threshold
-    of the mid-gap Neumann series.
+    of the mid-gap Neumann series.  In the surrogate's basis W of range(P),
+    S P = W diag(|lam - m1|^{-1/2}) W^H, so the norm is that of an n x n matrix.
     """
     if not in_gap_set(lam):
         raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
-    S = sqrt_resolvent(lam, xtilde.basis, P)
-    Pm = P.P
-    D = Pm @ (xhat.matrix - xtilde.matrix) @ Pm
-    snorm = operator_norm(S.matrix @ D @ S.matrix)
+    W = xtilde.basis.psi
+    r = np.abs(lam - xtilde.basis.m1) ** -0.5
+    K = W.conj().T @ (xhat.matrix - xtilde.matrix) @ W
+    snorm = operator_norm(r[:, None] * K * r[None, :])
     if spectrum is None:
         spectrum, _ = projected_spectrum(P, xhat.matrix)
     dist = float(np.min(np.abs(np.asarray(spectrum) - lam))) if len(spectrum) else math.inf

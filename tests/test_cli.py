@@ -24,7 +24,6 @@ delta_list = 4, 8, 16
 gamma_list = 0.025, 0.05, 0.1, 0.2
 d_min = 0.25
 d_max = 0.5
-lambda_rule = midpoints
 output_dir = {out}
 """
 
@@ -51,7 +50,6 @@ def test_parse_defaults(tmp_path):
                                               "t1 = 1.0\nt2 = 0.45\n"))
     assert cfg.basis_mode == "columns"
     assert cfg.gamma_list == (0.025, 0.05, 0.1, 0.2)
-    assert cfg.lambda_rule == "midpoints"
 
 
 def test_parse_rejects_empty_model_section(tmp_path):
@@ -140,6 +138,15 @@ def test_chern_subcommand_writes_marker_and_oracle(tmp_path):
     assert lines[1] == "window,value,imag_residual,trace_terms,oracle"
     row = lines[2].split(",")
     assert row[-1] == "1"             # k-space oracle for this phase
+
+
+@pytest.mark.parametrize("windows", ["0", "-1"])
+def test_chern_subcommand_rejects_nonpositive_window(tmp_path, windows):
+    cfg = write_config(tmp_path,
+                       "[model]\ntype = haldane\nL = 8\nt1 = 1.0\n"
+                       "t2 = 0.3333333333333333\nphi = 1.5707963267948966\n"
+                       f"m = 0.2\n\n[pipeline]\nchern_windows = {windows}\n")
+    assert main(["chern", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
 def test_pipeline_exit_codes(tmp_path):

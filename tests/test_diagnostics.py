@@ -171,6 +171,22 @@ def test_chern_marker_counts_window_sites():
     assert rep.imag_residual <= 1e-8
 
 
+def test_chern_marker_matches_full_trace_formula():
+    model = wl.build_haldane(8, 1.0, 1 / 3, np.pi / 2, 0.2)
+    P = wl.fermi_projector(model, 0.0)
+    x = model.grid.x.astype(float)
+    y = model.grid.y.astype(float)
+    Pm = P.P
+    CX = x[:, None] * Pm - Pm * x[None, :]
+    CY = y[:, None] * Pm - Pm * y[None, :]
+    diag = np.diagonal(Pm @ (CX @ CY - CY @ CX) @ Pm)
+    c = 3.5
+    for L_w in (1, 2):
+        win = ((x > c - L_w) & (x <= c + L_w) & (y > c - L_w) & (y <= c + L_w))
+        full = (2.0 * np.pi * 1j * np.sum(diag[win]) / (2.0 * L_w) ** 2).real
+        assert abs(wl.chern_marker(P, L_w).value - full) <= 1e-12
+
+
 def test_chern_number_kspace_values():
     assert wl.chern_number_kspace(1.0, 1 / 3, np.pi / 2, 0.0) in (-1, 1)
     assert wl.chern_number_kspace(1.0, 1 / 3, np.pi / 2, 0.0) == 1
@@ -296,10 +312,9 @@ def test_schur_sums_stable_in_size():
 def test_sqrt_bound_survey_atomic_closed_form():
     grid = make_grid(4, 1, ndim=2)
     N = grid.dimension
-    P = np.zeros((N, N), dtype=complex)
-    P[0, 0] = 1.0                       # occupied site at x = 0
-    proj = Projector(P=P, rank=1, fermi_energy=0.0, gap=1.0, grid=grid)
-    basis = wl.GeneralizedWannierBasis(psi=P[:, :1].copy(),
+    V = np.eye(N, 1, dtype=complex)     # occupied site at x = 0
+    proj = Projector(V=V, fermi_energy=0.0, gap=1.0, grid=grid)
+    basis = wl.GeneralizedWannierBasis(psi=V.copy(),
                                        centers=np.zeros((1, 2)), grid=grid,
                                        lattice_index=[((0, 0), 1)])
     rows = wl.sqrt_bound_survey(proj, basis, [0.5])
@@ -310,8 +325,8 @@ def test_sqrt_bound_survey_atomic_closed_form():
 def test_sqrt_bound_survey_empty_projector():
     grid = make_grid(4, 1, ndim=2)
     N = grid.dimension
-    proj = Projector(P=np.zeros((N, N), dtype=complex), rank=0,
-                     fermi_energy=-10.0, gap=1.0, grid=grid)
+    proj = Projector(V=np.zeros((N, 0), dtype=complex), fermi_energy=-10.0,
+                     gap=1.0, grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.zeros((N, 0), dtype=complex),
                                        centers=np.zeros((0, 2)), grid=grid,
                                        lattice_index=[])

@@ -5,7 +5,7 @@ import wanloc as wl
 from wanloc.errors import (InsufficientRangeError, NoGapError,
                            TiltTooLargeError)
 from wanloc.lattice import TightBindingModel, make_grid
-from wanloc.spectral import matrix_decay_fit
+from wanloc.spectral import Projector, matrix_decay_fit
 
 
 def model_from_matrix(H, width, orbitals=1, ndim=2):
@@ -52,6 +52,14 @@ def test_projector_invariants_across_builders(dis_projectors, trivial_projectors
         assert np.linalg.norm(P.P @ P.P - P.P) <= 1e-10
         assert np.linalg.norm(P.P - P.P.conj().T) <= 1e-12
         assert abs(np.trace(P.P).real - P.rank) <= 1e-8
+
+
+@pytest.mark.parametrize("V", [np.array([[1.0], [1.0]]),
+                               np.array([[1.0, 0.6], [0.0, 0.8]])])
+def test_projector_rejects_non_orthonormal_basis(V):
+    grid = make_grid(2, 1, ndim=1)
+    with pytest.raises(ValueError):
+        Projector(V=V, fermi_energy=0.0, gap=1.0, grid=grid)
 
 
 def test_tilt_zero_gamma_is_identity():

@@ -9,6 +9,8 @@ from wanloc.lattice import SiteGrid, make_grid
 from wanloc.spectral import Projector
 from wanloc.xhat import FilterSpec, build_xhat, build_xtilde, gap_certificate
 
+from conftest import TOPO_PARAMS
+
 
 def atomic_setup(L=6):
     """Diagonal projector with a delta basis on an L x L two-orbital grid."""
@@ -21,6 +23,17 @@ def atomic_setup(L=6):
 @pytest.fixture(scope="module")
 def dis8_stack():
     model = wl.build_disordered_insulator(8, 2.0, 0.5, 7)
+    P = wl.fermi_projector(model, 0.0)
+    basis = attach_moments(wl.relabel_to_lattice(
+        wl.initial_basis(P, s_grid=(1.0,))), (1.0,))
+    xt = build_xtilde(basis, P)
+    return model, P, basis, xt
+
+
+@pytest.fixture(scope="module")
+def topo8_stack():
+    model = wl.build_haldane(8, TOPO_PARAMS["t1"], TOPO_PARAMS["t2"],
+                             TOPO_PARAMS["phi"], TOPO_PARAMS["m"])
     P = wl.fermi_projector(model, 0.0)
     basis = attach_moments(wl.relabel_to_lattice(
         wl.initial_basis(P, s_grid=(1.0,))), (1.0,))
@@ -57,8 +70,8 @@ def test_xtilde_atomic_equals_position():
 def test_xtilde_single_function_origin_center():
     grid = SiteGrid(width=1, orbitals_per_site=1, ndim=2,
                     x=np.array([0]), y=np.array([0]))
-    P = Projector(P=np.eye(1, dtype=complex), rank=1, fermi_energy=0.0,
-                  gap=1.0, grid=grid)
+    P = Projector(V=np.eye(1, dtype=complex), fermi_energy=0.0, gap=1.0,
+                  grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.eye(1, dtype=complex),
                                        centers=np.zeros((1, 2)), grid=grid,
                                        lattice_index=[((0, 0), 1)])
@@ -201,8 +214,8 @@ def test_gap_set_membership_and_midpoints():
 def test_sqrt_resolvent_single_function():
     grid = SiteGrid(width=1, orbitals_per_site=1, ndim=2,
                     x=np.array([0]), y=np.array([0]))
-    P = Projector(P=np.eye(1, dtype=complex), rank=1, fermi_energy=0.0,
-                  gap=1.0, grid=grid)
+    P = Projector(V=np.eye(1, dtype=complex), fermi_energy=0.0, gap=1.0,
+                  grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.eye(1, dtype=complex),
                                        centers=np.zeros((1, 2)), grid=grid,
                                        lattice_index=[((0, 0), 1)])
@@ -213,7 +226,7 @@ def test_sqrt_resolvent_single_function():
 def test_sqrt_resolvent_empty_projector_is_scaled_identity():
     grid = make_grid(4, 1, ndim=2)
     N = grid.dimension
-    P = Projector(P=np.zeros((N, N), dtype=complex), rank=0, fermi_energy=-10.0,
+    P = Projector(V=np.zeros((N, 0), dtype=complex), fermi_energy=-10.0,
                   gap=1.0, grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.zeros((N, 0), dtype=complex),
                                        centers=np.zeros((0, 2)), grid=grid,
@@ -243,6 +256,23 @@ def test_gap_certificate_unfiltered_surrogate_is_exact(dis8_stack):
     assert cert.snorm <= 1e-9
     assert cert.min_gap_distance >= 0.25
     assert cert.passed
+
+
+@pytest.mark.parametrize("stack, all_pass", [("dis8_stack", True),
+                                              ("topo8_stack", False)])
+def test_gap_certificate_matches_full_sandwich(stack, all_pass, request):
+    """The basis-coordinate norm equals ||S P (Xh - Xt) P S|| built N x N."""
+    _, P, basis, xt = request.getfixturevalue(stack)
+    xh = build_xhat(xt, FilterSpec(4.0))
+    D = P.P @ (xh.matrix - xt.matrix) @ P.P
+    certs = []
+    for lam in wl.gap_midpoints(0.0, 7.0):
+        cert = gap_certificate(P, xt, xh, lam, FilterSpec(4.0))
+        S = wl.sqrt_resolvent(lam, basis, P).matrix
+        assert cert.snorm == pytest.approx(wl.operator_norm(S @ D @ S),
+                                           rel=1e-10)
+        certs.append(cert)
+    assert all(c.passed for c in certs) == all_pass
 
 
 def test_gap_certificate_norm_decreases_with_filter_width(dis8_stack):
