@@ -66,6 +66,8 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be nonempty")
         if min(self.delta_list) < 2.0:
             raise ConfigError("every Delta must be >= 2")
+        if self.basis_mode not in ("columns", "pxp-eigen"):
+            raise ConfigError(f"unknown basis mode {self.basis_mode!r}")
         if any(w < 1 for w in self.chern_windows):
             raise ConfigError("every Chern window must be >= 1")
         return self
@@ -89,6 +91,9 @@ def parse_config(path) -> PipelineConfig:
         L = int(model.pop("l"))
         seed = int(model.pop("seed", "0"))
         params = {k: float(v) for k, v in model.items()}
+        windows = _floats(pipe.get("chern_windows", ""))
+        if not all(w.is_integer() for w in windows):
+            raise ConfigError(f"Chern windows must be integers, got {windows}")
         cfg = PipelineConfig(
             model_type=model_type, L=L, model_params=params, seed=seed,
             fermi_energy=float(pipe.get("fermi_energy", "0.0")),
@@ -98,8 +103,7 @@ def parse_config(path) -> PipelineConfig:
             gamma_list=_floats(pipe.get("gamma_list", "0.025 0.05 0.1 0.2")),
             d_min=float(pipe.get("d_min", "0.25")),
             d_max=float(pipe.get("d_max", "0.5")),
-            chern_windows=tuple(int(v) for v in
-                                _floats(pipe.get("chern_windows", ""))),
+            chern_windows=tuple(int(w) for w in windows),
             output_dir=pipe.get("output_dir", "out"),
         )
     except (KeyError, ValueError) as exc:
@@ -257,11 +261,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
 
         bands = band_projectors(P, xh.matrix, gaps)
         report.bands = bands
-        stages["bands"] = f"ok n={len(bands.projectors)} d={gaps.d:.6g} D={gaps.D:.6g}"
+        stages["bands"] = f"ok n={len(bands.vectors)} d={gaps.d:.6g} D={gaps.D:.6g}"
         rows = []
         for j, (lo, hi) in enumerate(gaps.intervals):
-            prof = bands.decay_profiles[j]
-            rows.append((j, lo, hi, float(gaps.xi[j]), bands.ranks[j],
+            prof, rank = bands.decay_profiles[j], bands.vectors[j].shape[1]
+            rows.append((j, lo, hi, float(gaps.xi[j]), rank,
                          prof.gamma if prof else math.nan,
                          prof.r_squared if prof else math.nan))
         io.write_csv(os.path.join(out, "gaps.csv"),
@@ -270,23 +274,19 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
 
         anchors = _default_anchors(grid)
         gamma0 = min(cfg.gamma_list)
-        strip_rows = []
-        for j, Pj in enumerate(bands.projectors):
-            n_left, n_right = strip_localization_check(
-                Pj, float(gaps.xi[j]), grid, gamma0, anchors)
-            strip_rows.append((j, gamma0, n_left, n_right))
+        strip_rows, vec_blocks, ctr_blocks, band_ids = [], [], [], []
+        for j, Vj in enumerate(bands.vectors):
+            xi_j = float(gaps.xi[j])
+            strip_rows.append((j, gamma0) + strip_localization_check(
+                Vj, xi_j, grid, gamma0, anchors))
+            vecs, ctrs = wannierize_band(Vj, grid.y, xi_j)
+            vec_blocks.append(vecs)
+            ctr_blocks.append(ctrs)
+            band_ids.extend([j] * vecs.shape[1])
         io.write_csv(os.path.join(out, "strips.csv"),
                      ("band_id", "gamma", "norm_left", "norm_right"),
                      strip_rows, meta)
         stages["strips"] = "ok"
-
-        vec_blocks, ctr_blocks, band_ids = [], [], []
-        for j, Pj in enumerate(bands.projectors):
-            vecs, ctrs = wannierize_band(Pj, grid.y, float(gaps.xi[j]),
-                                         rank=bands.ranks[j])
-            vec_blocks.append(vecs)
-            ctr_blocks.append(ctrs)
-            band_ids.extend([j] * vecs.shape[1])
         final = GeneralizedWannierBasis(psi=np.hstack(vec_blocks),
                                         centers=np.vstack(ctr_blocks), grid=grid)
         report.basis_final = final

@@ -17,8 +17,9 @@ from .errors import (IllConditionedSelectionError, IncompleteBasisError,
                      NumericalDegeneracyError)
 from .lattice import SiteGrid
 from .spectral import (InsufficientRangeError, Projector, TiltSpec, bracket,
-                       diag_of, matrix_decay_fit, operator_norm, range_basis,
-                       tilt_operator)
+                       matrix_decay_fit, operator_norm, tilt_weights)
+# unused here; perfbench/tracing.py TRACED binds these two names in this module
+from .spectral import range_basis, tilt_operator  # noqa: F401
 
 BAND_TOL = 1e-8
 SELECTION_COND_MAX = 1e8
@@ -155,60 +156,61 @@ def detect_uniform_gaps(eigenvalues, d_min, d_max=None):
 
 @dataclass
 class BandDecomposition:
-    """Band projectors P_j with strip centres and per-band decay profiles."""
+    """Band vector blocks V_j (P_j = V_j V_j^H), strip centres, decay fits."""
 
-    projectors: list = field(repr=False)
+    vectors: list = field(repr=False)
     xi: np.ndarray
-    ranks: list
     decay_profiles: list
 
 
 def band_projectors(P: Projector, A, gaps: GapStructure) -> BandDecomposition:
-    """Spectral projectors of P A P onto each cluster, lifted to N x N."""
+    """Spectral subspaces of P A P, one eigenvector block per cluster."""
     _, vecs = projected_spectrum(P, A)
     # bounds every ||P_j P_k||, j != k, and the orthonormality inside a band
     gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(vecs.shape[1]))
     if gram > BAND_TOL:
         raise NumericalDegeneracyError(
             f"band vectors not orthonormal: defect {gram:.3e}")
-    projs, ranks, profiles = [], [], []
-    for idx in gaps.members:
-        V = vecs[:, idx]
+    blocks = [vecs[:, idx] for idx in gaps.members]
+    profiles = []
+    for V in blocks:
         Pj = V @ V.conj().T
-        Pj = 0.5 * (Pj + Pj.conj().T)
-        projs.append(Pj)
-        ranks.append(len(idx))
         try:
-            profiles.append(matrix_decay_fit(Pj, P.grid))
+            profiles.append(matrix_decay_fit(0.5 * (Pj + Pj.conj().T), P.grid))
         except InsufficientRangeError:
             profiles.append(None)
-    defect = np.linalg.norm(sum(projs) - P.P)
+    B = np.hstack(blocks)                       # sum_j P_j = B B^H
+    defect = np.linalg.norm(B @ B.conj().T - P.P)
     if defect > BAND_TOL:
         raise NumericalDegeneracyError(
             f"band projectors do not sum to P (defect {defect:.3e})")
-    return BandDecomposition(projectors=projs, xi=gaps.xi.copy(),
-                             ranks=ranks, decay_profiles=profiles)
+    return BandDecomposition(vectors=blocks, xi=gaps.xi.copy(),
+                             decay_profiles=profiles)
 
 
-def strip_localization_check(P_j, xi_j, grid: SiteGrid, gamma, anchors):
-    """max over anchors of ||(X - xi_j) P_tilted|| and ||P_tilted (X - xi_j)||."""
+def strip_localization_check(V_j, xi_j, grid: SiteGrid, gamma, anchors):
+    """max over anchors of ||(X - xi_j) P_tilted|| and ||P_tilted (X - xi_j)||.
+
+    P_tilted = B P_j B^-1 = (e^w V_j)(e^-w V_j)^H with w = log B, so each norm
+    is ||R_a R_b^H||, R_a and R_b the r x r QR factors of the two sides."""
     xshift = grid.x.astype(float) - xi_j
     n_left = n_right = 0.0
     for anchor in anchors:
-        Pg = tilt_operator(P_j, TiltSpec(gamma, tuple(anchor)), grid)
-        n_left = max(n_left, operator_norm(xshift[:, None] * Pg))
-        n_right = max(n_right, operator_norm(Pg * xshift[None, :]))
+        w = tilt_weights(grid, TiltSpec(gamma, tuple(anchor)))
+        up, down, x_up, x_down = (
+            np.linalg.qr(f[:, None] * V_j, mode="r") for f in
+            (np.exp(w), np.exp(-w), xshift * np.exp(w), xshift * np.exp(-w)))
+        n_left = max(n_left, operator_norm(x_up @ down.conj().T))
+        n_right = max(n_right, operator_norm(up @ x_down.conj().T))
     return n_left, n_right
 
 
-def wannierize_band(P_j, Y, xi_j, rank=None):
-    """Eigenfunctions of P_j Y P_j on range(P_j), centred at (xi_j, eta)."""
-    Wj = range_basis(P_j, rank)
-    y = diag_of(Y)
-    M = Wj.conj().T @ (y[:, None] * Wj)
+def wannierize_band(V_j, y, xi_j):
+    """Eigenfunctions of P_j Y P_j on span(V_j), centred at (xi_j, eta)."""
+    M = V_j.conj().T @ (y[:, None] * V_j)
     M = 0.5 * (M + M.conj().T)
     eta, U = np.linalg.eigh(M)
-    vecs = fix_phases(Wj @ U)
+    vecs = fix_phases(V_j @ U)
     centers = np.stack([np.full(eta.size, float(xi_j)), eta], axis=1)
     return vecs, centers
 
@@ -286,7 +288,7 @@ def initial_basis(P: Projector, mode="columns",
     failure-prone route).
     """
     if P.rank < 1:
-        raise ValueError("projector has empty range")
+        raise IncompleteBasisError("projector has empty range")
     grid = P.grid
     if mode == "columns":
         V = P.V

@@ -91,15 +91,12 @@ def fermi_projector(model: TightBindingModel, fermi_energy: float) -> Projector:
                      grid=model.grid)
 
 
-def range_basis(P, rank=None):
+def range_basis(P):
     """Orthonormal basis of range(P) as columns, from the eigenvectors of P."""
     P = np.asarray(P)
     evals, evecs = np.linalg.eigh(P)
     keep = evals > 0.5
-    W = evecs[:, keep]
-    if rank is not None and W.shape[1] != rank:
-        raise ValueError(f"range basis rank {W.shape[1]} != expected {rank}")
-    return W
+    return evecs[:, keep]
 
 
 @dataclass(frozen=True)

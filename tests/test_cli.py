@@ -140,13 +140,34 @@ def test_chern_subcommand_writes_marker_and_oracle(tmp_path):
     assert row[-1] == "1"             # k-space oracle for this phase
 
 
-@pytest.mark.parametrize("windows", ["0", "-1"])
+@pytest.mark.parametrize("windows", ["0", "-1", "1.7"])
 def test_chern_subcommand_rejects_nonpositive_window(tmp_path, windows):
     cfg = write_config(tmp_path,
                        "[model]\ntype = haldane\nL = 8\nt1 = 1.0\n"
                        "t2 = 0.3333333333333333\nphi = 1.5707963267948966\n"
                        f"m = 0.2\n\n[pipeline]\nchern_windows = {windows}\n")
     assert main(["chern", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def test_validation_rejects_unknown_basis_mode(tmp_path):
+    cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\n\n"
+                                 "[pipeline]\nbasis_mode = bogus\n")
+    with pytest.raises(ConfigError, match="basis mode"):
+        parse_config(cfg)
+    for command in ("pipeline", "verify"):
+        out = str(tmp_path / command)
+        assert main([command, cfg, "--out", out]) == EXIT_CONFIG
+
+
+def test_pipeline_empty_range_ends_with_report(tmp_path):
+    # every level of the atomic model lies above E_F: rank P = 0
+    cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\nm = 1.0\n\n"
+                                 "[pipeline]\nfermi_energy = -5\n")
+    out = tmp_path / "empty"
+    assert main(["pipeline", cfg, "--out", str(out)]) == EXIT_VERDICT
+    report = open(out / "report.csv").read()
+    assert "IncompleteBasisError: projector has empty range" in report
+    assert report.splitlines()[-1] == "verdict,stage-error"
 
 
 def test_pipeline_exit_codes(tmp_path):

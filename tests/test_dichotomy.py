@@ -3,8 +3,9 @@ import pytest
 
 import wanloc as wl
 from wanloc.dichotomy import density_centroids, fix_phases
+from wanloc.errors import NumericalDegeneracyError
 from wanloc.lattice import make_grid
-from wanloc.spectral import Projector, range_basis
+from wanloc.spectral import Projector, TiltSpec, range_basis, tilt_operator
 
 from conftest import centroid
 
@@ -50,7 +51,8 @@ def test_projected_spectrum_invariant_under_range_basis_change(dis_projectors):
     X = np.diag(model.grid.x.astype(float))
     evals, _ = wl.projected_spectrum(P, X)
     # rotate an orthonormal basis of range(P) by a random unitary and rebuild
-    W = range_basis(P.P, P.rank)
+    W = range_basis(P.P)
+    assert W.shape[1] == P.rank
     rng = np.random.default_rng(5)
     A = rng.standard_normal((P.rank, P.rank)) + 1j * rng.standard_normal((P.rank, P.rank))
     U, _ = np.linalg.qr(A)
@@ -99,8 +101,9 @@ def test_band_projectors_single_cluster_recovers_projector():
     X = np.diag(grid.x.astype(float))
     gaps = wl.detect_uniform_gaps(wl.projected_spectrum(P, X)[0], d_min=0.5)
     bands = wl.band_projectors(P, X, gaps)
-    assert len(bands.projectors) == 1
-    assert np.linalg.norm(bands.projectors[0] - P.P) <= 1e-10
+    assert len(bands.vectors) == 1
+    V = bands.vectors[0]
+    assert np.linalg.norm(V @ V.conj().T - P.P) <= 1e-10
 
 
 def test_band_projectors_ssh_dimers_are_rank_one():
@@ -110,13 +113,23 @@ def test_band_projectors_ssh_dimers_are_rank_one():
     evals, _ = wl.projected_spectrum(P, X)
     gaps = wl.detect_uniform_gaps(evals, d_min=0.5)
     bands = wl.band_projectors(P, X, gaps)
-    assert bands.ranks == [1] * 8
+    assert [V.shape[1] for V in bands.vectors] == [1] * 8
     assert np.allclose(bands.xi, np.arange(8), atol=1e-10)
-    total = sum(bands.projectors)
-    assert np.linalg.norm(total - P.P) <= 1e-8
+    projs = [V @ V.conj().T for V in bands.vectors]
+    assert np.linalg.norm(sum(projs) - P.P) <= 1e-8
     for j in range(8):
         for k in range(j + 1, 8):
-            assert np.linalg.norm(bands.projectors[j] @ bands.projectors[k]) <= 1e-8
+            assert np.linalg.norm(projs[j] @ projs[k]) <= 1e-8
+
+
+def test_band_projectors_reject_clusters_missing_a_band():
+    model = wl.build_ssh_chain(8, t1=1.0, t2=0.0)
+    P = wl.fermi_projector(model, 0.0)
+    X = np.diag(model.grid.x.astype(float))
+    gaps = wl.detect_uniform_gaps(wl.projected_spectrum(P, X)[0], d_min=0.5)
+    gaps.members = gaps.members[:-1]
+    with pytest.raises(NumericalDegeneracyError, match="do not sum to P"):
+        wl.band_projectors(P, X, gaps)
 
 
 # --- strip localization ------------------------------------------------------
@@ -124,7 +137,7 @@ def test_band_projectors_ssh_dimers_are_rank_one():
 def test_strip_check_single_site_band_is_exact():
     grid = make_grid(5, 1, ndim=1)
     P = projector_on(grid, [2])
-    n1, n2 = wl.strip_localization_check(P.P, 2.0, grid, 0.1,
+    n1, n2 = wl.strip_localization_check(P.V, 2.0, grid, 0.1,
                                          anchors=[(0.0, 0.0), (2.0, 0.0)])
     assert n1 <= 1e-12 and n2 <= 1e-12
 
@@ -133,8 +146,8 @@ def test_strip_check_two_site_band_support_bound():
     grid = make_grid(6, 1, ndim=1)
     psi = np.zeros(6, dtype=complex)
     psi[2] = psi[3] = 1.0 / np.sqrt(2.0)
-    Pj = np.outer(psi, psi.conj())
-    n1, n2 = wl.strip_localization_check(Pj, 2.5, grid, 0.0, anchors=[(0.0, 0.0)])
+    n1, n2 = wl.strip_localization_check(psi[:, None], 2.5, grid, 0.0,
+                                         anchors=[(0.0, 0.0)])
     assert n1 <= 0.5 + 1e-12 and n2 <= 0.5 + 1e-12
 
 
@@ -143,11 +156,30 @@ def test_strip_norms_uniform_across_disordered_bands(dis12_report):
     grid = rep.projector.grid
     anchors = [(5.5, 5.5), (2.5, 2.5), (8.5, 8.5)]
     norms = []
-    for j, Pj in enumerate(rep.bands.projectors):
-        nl, nr = wl.strip_localization_check(Pj, float(rep.gaps.xi[j]), grid,
+    for j, Vj in enumerate(rep.bands.vectors):
+        nl, nr = wl.strip_localization_check(Vj, float(rep.gaps.xi[j]), grid,
                                              0.05, anchors)
         norms.append(max(nl, nr))
     assert max(norms) / min(norms) <= 3.0
+
+
+def test_strip_norms_match_tilted_band_projector(dis12_report):
+    """Norms from the QR factors of the band vectors equal the norms of the
+    N x N tilted band projector B P_j B^-1 weighted by x - xi_j."""
+    rep = dis12_report
+    grid = rep.projector.grid
+    anchors = [(5.5, 5.5), (2.5, 2.5), (8.5, 8.5)]
+    for j, Vj in enumerate(rep.bands.vectors):
+        xi = float(rep.gaps.xi[j])
+        xshift = grid.x.astype(float) - xi
+        ref_left = ref_right = 0.0
+        for anchor in anchors:
+            Pg = tilt_operator(Vj @ Vj.conj().T, TiltSpec(0.05, anchor), grid)
+            ref_left = max(ref_left, wl.operator_norm(xshift[:, None] * Pg))
+            ref_right = max(ref_right, wl.operator_norm(Pg * xshift[None, :]))
+        nl, nr = wl.strip_localization_check(Vj, xi, grid, 0.05, anchors)
+        assert nl == pytest.approx(ref_left, rel=1e-12)
+        assert nr == pytest.approx(ref_right, rel=1e-12)
 
 
 def test_strip_norms_bounded_for_trivial_bands(trivial12_report):
@@ -155,8 +187,8 @@ def test_strip_norms_bounded_for_trivial_bands(trivial12_report):
     grid = rep.projector.grid
     anchors = [(5.5, 5.5), (2.5, 2.5), (8.5, 8.5)]
     norms = []
-    for j, Pj in enumerate(rep.bands.projectors):
-        nl, nr = wl.strip_localization_check(Pj, float(rep.gaps.xi[j]), grid,
+    for j, Vj in enumerate(rep.bands.vectors):
+        nl, nr = wl.strip_localization_check(Vj, float(rep.gaps.xi[j]), grid,
                                              0.05, anchors)
         norms.append(max(nl, nr))
     # uniform upper bound; the min can sit near zero deep in the insulator
@@ -169,8 +201,7 @@ def test_wannierize_rank_one_band():
     grid = make_grid(4, 1, ndim=2)
     i = 7
     P = projector_on(grid, [i])
-    Y = np.diag(grid.y.astype(float))
-    vecs, centers = wl.wannierize_band(P.P, Y, xi_j=float(grid.x[i]), rank=1)
+    vecs, centers = wl.wannierize_band(P.V, grid.y, xi_j=float(grid.x[i]))
     assert vecs.shape[1] == 1
     assert centers[0][0] == grid.x[i]
     assert centers[0][1] == pytest.approx(float(grid.y[i]), abs=1e-12)
@@ -181,11 +212,22 @@ def test_wannierize_two_decoupled_sites():
     i0 = int(np.flatnonzero((grid.x == 2) & (grid.y == 0))[0])
     i5 = int(np.flatnonzero((grid.x == 2) & (grid.y == 5))[0])
     P = projector_on(grid, [i0, i5])
-    Y = np.diag(grid.y.astype(float))
-    vecs, centers = wl.wannierize_band(P.P, Y, xi_j=2.0, rank=2)
+    vecs, centers = wl.wannierize_band(P.V, grid.y, xi_j=2.0)
     assert sorted(centers[:, 1].tolist()) == [0.0, 5.0]
     for k in range(2):
         assert np.count_nonzero(np.abs(vecs[:, k]) > 1e-12) == 1
+
+
+def test_wannierize_matches_rediagonalized_band_projector(dis12_report):
+    """Centres from the band vectors equal the eigenvalues of Y compressed to
+    a basis of range(P_j) recovered from the N x N band projector."""
+    y = dis12_report.projector.grid.y.astype(float)
+    for j, Vj in enumerate(dis12_report.bands.vectors):
+        W = range_basis(Vj @ Vj.conj().T)
+        assert W.shape[1] == Vj.shape[1]
+        ref = np.linalg.eigvalsh(W.conj().T @ (y[:, None] * W))
+        _, centers = wl.wannierize_band(Vj, y, float(dis12_report.gaps.xi[j]))
+        assert np.max(np.abs(centers[:, 1] - ref)) <= 1e-12
 
 
 def test_wannierized_functions_globally_orthonormal(dis12_report):
