@@ -6,8 +6,8 @@ from .lattice import (SiteGrid, TightBindingModel, build_atomic,
                       build_disordered_insulator, build_haldane,
                       build_ssh_chain, make_grid, position_operators)
 from .spectral import (DecayProfile, Projector, TiltSpec, commutator,
-                       fermi_projector, kernel_decay_fit, operator_norm,
-                       tilt_operator)
+                       fermi_projector, hermitian_norm, kernel_decay_fit,
+                       operator_norm, tilt_operator)
 from .dichotomy import (BandDecomposition, GapDetectionFailure, GapStructure,
                         GeneralizedWannierBasis, band_projectors,
                         check_bounded_density, detect_uniform_gaps,

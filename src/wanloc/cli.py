@@ -24,13 +24,15 @@ from .errors import ConfigError, WanlocError
 from .lattice import (build_atomic, build_disordered_insulator, build_haldane,
                       build_ssh_chain, make_grid, position_operators)
 from .spectral import InsufficientRangeError, fermi_projector, kernel_decay_fit
-from .xhat import (FilterSpec, build_xhat, build_xtilde, closeness_norm,
-                   gap_certificate, gap_midpoints, tilt_lipschitz)
+from .xhat import (FilterSpec, build_xhat, build_xtilde, certificate_coupling,
+                   closeness_norm, gap_certificate, gap_midpoints,
+                   tilt_lipschitz)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INEQUALITY = 3
 EXIT_VERDICT = 4
+EXIT_RUNTIME = 5
 
 VERDICT_OK = "exponential-basis-constructed"
 VERDICT_CERT = "certificate-failed"
@@ -157,12 +159,14 @@ def _chern_reports(cfg, P):
 
 
 def _delta_step(P, xt, delta, lambdas):
-    """X-hat at one width, its projected spectrum and its certificates."""
+    """X-hat at one width, its projected spectrum and its certificates, all
+    from one coupling matrix K."""
     spec = FilterSpec(delta)
     xh = build_xhat(xt, spec)
     spectrum, _ = projected_spectrum(P, xh.matrix)
-    certs = [gap_certificate(P, xt, xh, lam, spec, spectrum=spectrum)
-             for lam in lambdas]
+    K = certificate_coupling(xt, xh)
+    certs = [gap_certificate(P, xt, xh, lam, spec, spectrum=spectrum,
+                             coupling=K) for lam in lambdas]
     return xh, spectrum, certs
 
 
@@ -505,7 +509,7 @@ def main(argv=None):
         return EXIT_CONFIG
     except WanlocError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

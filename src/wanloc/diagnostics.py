@@ -7,12 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dichotomy import GeneralizedWannierBasis
-from .errors import (GaplessModelError, InsufficientRangeError,
+from .errors import (GaplessModelError, IncompleteBasisError,
+                     InsufficientRangeError, OutsideGapSetError,
                      UnsupportedGeometryError, WindowTooLargeError)
 from .lattice import SiteGrid
 from .spectral import (DECAY_FLOOR, DecayProfile, Projector, _log_linear_fit,
-                       bracket, operator_norm)
-from .xhat import XtildeOperator, in_gap_set, sqrt_resolvent
+                       bracket, hermitian_norm)
+from .xhat import COMPLETENESS_TOL, XtildeOperator, in_gap_set
+# unused here; perfbench/tracing.py binds wanloc.diagnostics:operator_norm
+from .spectral import operator_norm  # noqa: F401
+# unused here; perfbench/tracing.py binds wanloc.diagnostics:sqrt_resolvent
+from .xhat import sqrt_resolvent  # noqa: F401
 
 MIN_SHELLS = 10
 SHELL_WIDTH = 0.5
@@ -235,27 +240,48 @@ def schur_row_sums(basis: GeneralizedWannierBasis) -> SchurReport:
     sup_col = float(absK.sum(axis=0).max())
     return SchurReport(sup_row=sup_row, sup_col=sup_col,
                        bound=math.sqrt(sup_row * sup_col),
-                       direct_norm=operator_norm(K))
+                       direct_norm=hermitian_norm(K))
 
 
 def sqrt_bound_survey(P: Projector, basis: GeneralizedWannierBasis, lambdas):
     """Per mid-gap lambda, the four square-root resolvent norms plus the
     sandwiched square-root difference norm.  Rows:
-    (lambda, s_p_bplus, bplus_p_s, sinv_p_bminus, bminus_p_sinv, sqrt_diff)."""
-    grid = basis.grid
-    x = grid.x.astype(float)
-    Pm = P.P
+    (lambda, s_p_bplus, bplus_p_s, sinv_p_bminus, bminus_p_sinv, sqrt_diff).
+
+    With the basis W spanning range(P), S P = W R W^H and S^-1 P = W R^-1 W^H
+    for R = diag|lambda - m1|^{-1/2}, so every norm is that of an n x n
+    Hermitian matrix: ||S P b+||^2 = lambda_max(R W^H <x - lambda> W R), and
+    ||b+ P S|| is the norm of its adjoint; likewise for S^-1 and b-; and
+    ||P S^-1 P - P b+ P|| = ||R^-1 - W^H <x - lambda>^{1/2} W||.  That W
+    spans range(P) is checked once, as two Gram defects.
+    """
+    x = basis.grid.x.astype(float)
+    W = basis.psi
+    m1 = basis.m1
+    C = P.V.conj().T @ W
+    n = W.shape[1]
+    eye = np.eye(n)
+    defect = max(np.linalg.norm(W.conj().T @ W - eye),
+                 np.linalg.norm(C.conj().T @ C - eye))
+    if n != P.rank or defect > COMPLETENESS_TOL:
+        raise IncompleteBasisError(
+            f"basis of {n} functions does not span range(P) of rank "
+            f"{P.rank}: Gram defect {defect:.3e}")
     rows = []
     for lam in lambdas:
-        S = sqrt_resolvent(lam, basis, P)
-        bplus = bracket(x - lam) ** 0.5
-        bminus = 1.0 / bplus
-        n1 = operator_norm((S.matrix @ Pm) * bplus[None, :])
-        n2 = operator_norm(bplus[:, None] * (Pm @ S.matrix))
-        n3 = operator_norm((S.inverse @ Pm) * bminus[None, :])
-        n4 = operator_norm(bminus[:, None] * (Pm @ S.inverse))
-        diff = Pm @ S.inverse @ Pm - Pm @ (bplus[:, None] * Pm)
-        rows.append((float(lam), n1, n2, n3, n4, operator_norm(diff)))
+        if not in_gap_set(lam):
+            raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
+        wts = np.abs(lam - m1)
+        r, r_inv = wts ** -0.5, wts ** 0.5
+        br = bracket(x - lam)[:, None]
+        G_plus = W.conj().T @ (br * W)
+        G_minus = W.conj().T @ (W / br)
+        G_half = W.conj().T @ (br ** 0.5 * W)
+        n_plus = math.sqrt(hermitian_norm(r[:, None] * G_plus * r[None, :]))
+        n_minus = math.sqrt(hermitian_norm(
+            r_inv[:, None] * G_minus * r_inv[None, :]))
+        diff = hermitian_norm(np.diag(r_inv) - G_half)
+        rows.append((float(lam), n_plus, n_plus, n_minus, n_minus, diff))
     return rows
 
 
@@ -277,10 +303,11 @@ def tilted_comm_survey(P: Projector, xtilde: XtildeOperator, lambdas):
     rows = []
     for lam in lambdas:
         if not in_gap_set(lam):
-            raise ValueError(f"lambda={lam} outside the mid-integer gap set")
+            raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
         bminus = 1.0 / bracket(x - lam) ** 0.5
-        comm_x = operator_norm(bminus[:, None] * CX * bminus[None, :])
-        comm_y = operator_norm(bminus[:, None] * CY * bminus[None, :])
+        # [x, Xtilde] is anti-Hermitian, so 1j times its sandwich is Hermitian
+        comm_x = hermitian_norm(1j * (bminus[:, None] * CX * bminus[None, :]))
+        comm_y = hermitian_norm(1j * (bminus[:, None] * CY * bminus[None, :]))
         wts = np.abs(m1[:, None] - m1[None, :]) / np.abs(lam - m1)[None, :]
         weighted = coeff * wts
         sup = 0.0

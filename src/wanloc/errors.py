@@ -49,9 +49,9 @@ class OutsideGapSetError(WanlocError):
     """lambda does not lie in the union of mid-integer gap intervals."""
 
 
-class WindowTooLargeError(WanlocError):
-    pass
-
-
 class ConfigError(WanlocError):
     pass
+
+
+class WindowTooLargeError(ConfigError):
+    """A Chern window leaves less than L/4 of margin: a config choice."""

@@ -43,6 +43,19 @@ def operator_norm(A):
     return float(svdvals(A)[0])
 
 
+def hermitian_norm(A):
+    """Spectral norm of a Hermitian matrix: its largest |eigenvalue|.
+
+    Only the lower triangle is read, so pass operands that are Hermitian
+    by construction; everything else goes through `operator_norm`.
+    """
+    A = np.atleast_2d(np.asarray(A))
+    if not np.any(A):
+        return 0.0
+    evals = np.linalg.eigvalsh(A)
+    return float(max(-evals[0], evals[-1]))
+
+
 @dataclass(frozen=True)
 class Projector:
     """Fermi projection P = V V^H, carried as its occupied eigenvectors V

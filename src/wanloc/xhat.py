@@ -17,7 +17,8 @@ import numpy as np
 from .dichotomy import GeneralizedWannierBasis, projected_spectrum
 from .errors import (IncompleteBasisError, OutsideGapSetError,
                      UnsupportedGeometryError)
-from .spectral import Projector, TiltSpec, diag_of, operator_norm, tilt_operator
+from .spectral import (Projector, TiltSpec, diag_of, hermitian_norm,
+                       operator_norm, tilt_operator)
 
 XTILDE_HERMITICITY_TOL = 1e-12
 INTEGER_SPECTRUM_TOL = 1e-8
@@ -114,7 +115,7 @@ def closeness_norm(xhat: XhatOperator, X):
     """Spectral norm distance between the smoothed surrogate and X."""
     D = xhat.matrix.copy()
     D[np.diag_indices_from(D)] -= diag_of(X)
-    return operator_norm(D)
+    return hermitian_norm(D)
 
 
 def tilt_lipschitz(xhat: XhatOperator, gammas, anchors, grid):
@@ -157,7 +158,9 @@ def sqrt_resolvent(lam, basis: GeneralizedWannierBasis, P: Projector) -> SqrtRes
 
     S = |lam|^{-1/2} Q + sum |lam - m1|^{-1/2} |psi><psi|.  By construction
     it commutes with P, and conjugating (lam - P Xtilde P) by S yields an
-    operator with spectrum {-1, +1}, which is verified here.
+    operator with spectrum {-1, +1}, which is verified here.  The survey in
+    `diagnostics.sqrt_bound_survey` works in basis coordinates instead; this
+    N x N form is the reference its tests compare against.
     """
     if not in_gap_set(lam):
         raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
@@ -193,15 +196,30 @@ class GapCertificate:
                 self.passed)
 
 
+def certificate_coupling(xtilde: XtildeOperator, xhat: XhatOperator):
+    """K = W^H (Xhat - Xtilde) W, the smoothing error in the surrogate's
+    basis W of range(P).  It depends on the filter width but not on lambda.
+
+    The difference is taken entrywise before the sandwich: W^H Xhat W -
+    diag(m1) would cancel entries of size ~L down to a norm of ~1e-3 and
+    lose about 1e-10 of relative accuracy.
+    """
+    W = xtilde.basis.psi
+    return W.conj().T @ (xhat.matrix - xtilde.matrix) @ W
+
+
 def gap_certificate(P: Projector, xtilde: XtildeOperator, xhat: XhatOperator,
-                    lam, spec: FilterSpec, spectrum=None) -> GapCertificate:
+                    lam, spec: FilterSpec, spectrum=None,
+                    coupling=None) -> GapCertificate:
     """Certify that lam stays in the resolvent set of the projected operator.
 
     Reports the direct distance from the projected spectrum to lam together
     with the symmetrized difference norm ||S (PXhatP - PXtildeP) S||; the
     certificate passes when that norm is below 1/2, the contraction threshold
     of the mid-gap Neumann series.  In the surrogate's basis W of range(P),
-    S P = W diag(|lam - m1|^{-1/2}) W^H, so the norm is that of an n x n matrix.
+    S P = W diag(|lam - m1|^{-1/2}) W^H, so the norm is that of the n x n
+    Hermitian matrix r K r with K = `certificate_coupling(xtilde, xhat)`;
+    a sweep over lam passes that K as `coupling` to form it once.
 
     By the expansion in `filter_fourier`, Xhat - Xtilde =
     -(3 / delta^2) Xtilde o (dx^2 + dy^2) + O(delta^-4), so the peak norm
@@ -212,10 +230,10 @@ def gap_certificate(P: Projector, xtilde: XtildeOperator, xhat: XhatOperator,
     """
     if not in_gap_set(lam):
         raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
-    W = xtilde.basis.psi
+    if coupling is None:
+        coupling = certificate_coupling(xtilde, xhat)
     r = np.abs(lam - xtilde.basis.m1) ** -0.5
-    K = W.conj().T @ (xhat.matrix - xtilde.matrix) @ W
-    snorm = operator_norm(r[:, None] * K * r[None, :])
+    snorm = hermitian_norm(r[:, None] * coupling * r[None, :])
     if spectrum is None:
         spectrum, _ = projected_spectrum(P, xhat.matrix)
     dist = float(np.min(np.abs(np.asarray(spectrum) - lam))) if len(spectrum) else math.inf

@@ -60,6 +60,30 @@ def topological12_report(tmp_path_factory):
     return run_pipeline(cfg)
 
 
+def _surrogate_stack(model):
+    from wanloc.dichotomy import attach_moments
+    from wanloc.xhat import build_xtilde
+
+    P = wl.fermi_projector(model, 0.0)
+    basis = attach_moments(wl.relabel_to_lattice(
+        wl.initial_basis(P, s_grid=(1.0,))), (1.0,))
+    return model, P, basis, build_xtilde(basis, P)
+
+
+@pytest.fixture(scope="session")
+def dis8_stack():
+    """(model, P, basis, Xtilde) of the L=8 disordered insulator."""
+    return _surrogate_stack(wl.build_disordered_insulator(8, 2.0, 0.5, 7))
+
+
+@pytest.fixture(scope="session")
+def topo8_stack():
+    """(model, P, basis, Xtilde) of the L=8 Haldane Chern insulator."""
+    return _surrogate_stack(wl.build_haldane(
+        8, TOPO_PARAMS["t1"], TOPO_PARAMS["t2"], TOPO_PARAMS["phi"],
+        TOPO_PARAMS["m"]))
+
+
 @pytest.fixture(scope="session")
 def ssh24():
     """SSH chain with its Fermi projector and projected position spectrum."""

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import wanloc.io as io
-from wanloc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, PipelineConfig,
-                        build_model, main, parse_config, run_pipeline)
+from wanloc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERDICT,
+                        PipelineConfig, build_model, main, parse_config,
+                        run_pipeline)
 from wanloc.errors import ConfigError
 
 FULL_CONFIG = """\
@@ -168,6 +169,22 @@ def test_pipeline_empty_range_ends_with_report(tmp_path):
     report = open(out / "report.csv").read()
     assert "IncompleteBasisError: projector has empty range" in report
     assert report.splitlines()[-1] == "verdict,stage-error"
+
+
+def test_verify_runtime_failure_exits_with_runtime_code(tmp_path):
+    # rank P = 0 is a numerical failure of the run, not a config error
+    cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\nm = 1.0\n\n"
+                                 "[pipeline]\nfermi_energy = -5\n")
+    assert main(["verify", cfg, "--out", str(tmp_path / "v")]) == EXIT_RUNTIME
+
+
+def test_chern_oversized_window_is_config_error(tmp_path):
+    # half-width 3 leaves less than L/4 of margin on an L=8 sample
+    cfg = write_config(tmp_path,
+                       "[model]\ntype = haldane\nL = 8\nt1 = 1.0\n"
+                       "t2 = 0.3333333333333333\nphi = 1.5707963267948966\n"
+                       "m = 0.2\n\n[pipeline]\nchern_windows = 3\n")
+    assert main(["chern", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
 def test_pipeline_exit_codes(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import wanloc as wl
-from wanloc.errors import (GaplessModelError, InsufficientRangeError,
+from wanloc.errors import (GaplessModelError, IncompleteBasisError,
+                           InsufficientRangeError, OutsideGapSetError,
                            UnsupportedGeometryError, WindowTooLargeError)
 from wanloc.lattice import make_grid
 from wanloc.spectral import Projector, bracket
@@ -343,6 +344,69 @@ def test_sqrt_bound_survey_stable_across_midgap_values(dis12_report):
         assert max(vals) < 2.0 * min(vals) + 1e-9
 
 
+@pytest.mark.parametrize("stack", ["dis8_stack", "topo8_stack"])
+def test_sqrt_bound_survey_matches_full_definitions(stack, request):
+    """The range-coordinate norms equal the N x N definitions built from
+    S = sqrt_resolvent(lambda) and P."""
+    _, P, basis, _ = request.getfixturevalue(stack)
+    x = basis.grid.x.astype(float)
+    Pm = P.P
+    lambdas = wl.gap_midpoints(0.0, 7.0)
+    rows = wl.sqrt_bound_survey(P, basis, lambdas)
+    for lam, row in zip(lambdas, rows, strict=True):
+        S = wl.sqrt_resolvent(lam, basis, P)
+        bplus = bracket(x - lam) ** 0.5
+        bminus = 1.0 / bplus
+        full = (wl.operator_norm((S.matrix @ Pm) * bplus[None, :]),
+                wl.operator_norm(bplus[:, None] * (Pm @ S.matrix)),
+                wl.operator_norm((S.inverse @ Pm) * bminus[None, :]),
+                wl.operator_norm(bminus[:, None] * (Pm @ S.inverse)),
+                wl.operator_norm(Pm @ S.inverse @ Pm
+                                 - Pm @ (bplus[:, None] * Pm)))
+        assert row[0] == lam
+        assert row[1:] == pytest.approx(full, rel=1e-10)
+
+
+def test_sqrt_bound_survey_rejects_basis_missing_a_direction(dis8_stack):
+    _, P, basis, _ = dis8_stack
+    short = wl.GeneralizedWannierBasis(
+        psi=basis.psi[:, :-1], centers=basis.centers[:-1], grid=basis.grid,
+        lattice_index=basis.lattice_index[:-1])
+    with pytest.raises(IncompleteBasisError):
+        wl.sqrt_bound_survey(P, short, [0.5])
+    # same width as range(P), but one column swapped out of it
+    swapped = basis.psi.copy()
+    swapped[:, -1] = P.Q @ swapped[:, -1]
+    swapped[:, -1] /= np.linalg.norm(swapped[:, -1])
+    off = wl.GeneralizedWannierBasis(psi=swapped, centers=basis.centers,
+                                     grid=basis.grid,
+                                     lattice_index=basis.lattice_index)
+    with pytest.raises(IncompleteBasisError):
+        wl.sqrt_bound_survey(P, off, [0.5])
+
+
+def test_sqrt_bound_survey_rejects_outside_gap(dis8_stack):
+    _, P, basis, _ = dis8_stack
+    with pytest.raises(OutsideGapSetError):
+        wl.sqrt_bound_survey(P, basis, [0.5, 1.0])
+
+
+@pytest.mark.parametrize("stack", ["dis8_stack", "topo8_stack"])
+def test_tilted_comm_survey_matches_full_sandwich(stack, request):
+    """comm_x / comm_y equal the SVD norms of the anti-Hermitian sandwiches."""
+    _, P, _, xt = request.getfixturevalue(stack)
+    grid = xt.grid
+    lambdas = wl.gap_midpoints(0.0, 7.0)
+    rows = wl.tilted_comm_survey(P, xt, lambdas)
+    X = np.diag(grid.x.astype(float))
+    Y = np.diag(grid.y.astype(float))
+    for lam, row in zip(lambdas, rows, strict=True):
+        bminus = np.diag(1.0 / bracket(grid.x - lam) ** 0.5)
+        for col, A in ((1, X), (2, Y)):
+            full = wl.operator_norm(bminus @ wl.commutator(A, xt.matrix) @ bminus)
+            assert row[col] == pytest.approx(full, rel=1e-10)
+
+
 def test_tilted_comm_survey_atomic_surrogate_vanishes():
     model = wl.build_haldane(4, 0.0, 0.0, 0.0, 1.0)
     P = wl.fermi_projector(model, 0.0)
@@ -357,7 +421,7 @@ def test_tilted_comm_survey_atomic_surrogate_vanishes():
 def test_tilted_comm_survey_rejects_outside_gap(dis12_report):
     rep = dis12_report
     xt = build_xtilde(rep.basis_initial, rep.projector)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutsideGapSetError):
         wl.tilted_comm_survey(rep.projector, xt, [1.0])
 
 

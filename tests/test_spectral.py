@@ -151,6 +151,21 @@ def test_operator_norm_identity():
     assert wl.operator_norm(np.eye(7)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_hermitian_norm_matches_operator_norm():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    herm = A + A.conj().T
+    anti = A - A.conj().T
+    assert wl.hermitian_norm(herm) == pytest.approx(wl.operator_norm(herm),
+                                                    rel=1e-12)
+    assert wl.hermitian_norm(1j * anti) == pytest.approx(
+        wl.operator_norm(anti), rel=1e-12)
+    neg = -np.diag([3.0, 1.0, 2.0])     # the largest |eigenvalue| is negative
+    assert wl.hermitian_norm(neg) == 3.0
+    assert wl.hermitian_norm(np.zeros((6, 6))) == 0.0
+    assert wl.hermitian_norm(np.zeros((0, 0))) == 0.0
+
+
 def test_commutator_position_with_atomic_projector():
     model = wl.build_haldane(4, 0.0, 0.0, 0.0, 1.0)
     P = wl.fermi_projector(model, 0.0)

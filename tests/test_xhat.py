@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 import wanloc as wl
-from wanloc.dichotomy import attach_moments
 from wanloc.errors import (IncompleteBasisError, OutsideGapSetError,
                            UnsupportedGeometryError)
 from wanloc.lattice import SiteGrid, make_grid
 from wanloc.spectral import Projector
+from wanloc.cli import _delta_step
 from wanloc.xhat import FilterSpec, build_xhat, build_xtilde, gap_certificate
-
-from conftest import TOPO_PARAMS
 
 
 def atomic_setup(L=6):
@@ -18,27 +16,6 @@ def atomic_setup(L=6):
     P = wl.fermi_projector(model, 0.0)
     basis = wl.relabel_to_lattice(wl.initial_basis(P, s_grid=(1.0,)))
     return model, P, basis
-
-
-@pytest.fixture(scope="module")
-def dis8_stack():
-    model = wl.build_disordered_insulator(8, 2.0, 0.5, 7)
-    P = wl.fermi_projector(model, 0.0)
-    basis = attach_moments(wl.relabel_to_lattice(
-        wl.initial_basis(P, s_grid=(1.0,))), (1.0,))
-    xt = build_xtilde(basis, P)
-    return model, P, basis, xt
-
-
-@pytest.fixture(scope="module")
-def topo8_stack():
-    model = wl.build_haldane(8, TOPO_PARAMS["t1"], TOPO_PARAMS["t2"],
-                             TOPO_PARAMS["phi"], TOPO_PARAMS["m"])
-    P = wl.fermi_projector(model, 0.0)
-    basis = attach_moments(wl.relabel_to_lattice(
-        wl.initial_basis(P, s_grid=(1.0,))), (1.0,))
-    xt = build_xtilde(basis, P)
-    return model, P, basis, xt
 
 
 # --- filter profile ----------------------------------------------------------
@@ -273,6 +250,21 @@ def test_gap_certificate_matches_full_sandwich(stack, all_pass, request):
                                            rel=1e-10)
         certs.append(cert)
     assert all(c.passed for c in certs) == all_pass
+
+
+@pytest.mark.parametrize("stack", ["dis8_stack", "topo8_stack"])
+def test_delta_step_certificates_match_per_lambda_calls(stack, request):
+    """One coupling K per width gives the certificates of independent calls."""
+    _, P, _, xt = request.getfixturevalue(stack)
+    lambdas = wl.gap_midpoints(0.0, 7.0)
+    for delta in (4.0, 8.0):
+        xh, spectrum, certs = _delta_step(P, xt, delta, lambdas)
+        for lam, cert in zip(lambdas, certs, strict=True):
+            ref = gap_certificate(P, xt, xh, lam, FilterSpec(delta))
+            assert cert.snorm == pytest.approx(ref.snorm, rel=1e-12)
+            assert cert.min_gap_distance == pytest.approx(
+                ref.min_gap_distance, rel=1e-12)
+            assert cert.passed == ref.passed
 
 
 def test_gap_certificate_norm_decreases_with_filter_width(dis8_stack):
