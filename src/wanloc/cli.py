@@ -37,6 +37,7 @@ EXIT_RUNTIME = 5
 VERDICT_OK = "exponential-basis-constructed"
 VERDICT_CERT = "certificate-failed"
 VERDICT_GAPS = "gap-detection-failed"
+VERDICT_FIT = "fit-failed"
 VERDICT_ERROR = "stage-error"
 
 FIT_R2_MIN = 0.9
@@ -328,8 +329,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
             stages["chern"] = " ".join(f"C(w={r.window})={r.value:.4f}"
                                        for r in report.chern)
 
-        basis_ok = ortho <= 1e-8 and complete <= 1e-8
-        return finish(VERDICT_OK if (basis_ok and all_fits_ok) else VERDICT_ERROR)
+        if not (ortho <= 1e-8 and complete <= 1e-8):
+            return finish(VERDICT_ERROR)
+        return finish(VERDICT_OK if all_fits_ok else VERDICT_FIT)
     except WanlocError as exc:
         stages["error"] = f"{type(exc).__name__}: {exc}"
         return finish(VERDICT_ERROR)

@@ -7,13 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dichotomy import GeneralizedWannierBasis
-from .errors import (GaplessModelError, IncompleteBasisError,
+from .errors import (ChernResidualError, GaplessModelError,
                      InsufficientRangeError, OutsideGapSetError,
                      UnsupportedGeometryError, WindowTooLargeError)
 from .lattice import SiteGrid
-from .spectral import (DECAY_FLOOR, DecayProfile, Projector, _log_linear_fit,
-                       bracket, hermitian_norm)
-from .xhat import COMPLETENESS_TOL, XtildeOperator, in_gap_set
+from .spectral import (DecayProfile, Projector, _log_linear_fit, bracket,
+                       decay_floor, hermitian_norm)
+from .xhat import XtildeOperator, check_spans_range, in_gap_set
 # unused here; perfbench/tracing.py binds wanloc.diagnostics:operator_norm
 from .spectral import operator_norm  # noqa: F401
 # unused here; perfbench/tracing.py binds wanloc.diagnostics:sqrt_resolvent
@@ -61,35 +61,25 @@ def fit_exponential(psi, mu, grid: SiteGrid, shell_width=SHELL_WIDTH) -> DecayPr
     r_cap = max(math.sqrt(1.0 + reach * reach),
                 1.0 + (MIN_SHELLS + 1) * shell_width) + 1e-9
     shell = np.floor((r - 1.0) / shell_width).astype(int)
-    dist, vals = [], []
-    n_usable = n_points = 0
-    has_zero_shell = subfloor_noise = False
-    for k in range(shell.max() + 1):
-        mask = shell == k
-        if not mask.any():
-            continue
-        val = float(np.sqrt(np.mean(psi[mask] ** 2)))
-        rep = float(np.mean(r[mask]))
-        if val > DECAY_FLOOR:
-            n_usable += 1
-            if rep <= r_cap:
-                n_points += 1
-                dist.append(rep)
-                vals.append(val)
-        elif val == 0.0:
-            has_zero_shell = True
-        else:
-            subfloor_noise = True
+    count = np.bincount(shell)
+    nonempty = count > 0
+    count = count[nonempty]
+    vals = np.sqrt(np.bincount(shell, weights=psi * psi)[nonempty] / count)
+    dist = np.bincount(shell, weights=r)[nonempty] / count
+    usable = vals > decay_floor(psi.max(), psi.size)
+    points = usable & (dist <= r_cap)
+    n_points = int(points.sum())
     if n_points < MIN_SHELLS:
-        compact = (has_zero_shell and not subfloor_noise
-                   and n_usable == n_points and n_points > 0)
+        # zero shells, no sub-floor noise, and no usable shell past the cap
+        compact = (np.any(vals == 0.0) and np.all(usable | (vals == 0.0))
+                   and np.array_equal(usable, points) and n_points > 0)
         if compact:
-            return DecayProfile(C=float(max(vals)), gamma=math.inf,
+            return DecayProfile(C=float(vals[points].max()), gamma=math.inf,
                                 r_squared=1.0, samples=n_points,
                                 flag="compact-support")
         raise InsufficientRangeError(
             f"only {n_points} usable shells, need {MIN_SHELLS}")
-    C, gamma, r2 = _log_linear_fit(np.array(dist), np.array(vals))
+    C, gamma, r2 = _log_linear_fit(dist[points], vals[points])
     return DecayProfile(C=C, gamma=gamma, r_squared=r2, samples=n_points)
 
 
@@ -141,7 +131,8 @@ def chern_marker(P: Projector, L_w) -> ChernReport:
     val = 2.0 * math.pi * 1j * tr / (2.0 * L_w) ** 2
     residual = abs(float(val.imag))
     if residual > CHERN_IMAG_TOL:
-        raise ValueError(f"marker trace has imaginary residual {residual:.3e}")
+        raise ChernResidualError(
+            f"marker trace has imaginary residual {residual:.3e}")
     return ChernReport(window=int(L_w), value=float(val.real),
                        imag_residual=residual, trace_terms=int(win.sum()))
 
@@ -258,15 +249,7 @@ def sqrt_bound_survey(P: Projector, basis: GeneralizedWannierBasis, lambdas):
     x = basis.grid.x.astype(float)
     W = basis.psi
     m1 = basis.m1
-    C = P.V.conj().T @ W
-    n = W.shape[1]
-    eye = np.eye(n)
-    defect = max(np.linalg.norm(W.conj().T @ W - eye),
-                 np.linalg.norm(C.conj().T @ C - eye))
-    if n != P.rank or defect > COMPLETENESS_TOL:
-        raise IncompleteBasisError(
-            f"basis of {n} functions does not span range(P) of rank "
-            f"{P.rank}: Gram defect {defect:.3e}")
+    check_spans_range(W, P)
     rows = []
     for lam in lambdas:
         if not in_gap_set(lam):

@@ -11,14 +11,15 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import qr, svdvals
+from scipy.linalg import qr
 
 from .errors import (IllConditionedSelectionError, IncompleteBasisError,
                      NumericalDegeneracyError)
 from .lattice import SiteGrid
 from .spectral import (InsufficientRangeError, Projector, TiltSpec, bracket,
                        matrix_decay_fit, operator_norm, tilt_weights)
-# unused here; perfbench/tracing.py TRACED binds these two names in this module
+# unused here; perfbench/tracing.py TRACED binds these names in this module
+from scipy.linalg import svdvals  # noqa: F401
 from .spectral import range_basis, tilt_operator  # noqa: F401
 
 BAND_TOL = 1e-8
@@ -166,11 +167,19 @@ class BandDecomposition:
 def band_projectors(P: Projector, A, gaps: GapStructure) -> BandDecomposition:
     """Spectral subspaces of P A P, one eigenvector block per cluster."""
     _, vecs = projected_spectrum(P, A)
+    n = vecs.shape[1]
     # bounds every ||P_j P_k||, j != k, and the orthonormality inside a band
-    gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(vecs.shape[1]))
+    gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(n))
     if gram > BAND_TOL:
         raise NumericalDegeneracyError(
             f"band vectors not orthonormal: defect {gram:.3e}")
+    # n orthonormal vectors in range(P), rank n: the bands sum to P exactly
+    # when every vector belongs to one band
+    members = np.sort(np.concatenate(gaps.members)) if gaps.members else []
+    if not np.array_equal(members, np.arange(n)):
+        raise NumericalDegeneracyError(
+            "clusters do not partition the band vectors: band projectors "
+            "do not sum to P")
     blocks = [vecs[:, idx] for idx in gaps.members]
     profiles = []
     for V in blocks:
@@ -179,11 +188,6 @@ def band_projectors(P: Projector, A, gaps: GapStructure) -> BandDecomposition:
             profiles.append(matrix_decay_fit(0.5 * (Pj + Pj.conj().T), P.grid))
         except InsufficientRangeError:
             profiles.append(None)
-    B = np.hstack(blocks)                       # sum_j P_j = B B^H
-    defect = np.linalg.norm(B @ B.conj().T - P.P)
-    if defect > BAND_TOL:
-        raise NumericalDegeneracyError(
-            f"band projectors do not sum to P (defect {defect:.3e})")
     return BandDecomposition(vectors=blocks, xi=gaps.xi.copy(),
                              decay_profiles=profiles)
 
@@ -254,28 +258,12 @@ def relabel_to_lattice(basis: GeneralizedWannierBasis) -> GeneralizedWannierBasi
 
 def attach_moments(basis: GeneralizedWannierBasis, s_grid):
     """Per-function 2s-th localization moments about the centres."""
-    moments = {}
+    grid = basis.grid
+    br = bracket(grid.x[:, None] - basis.centers[None, :, 0],
+                 grid.y[:, None] - basis.centers[None, :, 1])
     dens = np.abs(basis.psi) ** 2
-    for s in s_grid:
-        vals = np.empty(basis.n_functions)
-        for k in range(basis.n_functions):
-            br = bracket(basis.grid.x - basis.centers[k, 0],
-                         basis.grid.y - basis.centers[k, 1])
-            vals[k] = float(np.sum(br ** (2.0 * s) * dens[:, k]))
-        moments[float(s)] = vals
+    moments = {float(s): np.sum(br ** (2.0 * s) * dens, axis=0) for s in s_grid}
     return replace(basis, moments=moments)
-
-
-def _lowdin(A):
-    """Symmetric orthonormalization of the columns of A."""
-    W = np.array(A, dtype=complex)
-    for _ in range(3):
-        S = W.conj().T @ W
-        evals, U = np.linalg.eigh(0.5 * (S + S.conj().T))
-        W = W @ (U * (1.0 / np.sqrt(evals))) @ U.conj().T
-        if np.linalg.norm(W.conj().T @ W - np.eye(W.shape[1])) < 1e-13:
-            break
-    return W
 
 
 def initial_basis(P: Projector, mode="columns",
@@ -283,7 +271,10 @@ def initial_basis(P: Projector, mode="columns",
     """Construct an orthonormal basis of range(P) with centre points.
 
     mode "columns": pivoted-QR selection of rank(P) well conditioned columns
-    of P, then symmetric orthonormalization.  mode "pxp-eigen": eigenfunctions
+    of P, then symmetric orthonormalization.  The selected columns are
+    A = V C with the n x n C = V[cols]^H, and A^H A = C^H C, so for
+    C = U S Z^H the orthonormalized columns are V U Z^H (the polar factor of
+    C carried by V) and cond(A) = cond(C).  mode "pxp-eigen": eigenfunctions
     of P X P (the 1-D construction; in 2-D it is kept as the deliberately
     failure-prone route).
     """
@@ -294,14 +285,13 @@ def initial_basis(P: Projector, mode="columns",
         V = P.V
         _, _, pivots = qr(V.conj().T, mode="economic", pivoting=True)
         cols = np.sort(pivots[:P.rank])
-        A = V @ V[cols].conj().T
-        sv = svdvals(A)
+        U, sv, Zh = np.linalg.svd(V[cols].conj().T)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
         if cond > SELECTION_COND_MAX:
             raise IllConditionedSelectionError(
                 f"selected columns have condition number {cond:.3e}; "
                 "re-run with more pivots or a different selection")
-        W = fix_phases(_lowdin(A))
+        W = fix_phases(V @ (U @ Zh))
     elif mode == "pxp-eigen":
         X = np.diag(grid.x.astype(float))
         _, W = projected_spectrum(P, X)

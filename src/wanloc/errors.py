@@ -33,6 +33,23 @@ class NumericalDegeneracyError(WanlocError):
     pass
 
 
+class NotHermitianError(WanlocError):
+    """An operator that must be Hermitian is not, beyond rounding."""
+
+
+class NotOrthonormalError(WanlocError):
+    """Columns that must be orthonormal are not, beyond rounding."""
+
+
+class SqrtResolventError(WanlocError):
+    """The mid-gap resolvent square root fails to commute with P or to turn
+    the mid-gap operator into a sign operator."""
+
+
+class ChernResidualError(WanlocError):
+    """The Chern-marker trace keeps an imaginary part beyond rounding."""
+
+
 class IllConditionedSelectionError(WanlocError):
     pass
 

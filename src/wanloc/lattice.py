@@ -7,10 +7,12 @@ orbitals share one integer coordinate), which keeps X, Y integer valued.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import GapClosureRiskError, GaplessModelError, ModelTooSmallError
+from .errors import (GapClosureRiskError, GaplessModelError, ModelTooSmallError,
+                     NotHermitianError)
 
 HERMITICITY_RTOL = 1e-12
 
@@ -42,6 +44,22 @@ class SiteGrid:
         step = self.orbitals_per_site
         return self.x[::step].astype(float), self.y[::step].astype(float)
 
+    @cached_property
+    def site_pair_bins(self):
+        """Site pairs grouped by exact distance, sorted once per grid.
+
+        Returns (order, starts, dist): `order` sorts the flattened
+        n_sites x n_sites array of site pairs by squared distance (stable),
+        `starts` marks where each distance begins in that order, and `dist`
+        holds the distinct distances, ascending.
+        """
+        sx, sy = self.site_coords()
+        d2 = ((sx[:, None] - sx[None, :]) ** 2
+              + (sy[:, None] - sy[None, :]) ** 2).astype(np.int64).ravel()
+        order = np.argsort(d2, kind="stable")
+        uniq, starts = np.unique(d2[order], return_index=True)
+        return order, starts, np.sqrt(uniq.astype(float))
+
 
 def make_grid(width, orbitals_per_site, ndim=2):
     if ndim == 2:
@@ -70,7 +88,8 @@ class TightBindingModel:
         scale = max(np.linalg.norm(self.H), 1.0)
         defect = np.linalg.norm(self.H - self.H.conj().T)
         if defect > HERMITICITY_RTOL * scale:
-            raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}")
+            raise NotHermitianError(
+                f"Hamiltonian not Hermitian: defect {defect:.3e}")
 
 
 def _index(grid, x, y, orb):

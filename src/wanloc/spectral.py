@@ -7,11 +7,12 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import svdvals
 
-from .errors import InsufficientRangeError, NoGapError, TiltTooLargeError
+from .errors import (InsufficientRangeError, NoGapError, NotOrthonormalError,
+                     TiltTooLargeError)
 from .lattice import SiteGrid, TightBindingModel
 
 IDEMPOTENCY_TOL = 1e-10
-DECAY_FLOOR = 1e-14
+DECAY_FLOOR_FACTOR = 2000.0
 MIN_DECAY_BINS = 10
 TILT_MAX_WEIGHT = 1e12
 NO_DECAY_RATE = 1e-2
@@ -70,7 +71,8 @@ class Projector:
     def __post_init__(self):
         defect = np.linalg.norm(self.V.conj().T @ self.V - np.eye(self.rank))
         if defect > IDEMPOTENCY_TOL:
-            raise ValueError(f"projector basis not orthonormal: {defect:.3e}")
+            raise NotOrthonormalError(
+                f"projector basis not orthonormal: {defect:.3e}")
 
     @property
     def rank(self):
@@ -87,8 +89,16 @@ class Projector:
 
 
 def fermi_projector(model: TightBindingModel, fermi_energy: float) -> Projector:
-    """Spectral projector onto eigenstates below the Fermi energy."""
-    evals, evecs = np.linalg.eigh(model.H)
+    """Spectral projector onto eigenstates below the Fermi energy.
+
+    A Hamiltonian with identically zero imaginary part is diagonalized as a
+    real symmetric matrix, so V, and everything later built from it, is
+    float64; otherwise it is complex128.
+    """
+    H = model.H
+    if not np.any(H.imag):
+        H = H.real
+    evals, evecs = np.linalg.eigh(H)
     dist = np.abs(evals - fermi_energy)
     nearest = int(np.argmin(dist))
     if dist[nearest] < 1e-6:
@@ -176,21 +186,30 @@ def kernel_envelope(matrix, grid: SiteGrid):
 
     Orbitals are collapsed: the bin value is the max of |A_ij| over all
     orbital pairs of every site pair at that distance.  Bins are the exact
-    distances realised on the integer lattice.  Returns (dist, mags) sorted
-    by distance.
+    distances realised on the integer lattice (`SiteGrid.site_pair_bins`).
+    Returns (dist, mags) sorted by distance.
     """
     n_orb = grid.orbitals_per_site
     ns = grid.n_sites
     mags = np.abs(np.asarray(matrix)).reshape(ns, n_orb, ns, n_orb).max(axis=(1, 3))
-    sx, sy = grid.site_coords()
-    d2 = ((sx[:, None] - sx[None, :]) ** 2
-          + (sy[:, None] - sy[None, :]) ** 2).astype(np.int64)
-    order = np.argsort(d2.ravel(), kind="stable")
-    d2_sorted = d2.ravel()[order]
-    m_sorted = mags.ravel()[order]
-    uniq, starts = np.unique(d2_sorted, return_index=True)
-    bin_max = np.maximum.reduceat(m_sorted, starts)
-    return np.sqrt(uniq.astype(float)), bin_max
+    order, starts, dist = grid.site_pair_bins
+    return dist, np.maximum.reduceat(mags.ravel()[order], starts)
+
+
+def decay_floor(scale, size):
+    """Smallest magnitude a decay fit reads as signal rather than rounding.
+
+    Entries of an operand built from the eigenvectors of an N x N matrix (a
+    projector kernel, a band projector, a function of range(P)) carry
+    absolute rounding errors of about eps * scale * sqrt(N), where scale is
+    the operand's largest magnitude and N = `size` its dimension; band
+    projectors, from a second eigendecomposition, carry up to about a
+    hundred times more.  DECAY_FLOOR_FACTOR = 2000 puts the floor far enough
+    above that level that fits on a real H and on its complex gauge twin
+    agree to 5e-7 (disordered L=32, N=2048), where 1000 left 1.3e-6 in the
+    band fits; 5000 would leave some functions with only MIN_SHELLS shells.
+    """
+    return DECAY_FLOOR_FACTOR * np.finfo(float).eps * float(scale) * math.sqrt(size)
 
 
 def kernel_decay_fit(P: Projector) -> DecayProfile:
@@ -206,7 +225,7 @@ def matrix_decay_fit(matrix, grid: SiteGrid) -> DecayProfile:
         return DecayProfile(C=float(mags[~off].max(initial=1.0)), gamma=math.inf,
                             r_squared=1.0, samples=int(off.sum()),
                             flag="compact-support")
-    usable = mags > DECAY_FLOOR
+    usable = mags > decay_floor(mags.max(), grid.dimension)
     if int(usable.sum()) < MIN_DECAY_BINS:
         raise InsufficientRangeError(
             f"only {int(usable.sum())} usable distance bins, need {MIN_DECAY_BINS}")

@@ -16,12 +16,10 @@ import numpy as np
 
 from .dichotomy import GeneralizedWannierBasis, projected_spectrum
 from .errors import (IncompleteBasisError, OutsideGapSetError,
-                     UnsupportedGeometryError)
+                     SqrtResolventError, UnsupportedGeometryError)
 from .spectral import (Projector, TiltSpec, diag_of, hermitian_norm,
                        operator_norm, tilt_operator)
 
-XTILDE_HERMITICITY_TOL = 1e-12
-INTEGER_SPECTRUM_TOL = 1e-8
 SQRT_SIGN_TOL = 1e-8
 COMMUTE_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
@@ -59,26 +57,34 @@ class XtildeOperator:
         return self.basis.grid
 
 
-def build_xtilde(basis: GeneralizedWannierBasis, P: Projector) -> XtildeOperator:
-    """Sum of m1-weighted basis projectors plus the complement part Q X Q."""
-    defect = basis.completeness_defect(P.P)
-    if defect > COMPLETENESS_TOL:
+def check_spans_range(W, P: Projector):
+    """Raise `IncompleteBasisError` unless the columns of W are an
+    orthonormal basis of range(P): as many as rank P, with Gram defects
+    ||W^H W - I|| and ||C^H C - I||, C = V^H W, within COMPLETENESS_TOL."""
+    C = P.V.conj().T @ W
+    n = W.shape[1]
+    eye = np.eye(n)
+    defect = max(np.linalg.norm(W.conj().T @ W - eye),
+                 np.linalg.norm(C.conj().T @ C - eye))
+    if n != P.rank or defect > COMPLETENESS_TOL:
         raise IncompleteBasisError(
-            f"basis does not span range(P): defect {defect:.3e}")
+            f"basis of {n} functions does not span range(P) of rank "
+            f"{P.rank}: Gram defect {defect:.3e}")
+
+
+def build_xtilde(basis: GeneralizedWannierBasis, P: Projector) -> XtildeOperator:
+    """Sum of m1-weighted basis projectors plus the complement part Q X Q.
+
+    Its projected spectrum is that of V^H Xt V = C diag(m1) C^H, C = V^H W,
+    so it is the integer set {m1} exactly when C is unitary and W spans
+    range(P); `check_spans_range` checks both with n x n Gram defects.
+    """
+    check_spans_range(basis.psi, P)
     x = basis.grid.x.astype(float)
     W = basis.psi
-    m1 = basis.m1
     Q = P.Q
-    M = (W * m1[None, :]) @ W.conj().T + Q @ (x[:, None] * Q)
-    M = 0.5 * (M + M.conj().T)
-    herm = np.linalg.norm(M - M.conj().T)
-    if herm > XTILDE_HERMITICITY_TOL * max(1.0, np.linalg.norm(M)):
-        raise ValueError(f"surrogate not Hermitian: {herm:.3e}")
-    evals, _ = projected_spectrum(P, M)
-    off = float(np.max(np.abs(evals - np.round(evals)))) if evals.size else 0.0
-    if off > INTEGER_SPECTRUM_TOL:
-        raise ValueError(f"projected spectrum off the integers by {off:.3e}")
-    return XtildeOperator(matrix=M, basis=basis)
+    M = (W * basis.m1[None, :]) @ W.conj().T + Q @ (x[:, None] * Q)
+    return XtildeOperator(matrix=0.5 * (M + M.conj().T), basis=basis)
 
 
 @dataclass
@@ -174,12 +180,13 @@ def sqrt_resolvent(lam, basis: GeneralizedWannierBasis, P: Projector) -> SqrtRes
     S_inv = 0.5 * (S_inv + S_inv.conj().T)
     comm = np.linalg.norm(S @ P.P - P.P @ S)
     if comm > COMMUTE_TOL:
-        raise ValueError(f"[S, P] = {comm:.3e} exceeds {COMMUTE_TOL}")
+        raise SqrtResolventError(f"[S, P] = {comm:.3e} exceeds {COMMUTE_TOL}")
     pxtp = (W * m1[None, :]) @ W.conj().T
     core = lam * np.eye(W.shape[0]) - pxtp
     signs = np.linalg.eigvalsh(S @ core @ S)
     if float(np.max(np.abs(np.abs(signs) - 1.0))) > SQRT_SIGN_TOL:
-        raise ValueError("conjugated mid-gap operator is not a sign operator")
+        raise SqrtResolventError(
+            "conjugated mid-gap operator is not a sign operator")
     return SqrtResolvent(lam=float(lam), matrix=S, inverse=S_inv)
 
 

@@ -8,6 +8,7 @@ from wanloc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERDICT,
                         PipelineConfig, build_model, main, parse_config,
                         run_pipeline)
 from wanloc.errors import ConfigError
+from wanloc.lattice import TightBindingModel
 
 FULL_CONFIG = """\
 [model]
@@ -246,3 +247,45 @@ def test_pipeline_outputs_are_byte_deterministic(tmp_path):
         a = (outs[0] / name).read_bytes()
         b = (outs[1] / name).read_bytes()
         assert a == b, f"{name} differs between runs"
+
+
+def test_failed_fit_has_its_own_verdict(tmp_path):
+    # haldane_topological.cfg with only m changed: trivial (m_c = sqrt 3),
+    # gapped and certified, but most per-function fits fall below r2 0.9
+    text = open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                             "haldane_topological.cfg")).read()
+    assert "m = 0.2\n" in text
+    cfg = write_config(tmp_path, text.replace("m = 0.2\n", "m = 1.9\n"))
+    out = tmp_path / "m19"
+    assert main(["pipeline", cfg, "--out", str(out)]) == EXIT_VERDICT
+    report = open(out / "report.csv").read()
+    assert "fits,failed" in report and "error," not in report
+    assert report.splitlines()[-1] == "verdict,fit-failed"
+
+
+def _non_hermitian_model(cfg):
+    model = build_model(cfg)
+    H = model.H.copy()
+    H[0, 1] += 1.0
+    return TightBindingModel(grid=model.grid, H=H, params=model.params,
+                             spectral_gap_estimate=model.spectral_gap_estimate)
+
+
+def test_invariant_errors_end_in_documented_exit_codes(tmp_path, monkeypatch):
+    import wanloc.cli as cli
+    monkeypatch.setattr(cli, "build_model", _non_hermitian_model)
+    cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\nm = 1.0\n")
+    out = tmp_path / "p"
+    assert main(["pipeline", cfg, "--out", str(out)]) == EXIT_VERDICT
+    report = open(out / "report.csv").read()
+    assert "error,NotHermitianError: Hamiltonian not Hermitian" in report
+    assert report.splitlines()[-1] == "verdict,stage-error"
+    for command in ("verify", "chern", "model"):
+        assert main([command, cfg, "--out", str(tmp_path / command)]) == EXIT_RUNTIME
+
+
+def test_chern_residual_exits_with_runtime_code(tmp_path, monkeypatch):
+    import wanloc.cli as cli
+    monkeypatch.setattr(cli.diagnostics, "CHERN_IMAG_TOL", -1.0)
+    cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 8\nm = 1.0\n")
+    assert main(["chern", cfg, "--out", str(tmp_path / "c")]) == EXIT_RUNTIME

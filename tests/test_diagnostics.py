@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import wanloc as wl
-from wanloc.errors import (GaplessModelError, IncompleteBasisError,
-                           InsufficientRangeError, OutsideGapSetError,
-                           UnsupportedGeometryError, WindowTooLargeError)
+from wanloc import diagnostics
+from wanloc.errors import (ChernResidualError, GaplessModelError,
+                           IncompleteBasisError, InsufficientRangeError,
+                           OutsideGapSetError, UnsupportedGeometryError,
+                           WindowTooLargeError)
 from wanloc.lattice import make_grid
-from wanloc.spectral import Projector, bracket
+from wanloc.spectral import Projector, bracket, decay_floor
 from wanloc.xhat import build_xtilde
 
 RNG_SEED = 1234
@@ -91,6 +93,105 @@ def test_fit_exponential_needs_enough_shells():
     v, _ = synthetic_profile(grid, (1.5, 1.5), lambda r: np.exp(-0.3 * r))
     with pytest.raises(InsufficientRangeError):
         wl.fit_exponential(v, (1.5, 1.5), grid)
+
+
+def fit_exponential_reference(psi, mu, grid, shell_width=diagnostics.SHELL_WIDTH):
+    """The per-shell loop `fit_exponential` replaced, with today's floor."""
+    psi = np.abs(np.asarray(psi))
+    floor = decay_floor(psi.max(), psi.size)
+    r = bracket(grid.x - mu[0], grid.y - mu[1])
+    reach = max(mu[0], (grid.width - 1) - mu[0])
+    if grid.ndim == 2:
+        reach = max(reach, mu[1], (grid.width - 1) - mu[1])
+    r_cap = max(np.sqrt(1.0 + reach * reach),
+                1.0 + (diagnostics.MIN_SHELLS + 1) * shell_width) + 1e-9
+    shell = np.floor((r - 1.0) / shell_width).astype(int)
+    dist, vals = [], []
+    n_usable = n_points = 0
+    has_zero_shell = subfloor_noise = False
+    for k in range(shell.max() + 1):
+        mask = shell == k
+        if not mask.any():
+            continue
+        val = float(np.sqrt(np.mean(psi[mask] ** 2)))
+        rep = float(np.mean(r[mask]))
+        if val > floor:
+            n_usable += 1
+            if rep <= r_cap:
+                n_points += 1
+                dist.append(rep)
+                vals.append(val)
+        elif val == 0.0:
+            has_zero_shell = True
+        else:
+            subfloor_noise = True
+    if n_points < diagnostics.MIN_SHELLS:
+        if (has_zero_shell and not subfloor_noise and n_usable == n_points
+                and n_points > 0):
+            return ("compact-support", max(vals), n_points)
+        return InsufficientRangeError
+    logs = np.log(vals)
+    slope, intercept = np.polyfit(dist, logs, 1)
+    return (None, float(np.exp(intercept)), n_points, float(-slope))
+
+
+def _fit_outcome(psi, mu, grid):
+    try:
+        fit = wl.fit_exponential(psi, mu, grid)
+    except InsufficientRangeError:
+        return InsufficientRangeError
+    if fit.flag == "compact-support":
+        return (fit.flag, fit.C, fit.samples)
+    return (fit.flag, fit.C, fit.samples, fit.gamma)
+
+
+def _assert_same_fit(got, ref):
+    if ref is InsufficientRangeError:
+        assert got is ref
+        return
+    assert got[0] == ref[0] and got[2] == ref[2]
+    np.testing.assert_allclose(got[1::2], ref[1::2], rtol=1e-12, atol=0)
+
+
+def test_fit_exponential_matches_shell_loop(dis12_report):
+    final = dis12_report.basis_final
+    cases = [(final.psi[:, k], final.centers[k]) for k in range(final.n_functions)]
+    grid = final.grid
+    outcomes = [_fit_outcome(psi, mu, grid) for psi, mu in cases]
+    assert all(o is not InsufficientRangeError and o[0] is None for o in outcomes)
+    for (psi, mu), got in zip(cases, outcomes):
+        _assert_same_fit(got, fit_exponential_reference(psi, mu, grid))
+
+
+def test_fit_exponential_matches_shell_loop_on_edge_cases():
+    grid = make_grid(12, 1, ndim=2)
+    mu = (5.0, 6.0)
+    centre = int(np.flatnonzero((grid.x == 5) & (grid.y == 6))[0])
+    delta = delta_vector(grid, centre)
+    # compact support: a delta, and a function vanishing past radius 3
+    clipped, br = synthetic_profile(grid, mu, lambda r: np.exp(-r))
+    clipped = np.where(br <= 3.0, clipped, 0.0)
+    clipped /= np.linalg.norm(clipped)
+    # sub-floor noise: the same supports, with rounding-size values on the
+    # ring 4 < r <= 6 and exact zeros beyond it
+    rng = np.random.default_rng(RNG_SEED)
+    noise = np.where((br > 4.0) & (br <= 6.0), 1e-18 * rng.random(grid.dimension), 0.0)
+    noisy_delta = (delta + noise) / np.linalg.norm(delta + noise)
+    noisy_clip = (clipped + noise) / np.linalg.norm(clipped + noise)
+    decaying, _ = synthetic_profile(grid, mu, lambda r: np.exp(-0.8 * r))
+    noisy_tail = decaying + noise
+    noisy_tail /= np.linalg.norm(noisy_tail)
+    expected = {"delta": "compact-support", "clipped": "compact-support",
+                "noisy_delta": InsufficientRangeError,
+                "noisy_clip": InsufficientRangeError, "decaying": None,
+                "noisy_tail": None}
+    vectors = {"delta": delta, "clipped": clipped, "noisy_delta": noisy_delta,
+               "noisy_clip": noisy_clip, "decaying": decaying,
+               "noisy_tail": noisy_tail}
+    for name, v in vectors.items():
+        got = _fit_outcome(v, mu, grid)
+        assert (got if got is InsufficientRangeError else got[0]) == expected[name]
+        _assert_same_fit(got, fit_exponential_reference(v, mu, grid))
 
 
 def test_exp_moment_finite_below_fitted_rate():
@@ -186,6 +287,13 @@ def test_chern_marker_matches_full_trace_formula():
         win = ((x > c - L_w) & (x <= c + L_w) & (y > c - L_w) & (y <= c + L_w))
         full = (2.0 * np.pi * 1j * np.sum(diag[win]) / (2.0 * L_w) ** 2).real
         assert abs(wl.chern_marker(P, L_w).value - full) <= 1e-12
+
+
+def test_chern_marker_imaginary_residual_is_typed(monkeypatch, trivial_projectors):
+    _, P = trivial_projectors[8]
+    monkeypatch.setattr(diagnostics, "CHERN_IMAG_TOL", -1.0)
+    with pytest.raises(ChernResidualError, match="imaginary residual"):
+        wl.chern_marker(P, 2)
 
 
 def test_chern_number_kspace_values():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import qr
 
 import wanloc as wl
-from wanloc.dichotomy import density_centroids, fix_phases
+from wanloc.dichotomy import attach_moments, density_centroids, fix_phases
 from wanloc.errors import NumericalDegeneracyError
 from wanloc.lattice import make_grid
-from wanloc.spectral import Projector, TiltSpec, range_basis, tilt_operator
+from wanloc.spectral import (Projector, TiltSpec, bracket, range_basis,
+                             tilt_operator)
 
 from conftest import centroid
 
@@ -352,6 +354,60 @@ def test_initial_basis_pxp_mode_matches_projected_spectrum_1d(ssh24):
     # centroid centres sit near the projected-position eigenvalues
     assert np.max(np.abs(basis.centers[:, 0] - evals)) <= 0.5
     assert basis.orthonormality_defect() <= 1e-8
+
+
+def lowdin_reference(A):
+    """The iterated symmetric orthonormalization `initial_basis` used before
+    it took the polar factor of the n x n selection matrix."""
+    W = np.array(A, dtype=complex)
+    for _ in range(3):
+        S = W.conj().T @ W
+        evals, U = np.linalg.eigh(0.5 * (S + S.conj().T))
+        W = W @ (U * (1.0 / np.sqrt(evals))) @ U.conj().T
+        if np.linalg.norm(W.conj().T @ W - np.eye(W.shape[1])) < 1e-13:
+            break
+    return W
+
+
+def test_polar_basis_matches_lowdin(dis8_stack, topo8_stack, dis_projectors):
+    stacks = [dis8_stack[1], topo8_stack[1], dis_projectors[12][1]]
+    for P in stacks:
+        V = P.V
+        _, _, pivots = qr(V.conj().T, mode="economic", pivoting=True)
+        cols = np.sort(pivots[:P.rank])
+        A = V @ V[cols].conj().T
+        ref = fix_phases(lowdin_reference(A))
+        basis = wl.initial_basis(P, s_grid=(1.0,))
+        assert basis.psi.dtype == V.dtype
+        assert np.max(np.abs(basis.psi - ref)) <= 1e-12
+        # the selection condition number is that of the n x n factor
+        sv = np.linalg.svd(V[cols].conj().T, compute_uv=False)
+        assert sv[0] / sv[-1] == pytest.approx(np.linalg.cond(A), rel=1e-10)
+
+
+def attach_moments_reference(basis, s_grid):
+    """The per-function loop `attach_moments` replaced."""
+    moments = {}
+    dens = np.abs(basis.psi) ** 2
+    for s in s_grid:
+        vals = np.empty(basis.n_functions)
+        for k in range(basis.n_functions):
+            br = bracket(basis.grid.x - basis.centers[k, 0],
+                         basis.grid.y - basis.centers[k, 1])
+            vals[k] = float(np.sum(br ** (2.0 * s) * dens[:, k]))
+        moments[float(s)] = vals
+    return moments
+
+
+def test_attach_moments_matches_per_function_loop(dis12_report, topo8_stack):
+    s_grid = (0.5, 1.0, 2.0, 2.5, 3.0)
+    for basis in (dis12_report.basis_initial, dis12_report.basis_final,
+                  topo8_stack[2]):
+        got = attach_moments(basis, s_grid).moments
+        ref = attach_moments_reference(basis, s_grid)
+        assert list(got) == list(ref)
+        for s in s_grid:
+            np.testing.assert_allclose(got[s], ref[s], rtol=1e-12, atol=0)
 
 
 def test_phase_fixing_is_idempotent_and_normalizing():

@@ -4,7 +4,8 @@ import pytest
 import wanloc as wl
 from wanloc.diagnostics import _haldane_bloch
 from wanloc.errors import (GapClosureRiskError, GaplessModelError,
-                           ModelTooSmallError)
+                           ModelTooSmallError, NotHermitianError)
+from wanloc.lattice import TightBindingModel, make_grid
 
 
 def bulk_min_gap(t1, t2, phi, m, n_k=24):
@@ -139,3 +140,10 @@ def test_grid_coordinates_cover_every_index():
     # every (site, orbital) pair appears exactly once
     coords = list(zip(grid.x.tolist(), grid.y.tolist()))
     assert len(coords) == 50 and len(set(coords)) == 25
+
+
+def test_model_rejects_non_hermitian_hamiltonian():
+    H = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(NotHermitianError, match="not Hermitian"):
+        TightBindingModel(grid=make_grid(2, 1, ndim=1), H=H, params={},
+                          spectral_gap_estimate=0.0)

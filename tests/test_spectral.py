@@ -3,7 +3,7 @@ import pytest
 
 import wanloc as wl
 from wanloc.errors import (InsufficientRangeError, NoGapError,
-                           TiltTooLargeError)
+                           NotOrthonormalError, TiltTooLargeError)
 from wanloc.lattice import TightBindingModel, make_grid
 from wanloc.spectral import Projector, matrix_decay_fit
 
@@ -58,7 +58,7 @@ def test_projector_invariants_across_builders(dis_projectors, trivial_projectors
                                np.array([[1.0, 0.6], [0.0, 0.8]])])
 def test_projector_rejects_non_orthonormal_basis(V):
     grid = make_grid(2, 1, ndim=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotOrthonormalError):
         Projector(V=V, fermi_energy=0.0, gap=1.0, grid=grid)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import wanloc as wl
 from wanloc.errors import (IncompleteBasisError, OutsideGapSetError,
-                           UnsupportedGeometryError)
+                           SqrtResolventError, UnsupportedGeometryError)
 from wanloc.lattice import SiteGrid, make_grid
 from wanloc.spectral import Projector
 from wanloc.cli import _delta_step
@@ -54,6 +54,25 @@ def test_xtilde_single_function_origin_center():
                                        lattice_index=[((0, 0), 1)])
     xt = build_xtilde(basis, P)
     assert np.all(xt.matrix == 0.0)
+
+
+def basis_with_column_in_range_q(P, basis):
+    """The basis with its last column replaced by a unit vector of range(Q)."""
+    psi = basis.psi.astype(complex)
+    q = P.Q[:, 0]
+    psi[:, -1] = q / np.linalg.norm(q)
+    return wl.GeneralizedWannierBasis(psi=psi, centers=basis.centers,
+                                      grid=basis.grid,
+                                      lattice_index=basis.lattice_index)
+
+
+def test_xtilde_rejects_basis_with_a_column_in_range_q(dis8_stack, topo8_stack):
+    for _, P, basis, _ in (dis8_stack, topo8_stack):
+        off = basis_with_column_in_range_q(P, basis)
+        # still orthonormal, so only the Gram check against V can see it
+        assert off.orthonormality_defect() <= 1e-12
+        with pytest.raises(IncompleteBasisError, match="Gram defect 1.0"):
+            build_xtilde(off, P)
 
 
 def test_xtilde_integer_projected_spectrum(dis8_stack):
@@ -223,6 +242,12 @@ def test_sqrt_resolvent_rejects_values_outside_gap_set(dis8_stack):
     _, P, basis, _ = dis8_stack
     with pytest.raises(OutsideGapSetError):
         wl.sqrt_resolvent(1.0, basis, P)
+
+
+def test_sqrt_resolvent_rejects_basis_outside_range_p(dis8_stack):
+    _, P, basis, _ = dis8_stack
+    with pytest.raises(SqrtResolventError, match="sign operator"):
+        wl.sqrt_resolvent(0.5, basis_with_column_in_range_q(P, basis), P)
 
 
 def test_gap_certificate_unfiltered_surrogate_is_exact(dis8_stack):
