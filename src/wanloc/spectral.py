@@ -203,11 +203,10 @@ def decay_floor(scale, size):
     projector kernel, a band projector, a function of range(P)) carry
     absolute rounding errors of about eps * scale * sqrt(N), where scale is
     the operand's largest magnitude and N = `size` its dimension; band
-    projectors, from a second eigendecomposition, carry up to about a
-    hundred times more.  DECAY_FLOOR_FACTOR = 2000 puts the floor far enough
-    above that level that fits on a real H and on its complex gauge twin
-    agree to 5e-7 (disordered L=32, N=2048), where 1000 left 1.3e-6 in the
-    band fits; 5000 would leave some functions with only MIN_SHELLS shells.
+    projectors, from a second eigendecomposition, carry more.  With
+    DECAY_FLOOR_FACTOR = 2000, fits on a real H and on its complex gauge
+    twin agree to 5e-7 (disordered L=32, N=2048); 1000 left 1.3e-6 in the
+    band fits, and 5000 leaves some functions with only MIN_SHELLS shells.
     """
     return DECAY_FLOOR_FACTOR * np.finfo(float).eps * float(scale) * math.sqrt(size)
 

@@ -23,19 +23,15 @@ def gauge_twin(model, seed=3):
     return replace(model, H=d[:, None] * model.H * d.conj()[None, :])
 
 
-def test_dtype_follows_hamiltonian(dis8_stack, topo8_stack):
+def test_dtype_follows_hamiltonian(dis8_stack, topo8_stack, dis12_report):
     model, P, basis, xt = dis8_stack
     assert not np.any(model.H.imag) and model.H.dtype == np.complex128
-    for arr in (P.V, P.P, basis.psi, xt.matrix):
+    for arr in (P.V, P.P, basis.psi, xt.matrix, dis12_report.basis_final.psi,
+                *dis12_report.bands.vectors):
         assert arr.dtype == np.float64
     _, P, basis, xt = topo8_stack
     for arr in (P.V, basis.psi, xt.matrix):
         assert arr.dtype == np.complex128
-
-
-def test_real_path_keeps_band_blocks_real(dis12_report):
-    assert all(V.dtype == np.float64 for V in dis12_report.bands.vectors)
-    assert dis12_report.basis_final.psi.dtype == np.float64
 
 
 def _pipeline(tmp_path, monkeypatch, twin):
