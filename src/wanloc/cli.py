@@ -21,6 +21,8 @@ from .dichotomy import (GapStructure, check_bounded_density, detect_uniform_gaps
                         initial_basis, projected_spectrum, relabel_to_lattice,
                         strip_localization_check, wannierize_band)
 from .errors import ConfigError, WanlocError
+# position_operators is unused here: it stays for the perfbench/tracing.py
+# binding wanloc.cli:position_operators
 from .lattice import (build_atomic, build_disordered_insulator, build_haldane,
                       build_ssh_chain, make_grid, position_operators)
 from .spectral import InsufficientRangeError, fermi_projector, kernel_decay_fit
@@ -71,6 +73,8 @@ class PipelineConfig:
             raise ConfigError("every Delta must be >= 2")
         if self.basis_mode not in ("columns", "pxp-eigen"):
             raise ConfigError(f"unknown basis mode {self.basis_mode!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if any(w < 1 for w in self.chern_windows):
             raise ConfigError("every Chern window must be >= 1")
         return self
@@ -160,15 +164,15 @@ def _chern_reports(cfg, P):
 
 
 def _delta_step(P, xt, delta, lambdas):
-    """X-hat at one width, its projected spectrum and its certificates, all
-    from one coupling matrix K."""
+    """X-hat at one width, the eigenpairs of its one P X-hat P
+    eigendecomposition and its certificates, all from one coupling K."""
     spec = FilterSpec(delta)
     xh = build_xhat(xt, spec)
-    spectrum, _ = projected_spectrum(P, xh.matrix)
+    spectrum, vectors = projected_spectrum(P, xh.matrix)
     K = certificate_coupling(xt, xh)
     certs = [gap_certificate(P, xt, xh, lam, spec, spectrum=spectrum,
                              coupling=K) for lam in lambdas]
-    return xh, spectrum, certs
+    return xh, spectrum, vectors, certs
 
 
 def _fit_passes(fit):
@@ -215,7 +219,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
                      ("model_id", "C", "gamma", "r_squared", "samples"),
                      [decay.as_csv_row(cfg.model_type)] if decay else [], meta)
 
-        basis = initial_basis(P, mode=cfg.basis_mode, s_grid=cfg.s_grid)
+        basis = initial_basis(P, mode=cfg.basis_mode)
         M = check_bounded_density(basis.centers, grid)
         report.bounded_density = M
         basis = attach_moments(relabel_to_lattice(basis), cfg.s_grid)
@@ -239,7 +243,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
         cert_rows = []
         chosen = None
         for delta in cfg.delta_list:
-            xh, spectrum, certs = _delta_step(P, xt, delta, lambdas)
+            xh, spectrum, vectors, certs = _delta_step(P, xt, delta, lambdas)
             report.certificates.extend(certs)
             cert_rows.extend(c.as_csv_row() for c in certs)
             gaps = detect_uniform_gaps(spectrum, cfg.d_min, cfg.d_max)
@@ -249,7 +253,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
                 f"certificates={'ok' if cert_ok else 'failed'} "
                 f"gaps={'ok' if gaps_ok else 'failed: ' + gaps.reason}")
             if cert_ok and gaps_ok:
-                chosen = (delta, xh, gaps, spectrum)
+                chosen = (delta, xh, gaps, vectors)
                 break
         io.write_csv(os.path.join(out, "certificates.csv"),
                      ("lambda", "delta", "snorm", "min_gap_distance", "pass"),
@@ -258,13 +262,13 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
             last = stages[f"delta={cfg.delta_list[-1]:g}"]
             return finish(VERDICT_CERT if "certificates=failed" in last
                           else VERDICT_GAPS)
-        delta, xh, gaps, spectrum = chosen
+        delta, xh, gaps, vectors = chosen
         report.chosen_delta = delta
         report.gaps = gaps
         meta["Delta"] = delta
         io.write_matrix(os.path.join(out, "xhat.wdmx"), xh.matrix)
 
-        bands = band_projectors(P, xh.matrix, gaps)
+        bands = band_projectors(vectors, gaps, grid)
         report.bands = bands
         stages["bands"] = f"ok n={len(bands.vectors)} d={gaps.d:.6g} D={gaps.D:.6g}"
         rows = []
@@ -404,18 +408,17 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
     model = build_model(cfg)
     P = fermi_projector(model, cfg.fermi_energy)
     basis = attach_moments(relabel_to_lattice(
-        initial_basis(P, mode=cfg.basis_mode, s_grid=cfg.s_grid)), cfg.s_grid)
+        initial_basis(P, mode=cfg.basis_mode)), cfg.s_grid)
     xt = build_xtilde(basis, P)
     grid_m = model.grid
     anchors = _default_anchors(grid_m)
-    X, _ = position_operators(model)
     lambdas = gap_midpoints(0.0, grid_m.width - 1.0)
 
     cert_rows, close_rows, tilt_rows = [], [], []
     for delta in cfg.delta_list:
-        xh, _, certs = _delta_step(P, xt, delta, lambdas)
+        xh, _, _, certs = _delta_step(P, xt, delta, lambdas)
         cert_rows.extend(c.as_csv_row() for c in certs)
-        close_rows.append((delta, closeness_norm(xh, X)))
+        close_rows.append((delta, closeness_norm(xh, grid_m.x)))
         sup, rows = tilt_lipschitz(xh, cfg.gamma_list, anchors, grid_m)
         tilt_rows.extend((delta,) + r for r in rows)
     io.write_csv(os.path.join(out, "verify_certificates.csv"),
@@ -485,7 +488,7 @@ def main(argv=None):
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+            cfg = replace(cfg, seed=args.seed).validate()
         if args.command == "pipeline":
             report = run_pipeline(cfg, out_dir=args.out)
             print(f"verdict: {report.verdict}")

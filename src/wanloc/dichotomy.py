@@ -164,9 +164,9 @@ class BandDecomposition:
     decay_profiles: list
 
 
-def band_projectors(P: Projector, A, gaps: GapStructure) -> BandDecomposition:
-    """Spectral subspaces of P A P, one eigenvector block per cluster."""
-    _, vecs = projected_spectrum(P, A)
+def band_projectors(vecs, gaps: GapStructure, grid: SiteGrid) -> BandDecomposition:
+    """Spectral subspaces of P A P: the lifted eigenvectors `vecs` of
+    `projected_spectrum(P, A)` split into one block per cluster of `gaps`."""
     n = vecs.shape[1]
     # bounds every ||P_j P_k||, j != k, and the orthonormality inside a band
     gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(n))
@@ -185,7 +185,7 @@ def band_projectors(P: Projector, A, gaps: GapStructure) -> BandDecomposition:
     for V in blocks:
         Pj = V @ V.conj().T
         try:
-            profiles.append(matrix_decay_fit(0.5 * (Pj + Pj.conj().T), P.grid))
+            profiles.append(matrix_decay_fit(0.5 * (Pj + Pj.conj().T), grid))
         except InsufficientRangeError:
             profiles.append(None)
     return BandDecomposition(vectors=blocks, xi=gaps.xi.copy(),
@@ -209,12 +209,17 @@ def strip_localization_check(V_j, xi_j, grid: SiteGrid, gamma, anchors):
     return n_left, n_right
 
 
+def coordinate_eigenbasis(V, coord):
+    """Eigenpairs of diag(coord) compressed to span(V), vectors phase fixed."""
+    M = V.conj().T @ (coord[:, None] * V)
+    M = 0.5 * (M + M.conj().T)
+    evals, U = np.linalg.eigh(M)
+    return evals, fix_phases(V @ U)
+
+
 def wannierize_band(V_j, y, xi_j):
     """Eigenfunctions of P_j Y P_j on span(V_j), centred at (xi_j, eta)."""
-    M = V_j.conj().T @ (y[:, None] * V_j)
-    M = 0.5 * (M + M.conj().T)
-    eta, U = np.linalg.eigh(M)
-    vecs = fix_phases(V_j @ U)
+    eta, vecs = coordinate_eigenbasis(V_j, y)
     centers = np.stack([np.full(eta.size, float(xi_j)), eta], axis=1)
     return vecs, centers
 
@@ -244,7 +249,7 @@ def relabel_to_lattice(basis: GeneralizedWannierBasis) -> GeneralizedWannierBasi
     Each function is assigned the integer point m whose half-open unit square
     [m1-1/2, m1+1/2) x [m2-1/2, m2+1/2) contains its centre; ties inside one
     square are numbered j = 1..M in original order.  Centres are replaced by
-    m; empty degeneracy slots are not materialized.
+    m, dropping moments about the old ones; empty slots are not materialized.
     """
     m = np.floor(basis.centers + 0.5).astype(int)
     occupancy = {}
@@ -253,7 +258,8 @@ def relabel_to_lattice(basis: GeneralizedWannierBasis) -> GeneralizedWannierBasi
         key = (int(row[0]), int(row[1]))
         occupancy[key] = occupancy.get(key, 0) + 1
         index.append((key, occupancy[key]))
-    return replace(basis, centers=m.astype(float), lattice_index=index)
+    return replace(basis, centers=m.astype(float), lattice_index=index,
+                   moments=None)
 
 
 def attach_moments(basis: GeneralizedWannierBasis, s_grid):
@@ -266,8 +272,7 @@ def attach_moments(basis: GeneralizedWannierBasis, s_grid):
     return replace(basis, moments=moments)
 
 
-def initial_basis(P: Projector, mode="columns",
-                  s_grid=(1.0, 2.0, 2.5, 3.0)) -> GeneralizedWannierBasis:
+def initial_basis(P: Projector, mode="columns") -> GeneralizedWannierBasis:
     """Construct an orthonormal basis of range(P) with centre points.
 
     mode "columns": pivoted-QR selection of rank(P) well conditioned columns
@@ -293,10 +298,8 @@ def initial_basis(P: Projector, mode="columns",
                 "re-run with more pivots or a different selection")
         W = fix_phases(V @ (U @ Zh))
     elif mode == "pxp-eigen":
-        X = np.diag(grid.x.astype(float))
-        _, W = projected_spectrum(P, X)
+        _, W = coordinate_eigenbasis(P.V, grid.x)
     else:
         raise ValueError(f"unknown basis mode {mode!r}")
-    basis = GeneralizedWannierBasis(psi=W, centers=density_centroids(W, grid),
-                                    grid=grid)
-    return attach_moments(basis, s_grid)
+    return GeneralizedWannierBasis(psi=W, centers=density_centroids(W, grid),
+                                   grid=grid)

@@ -35,10 +35,6 @@ class SiteGrid:
     def dimension(self):
         return self.x.size
 
-    @property
-    def n_sites(self):
-        return self.dimension // self.orbitals_per_site
-
     def site_coords(self):
         """Coordinates per site (one row per site, orbitals collapsed)."""
         step = self.orbitals_per_site

@@ -2,7 +2,7 @@
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy.linalg import svdvals
@@ -21,12 +21,6 @@ NO_DECAY_RATE = 1e-2
 def bracket(dx, dy=0.0):
     """Japanese bracket sqrt(1 + |v|^2), elementwise."""
     return np.sqrt(1.0 + np.square(dx) + np.square(dy))
-
-
-def diag_of(A):
-    """Accept a diagonal operator as a full matrix or a 1-D array."""
-    A = np.asarray(A)
-    return np.diagonal(A) if A.ndim == 2 else A
 
 
 def commutator(A, B):
@@ -189,9 +183,10 @@ def kernel_envelope(matrix, grid: SiteGrid):
     distances realised on the integer lattice (`SiteGrid.site_pair_bins`).
     Returns (dist, mags) sorted by distance.
     """
-    n_orb = grid.orbitals_per_site
-    ns = grid.n_sites
-    mags = np.abs(np.asarray(matrix)).reshape(ns, n_orb, ns, n_orb).max(axis=(1, 3))
+    A = np.asarray(matrix)
+    o = grid.orbitals_per_site
+    mags = reduce(np.maximum, (np.abs(A[a::o, b::o])
+                               for a in range(o) for b in range(o)))
     order, starts, dist = grid.site_pair_bins
     return dist, np.maximum.reduceat(mags.ravel()[order], starts)
 

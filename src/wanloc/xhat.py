@@ -13,12 +13,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .dichotomy import GeneralizedWannierBasis, projected_spectrum
 from .errors import (IncompleteBasisError, OutsideGapSetError,
                      SqrtResolventError, UnsupportedGeometryError)
-from .spectral import (Projector, TiltSpec, diag_of, hermitian_norm,
-                       operator_norm, tilt_operator)
+from .lattice import make_grid
+from .spectral import (Projector, TiltSpec, hermitian_norm, operator_norm,
+                       tilt_operator)
 
 SQRT_SIGN_TOL = 1e-8
 COMMUTE_TOL = 1e-9
@@ -91,36 +93,32 @@ def build_xtilde(basis: GeneralizedWannierBasis, P: Projector) -> XtildeOperator
 class XhatOperator:
     matrix: np.ndarray = field(repr=False)
     delta: float
-    bandwidth: tuple            # (max |dx|, max |dy|) carrying a nonzero entry
 
 
-def build_xhat(xtilde: XtildeOperator, spec: FilterSpec, grid=None) -> XhatOperator:
+def build_xhat(xtilde: XtildeOperator, spec: FilterSpec) -> XhatOperator:
     """Entrywise filter smoothing of the surrogate.
 
     On the integer lattice this is exact: entry (i, j) is multiplied by
     fhat(dx / delta) * fhat(dy / delta), so everything beyond distance delta
     in either coordinate is exactly zero and Hermiticity is preserved
-    (the profile is real and even).
+    (the profile is real and even).  In the `make_grid` layout that mask is
+    kron(T, T) (T in 1-D), repeated over orbital pairs, with the L x L
+    Toeplitz T[i, j] = fhat(|i - j| / delta) of the lattice offsets.
     """
-    grid = grid or xtilde.grid
-    if not (np.all(grid.x == np.round(grid.x)) and np.all(grid.y == np.round(grid.y))):
-        raise UnsupportedGeometryError("filter smoothing needs integer coordinates")
-    x = grid.x.astype(float)
-    y = grid.y.astype(float)
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    F = filter_fourier(dx / spec.delta) * filter_fourier(dy / spec.delta)
-    M = xtilde.matrix * F
-    nz = M != 0
-    bw = (float(np.abs(dx)[nz].max(initial=0.0)),
-          float(np.abs(dy)[nz].max(initial=0.0)))
-    return XhatOperator(matrix=M, delta=spec.delta, bandwidth=bw)
+    grid = xtilde.grid
+    layout = make_grid(grid.width, grid.orbitals_per_site, grid.ndim)
+    if not (np.array_equal(grid.x, layout.x) and np.array_equal(grid.y, layout.y)):
+        raise UnsupportedGeometryError("filter smoothing needs the make_grid layout")
+    T = toeplitz(filter_fourier(np.arange(grid.width) / spec.delta))
+    o = grid.orbitals_per_site
+    F = np.kron(np.kron(T, T) if grid.ndim == 2 else T, np.ones((o, o)))
+    return XhatOperator(matrix=xtilde.matrix * F, delta=spec.delta)
 
 
-def closeness_norm(xhat: XhatOperator, X):
-    """Spectral norm distance between the smoothed surrogate and X."""
+def closeness_norm(xhat: XhatOperator, x):
+    """Spectral norm distance between the smoothed surrogate and diag(x)."""
     D = xhat.matrix.copy()
-    D[np.diag_indices_from(D)] -= diag_of(X)
+    D[np.diag_indices_from(D)] -= x
     return hermitian_norm(D)
 
 

@@ -66,7 +66,7 @@ def _surrogate_stack(model):
 
     P = wl.fermi_projector(model, 0.0)
     basis = attach_moments(wl.relabel_to_lattice(
-        wl.initial_basis(P, s_grid=(1.0,))), (1.0,))
+        wl.initial_basis(P)), (1.0,))
     return model, P, basis, build_xtilde(basis, P)
 
 
@@ -104,7 +104,7 @@ def survey_maxima(dis_projectors):
     for L in (8, 16):
         _, P = dis_projectors[L]
         basis = attach_moments(wl.relabel_to_lattice(
-            wl.initial_basis(P, s_grid=(1.0,))), (1.0,))
+            wl.initial_basis(P)), (1.0,))
         xt = build_xtilde(basis, P)
         lambdas = wl.gap_midpoints(0.0, L - 1.0)
         sq = wl.sqrt_bound_survey(P, basis, lambdas)

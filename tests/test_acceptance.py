@@ -94,7 +94,7 @@ def test_criterion_05_banded_structure(dis12_report):
     # atomic case: diagonal surrogate passes through the filter untouched
     atom = wl.build_atomic(6)
     Pa = wl.fermi_projector(atom, 0.0)
-    ba = wl.relabel_to_lattice(wl.initial_basis(Pa, s_grid=(1.0,)))
+    ba = wl.relabel_to_lattice(wl.initial_basis(Pa))
     xta = build_xtilde(ba, Pa)
     xha = build_xhat(xta, FilterSpec(4.0))
     diag_exact = np.array_equal(xha.matrix, xta.matrix)
@@ -108,11 +108,10 @@ def test_criterion_06_closeness_bounded_in_size(dis_projectors):
     norms = []
     for L in (8, 12, 16):
         model, P = dis_projectors[L]
-        basis = wl.relabel_to_lattice(wl.initial_basis(P, s_grid=(1.0,)))
+        basis = wl.relabel_to_lattice(wl.initial_basis(P))
         xt = build_xtilde(basis, P)
         xh = build_xhat(xt, FilterSpec(8.0))
-        X, _ = wl.position_operators(model)
-        norms.append(wl.closeness_norm(xh, X))
+        norms.append(wl.closeness_norm(xh, model.grid.x))
     spread = max(norms) / min(norms)
     ok = spread < 1.2
     announce(6, ok, "norms L=8,12,16: "

@@ -212,6 +212,27 @@ def test_seed_override(tmp_path):
     assert not np.array_equal(H1, H2)
 
 
+def test_negative_seed_in_config_is_a_config_error(tmp_path):
+    cfg_path = write_config(tmp_path, "[model]\ntype = disordered\nL = 6\n"
+                                      "gap = 2.0\nw = 0.5\nseed = -1\n")
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config(cfg_path)
+    for command in ("pipeline", "verify", "model"):
+        out = tmp_path / command
+        assert main([command, cfg_path, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path):
+    cfg_path = write_config(tmp_path, "[model]\ntype = disordered\nL = 6\n"
+                                      "gap = 2.0\nw = 0.5\nseed = 7\n")
+    for command in ("pipeline", "verify", "model"):
+        out = tmp_path / command
+        assert main([command, cfg_path, "--out", str(out),
+                     "--seed", "-1"]) == EXIT_CONFIG
+        assert not out.exists()
+
+
 def test_verify_exit_code_on_inequality_failure(tmp_path, monkeypatch):
     import wanloc.cli as cli
     monkeypatch.setattr(cli.diagnostics, "lemma_decay_check",

@@ -383,7 +383,7 @@ def test_prod_sum_lemma_randomized_suite():
 def test_schur_sums_atomic_basis_vanish():
     model = wl.build_haldane(4, 0.0, 0.0, 0.0, 1.0)
     P = wl.fermi_projector(model, 0.0)
-    basis = wl.relabel_to_lattice(wl.initial_basis(P, s_grid=(1.0,)))
+    basis = wl.relabel_to_lattice(wl.initial_basis(P))
     rep = wl.schur_row_sums(basis)
     assert rep.sup_row <= 1e-12
     assert rep.direct_norm <= 1e-12
@@ -410,7 +410,7 @@ def test_schur_sums_stable_in_size():
     for L in (8, 16):
         model = wl.build_disordered_insulator(L, 2.0, 0.5, 0)
         P = wl.fermi_projector(model, 0.0)
-        basis = wl.relabel_to_lattice(wl.initial_basis(P, s_grid=(1.0,)))
+        basis = wl.relabel_to_lattice(wl.initial_basis(P))
         vals.append(wl.schur_row_sums(basis).sup_row)
     assert vals[1] <= 1.2 * vals[0]
 
@@ -518,7 +518,7 @@ def test_tilted_comm_survey_matches_full_sandwich(stack, request):
 def test_tilted_comm_survey_atomic_surrogate_vanishes():
     model = wl.build_haldane(4, 0.0, 0.0, 0.0, 1.0)
     P = wl.fermi_projector(model, 0.0)
-    basis = wl.relabel_to_lattice(wl.initial_basis(P, s_grid=(1.0,)))
+    basis = wl.relabel_to_lattice(wl.initial_basis(P))
     xt = build_xtilde(basis, P)
     rows = wl.tilted_comm_survey(P, xt, [0.5, 1.5])
     for row in rows:

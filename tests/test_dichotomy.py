@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import qr
 
 import wanloc as wl
+from wanloc.cli import _delta_step
 from wanloc.dichotomy import attach_moments, density_centroids, fix_phases
 from wanloc.errors import NumericalDegeneracyError
 from wanloc.lattice import make_grid
@@ -101,8 +102,9 @@ def test_band_projectors_single_cluster_recovers_projector():
     grid = make_grid(3, 1, ndim=1)
     P = projector_on(grid, [1])
     X = np.diag(grid.x.astype(float))
-    gaps = wl.detect_uniform_gaps(wl.projected_spectrum(P, X)[0], d_min=0.5)
-    bands = wl.band_projectors(P, X, gaps)
+    evals, vecs = wl.projected_spectrum(P, X)
+    gaps = wl.detect_uniform_gaps(evals, d_min=0.5)
+    bands = wl.band_projectors(vecs, gaps, grid)
     assert len(bands.vectors) == 1
     V = bands.vectors[0]
     assert np.linalg.norm(V @ V.conj().T - P.P) <= 1e-10
@@ -112,9 +114,9 @@ def test_band_projectors_ssh_dimers_are_rank_one():
     model = wl.build_ssh_chain(8, t1=1.0, t2=0.0)
     P = wl.fermi_projector(model, 0.0)
     X = np.diag(model.grid.x.astype(float))
-    evals, _ = wl.projected_spectrum(P, X)
+    evals, vecs = wl.projected_spectrum(P, X)
     gaps = wl.detect_uniform_gaps(evals, d_min=0.5)
-    bands = wl.band_projectors(P, X, gaps)
+    bands = wl.band_projectors(vecs, gaps, model.grid)
     assert [V.shape[1] for V in bands.vectors] == [1] * 8
     assert np.allclose(bands.xi, np.arange(8), atol=1e-10)
     projs = [V @ V.conj().T for V in bands.vectors]
@@ -128,10 +130,28 @@ def test_band_projectors_reject_clusters_missing_a_band():
     model = wl.build_ssh_chain(8, t1=1.0, t2=0.0)
     P = wl.fermi_projector(model, 0.0)
     X = np.diag(model.grid.x.astype(float))
-    gaps = wl.detect_uniform_gaps(wl.projected_spectrum(P, X)[0], d_min=0.5)
+    evals, vecs = wl.projected_spectrum(P, X)
+    gaps = wl.detect_uniform_gaps(evals, d_min=0.5)
     gaps.members = gaps.members[:-1]
     with pytest.raises(NumericalDegeneracyError, match="do not sum to P"):
-        wl.band_projectors(P, X, gaps)
+        wl.band_projectors(vecs, gaps, model.grid)
+
+
+@pytest.mark.parametrize("stack", ["dis8_stack", "topo8_stack"])
+def test_band_projectors_reuse_the_delta_step_eigenvectors(stack, request):
+    """Splitting the Delta step's vectors gives the blocks and fits of a
+    second `projected_spectrum(P, Xhat)` call, bit for bit."""
+    _, P, _, xt = request.getfixturevalue(stack)
+    xh, spectrum, vectors, _ = _delta_step(P, xt, 4.0, [])
+    gaps = wl.detect_uniform_gaps(spectrum, d_min=0.25)
+    assert isinstance(gaps, wl.GapStructure)
+    bands = wl.band_projectors(vectors, gaps, P.grid)
+    _, recomputed = wl.projected_spectrum(P, xh.matrix)
+    ref = wl.band_projectors(recomputed, gaps, P.grid)
+    assert len(bands.vectors) == len(ref.vectors) == gaps.n_clusters
+    for V, V_ref in zip(bands.vectors, ref.vectors, strict=True):
+        assert np.array_equal(V, V_ref)
+    assert bands.decay_profiles == ref.decay_profiles
 
 
 # --- strip localization ------------------------------------------------------
@@ -297,9 +317,21 @@ def test_relabel_degeneracy_indices_in_original_order():
     assert out.max_degeneracy == 2
 
 
+def test_relabel_drops_moments_taken_about_old_centres(topo8_stack):
+    _, P, _, _ = topo8_stack
+    raw = attach_moments(wl.initial_basis(P), (3.0,))
+    assert wl.initial_basis(P).moments is None
+    out = wl.relabel_to_lattice(raw)
+    assert out.moments is None
+    assert not np.array_equal(out.centers, raw.centers)
+    # moments about the new centres come only from attach_moments
+    fresh = attach_moments(out, (3.0,)).moments[3.0]
+    assert not np.allclose(fresh, raw.moments[3.0], rtol=1e-3)
+
+
 def test_relabel_consistent_with_square_occupancy(dis12_report):
     basis = dis12_report.basis_initial
-    raw = wl.initial_basis(dis12_report.projector, s_grid=(1.0,))
+    raw = wl.initial_basis(dis12_report.projector)
     m = np.floor(raw.centers + 0.5).astype(int)
     occupancy = {}
     for row in m:
@@ -318,7 +350,7 @@ def test_relabel_consistent_with_square_occupancy(dis12_report):
 def test_initial_basis_atomic_gives_deltas():
     model = wl.build_haldane(4, 0.0, 0.0, 0.0, 1.0)
     P = wl.fermi_projector(model, 0.0)
-    basis = wl.initial_basis(P, s_grid=(1.0,))
+    basis = wl.initial_basis(P)
     assert basis.n_functions == P.rank
     for k in range(basis.n_functions):
         col = basis.psi[:, k]
@@ -332,7 +364,7 @@ def test_initial_basis_rank_one_phase_convention():
     grid = make_grid(3, 1, ndim=1)
     v = np.array([0.6, -0.8j, 0.0])
     P = Projector(V=v[:, None], fermi_energy=0.0, gap=1.0, grid=grid)
-    basis = wl.initial_basis(P, s_grid=(1.0,))
+    basis = wl.initial_basis(P)
     lead = basis.psi[np.argmax(np.abs(basis.psi[:, 0])), 0]
     assert lead.imag == pytest.approx(0.0, abs=1e-12)
     assert lead.real > 0
@@ -340,7 +372,7 @@ def test_initial_basis_rank_one_phase_convention():
 
 def test_initial_basis_orthonormal_complete_with_bounded_moments(dis_projectors):
     _, P = dis_projectors[8]
-    basis = wl.initial_basis(P, s_grid=(3.0,))
+    basis = attach_moments(wl.initial_basis(P), (3.0,))
     assert basis.orthonormality_defect() <= 1e-8
     assert basis.completeness_defect(P.P) <= 1e-8
     # uniform moment bound across functions (pilot value 1.04)
@@ -349,7 +381,7 @@ def test_initial_basis_orthonormal_complete_with_bounded_moments(dis_projectors)
 
 def test_initial_basis_pxp_mode_matches_projected_spectrum_1d(ssh24):
     model, P, evals, vecs = ssh24
-    basis = wl.initial_basis(P, mode="pxp-eigen", s_grid=(1.0,))
+    basis = wl.initial_basis(P, mode="pxp-eigen")
     assert np.allclose(basis.psi, vecs, atol=1e-12)
     # centroid centres sit near the projected-position eigenvalues
     assert np.max(np.abs(basis.centers[:, 0] - evals)) <= 0.5
@@ -377,7 +409,7 @@ def test_polar_basis_matches_lowdin(dis8_stack, topo8_stack, dis_projectors):
         cols = np.sort(pivots[:P.rank])
         A = V @ V[cols].conj().T
         ref = fix_phases(lowdin_reference(A))
-        basis = wl.initial_basis(P, s_grid=(1.0,))
+        basis = wl.initial_basis(P)
         assert basis.psi.dtype == V.dtype
         assert np.max(np.abs(basis.psi - ref)) <= 1e-12
         # the selection condition number is that of the n x n factor

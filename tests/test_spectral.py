@@ -5,7 +5,7 @@ import wanloc as wl
 from wanloc.errors import (InsufficientRangeError, NoGapError,
                            NotOrthonormalError, TiltTooLargeError)
 from wanloc.lattice import TightBindingModel, make_grid
-from wanloc.spectral import Projector, matrix_decay_fit
+from wanloc.spectral import Projector, kernel_envelope, matrix_decay_fit
 
 
 def model_from_matrix(H, width, orbitals=1, ndim=2):
@@ -132,6 +132,21 @@ def test_kernel_decay_gapped_model_exponential(trivial_projectors):
     assert prof.gamma > 0
     assert prof.r_squared >= 0.9
     assert prof.samples >= 10
+
+
+@pytest.mark.parametrize("orbitals, ndim", [(1, 2), (2, 2), (2, 1)])
+def test_kernel_envelope_orbital_reduction_matches_4d_max(orbitals, ndim):
+    grid = make_grid(5, orbitals, ndim=ndim)
+    N = grid.dimension
+    ns = N // orbitals
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    dist, mags = kernel_envelope(A, grid)
+    per_pair = np.abs(A).reshape(ns, orbitals, ns, orbitals).max(axis=(1, 3))
+    order, starts, ref_dist = grid.site_pair_bins
+    assert np.array_equal(dist, ref_dist)
+    assert np.array_equal(mags, np.maximum.reduceat(per_pair.ravel()[order],
+                                                    starts))
 
 
 def test_kernel_decay_needs_enough_bins():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,15 @@ from wanloc.errors import (IncompleteBasisError, OutsideGapSetError,
 from wanloc.lattice import SiteGrid, make_grid
 from wanloc.spectral import Projector
 from wanloc.cli import _delta_step
-from wanloc.xhat import FilterSpec, build_xhat, build_xtilde, gap_certificate
+from wanloc.xhat import (FilterSpec, XtildeOperator, build_xhat, build_xtilde,
+                         gap_certificate)
 
 
 def atomic_setup(L=6):
     """Diagonal projector with a delta basis on an L x L two-orbital grid."""
     model = wl.build_haldane(L, 0.0, 0.0, 0.0, 1.0)
     P = wl.fermi_projector(model, 0.0)
-    basis = wl.relabel_to_lattice(wl.initial_basis(P, s_grid=(1.0,)))
+    basis = wl.relabel_to_lattice(wl.initial_basis(P))
     return model, P, basis
 
 
@@ -119,7 +122,38 @@ def test_xhat_entry_scaling_and_bandwidth(dis8_stack):
     assert np.allclose(xh.matrix[sel], xt.matrix[sel] * 0.421875, atol=1e-15)
     # exact zeros at or beyond the bandwidth in either coordinate
     assert np.all(xh.matrix[(dx >= 2.0) | (dy >= 2.0)] == 0.0)
-    assert xh.bandwidth[0] < 2.0 and xh.bandwidth[1] < 2.0
+
+
+def xhat_reference(xt, spec):
+    """The filter evaluated on the N x N coordinate offsets, as `build_xhat`
+    did before it took the 2L - 1 lattice offsets."""
+    x = xt.grid.x.astype(float)
+    y = xt.grid.y.astype(float)
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    return xt.matrix * (wl.filter_fourier(dx / spec.delta)
+                        * wl.filter_fourier(dy / spec.delta))
+
+
+def random_xtilde(grid, seed=1):
+    """A real symmetric stand-in for X-tilde carried by a basis on `grid`."""
+    A = np.random.default_rng(seed).standard_normal((grid.dimension,) * 2)
+    basis = wl.GeneralizedWannierBasis(psi=np.eye(grid.dimension)[:, :1],
+                                       centers=np.zeros((1, 2)), grid=grid)
+    return XtildeOperator(matrix=A + A.T, basis=basis)
+
+
+@pytest.mark.parametrize("delta", [2.0, 4.5, 1e5])
+def test_xhat_matches_offset_array_reference(delta, dis8_stack, ssh24):
+    P_ssh = ssh24[1]
+    xts = [dis8_stack[3],                                   # 2-D, two orbitals
+           random_xtilde(make_grid(6, 1, ndim=2)),          # 2-D, one orbital
+           build_xtilde(wl.relabel_to_lattice(wl.initial_basis(P_ssh)),
+                        P_ssh)]                             # 1-D SSH chain
+    for xt in xts:
+        spec = FilterSpec(delta)
+        assert np.array_equal(build_xhat(xt, spec).matrix,
+                              xhat_reference(xt, spec))
 
 
 def test_xhat_hermitian(dis8_stack):
@@ -129,13 +163,28 @@ def test_xhat_hermitian(dis8_stack):
         1.0, np.linalg.norm(xh.matrix))
 
 
+def with_grid(xt, grid):
+    """The surrogate `xt` with its basis carried on another grid."""
+    return XtildeOperator(matrix=xt.matrix, basis=replace(xt.basis, grid=grid))
+
+
 def test_xhat_requires_integer_coordinates(dis8_stack):
     _, _, _, xt = dis8_stack
     g = xt.grid
     crooked = SiteGrid(width=g.width, orbitals_per_site=g.orbitals_per_site,
                        ndim=g.ndim, x=g.x + 0.25, y=g.y)
     with pytest.raises(UnsupportedGeometryError):
-        build_xhat(xt, FilterSpec(4.0), grid=crooked)
+        build_xhat(with_grid(xt, crooked), FilterSpec(4.0))
+
+
+def test_xhat_requires_the_make_grid_layout(dis8_stack):
+    # integer coordinates in another index order: s = y * width + x
+    _, _, _, xt = dis8_stack
+    g = xt.grid
+    permuted = SiteGrid(width=g.width, orbitals_per_site=g.orbitals_per_site,
+                        ndim=g.ndim, x=g.y, y=g.x)
+    with pytest.raises(UnsupportedGeometryError):
+        build_xhat(with_grid(xt, permuted), FilterSpec(4.0))
 
 
 # --- closeness ---------------------------------------------------------------
@@ -144,19 +193,17 @@ def test_closeness_zero_in_atomic_limit():
     model, P, basis = atomic_setup()
     xt = build_xtilde(basis, P)
     xh = build_xhat(xt, FilterSpec(4.0))
-    X, _ = wl.position_operators(model)
-    assert wl.closeness_norm(xh, X) <= 1e-10
+    assert wl.closeness_norm(xh, model.grid.x) <= 1e-10
 
 
 def test_closeness_bounded_across_sizes(dis_projectors):
     norms = []
     for L in (8, 12, 16):
         model, P = dis_projectors[L]
-        basis = wl.relabel_to_lattice(wl.initial_basis(P, s_grid=(1.0,)))
+        basis = wl.relabel_to_lattice(wl.initial_basis(P))
         xt = build_xtilde(basis, P)
         xh = build_xhat(xt, FilterSpec(8.0))
-        X, _ = wl.position_operators(model)
-        norms.append(wl.closeness_norm(xh, X))
+        norms.append(wl.closeness_norm(xh, model.grid.x))
     assert max(norms) / min(norms) < 1.2
 
 
@@ -164,7 +211,7 @@ def test_closeness_approaches_unfiltered_distance_for_wide_filters(dis8_stack):
     model, _, _, xt = dis8_stack
     X, _ = wl.position_operators(model)
     wide = build_xhat(xt, FilterSpec(1e5))
-    assert abs(wl.closeness_norm(wide, X)
+    assert abs(wl.closeness_norm(wide, model.grid.x)
                - wl.operator_norm(xt.matrix - X)) <= 1e-6
 
 
@@ -252,8 +299,7 @@ def test_sqrt_resolvent_rejects_basis_outside_range_p(dis8_stack):
 
 def test_gap_certificate_unfiltered_surrogate_is_exact(dis8_stack):
     _, P, _, xt = dis8_stack
-    ident = wl.XhatOperator(matrix=xt.matrix.copy(), delta=8.0,
-                            bandwidth=(7.0, 7.0))
+    ident = wl.XhatOperator(matrix=xt.matrix.copy(), delta=8.0)
     cert = gap_certificate(P, xt, ident, 0.5, FilterSpec(8.0))
     assert cert.snorm <= 1e-9
     assert cert.min_gap_distance >= 0.25
@@ -283,7 +329,7 @@ def test_delta_step_certificates_match_per_lambda_calls(stack, request):
     _, P, _, xt = request.getfixturevalue(stack)
     lambdas = wl.gap_midpoints(0.0, 7.0)
     for delta in (4.0, 8.0):
-        xh, spectrum, certs = _delta_step(P, xt, delta, lambdas)
+        xh, spectrum, _, certs = _delta_step(P, xt, delta, lambdas)
         for lam, cert in zip(lambdas, certs, strict=True):
             ref = gap_certificate(P, xt, xh, lam, FilterSpec(delta))
             assert cert.snorm == pytest.approx(ref.snorm, rel=1e-12)
