@@ -16,13 +16,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diagnostics, io
+# projected_spectrum and position_operators are unused here: they stay for
+# the perfbench/tracing.py bindings wanloc.cli:projected_spectrum and
+# wanloc.cli:position_operators
 from .dichotomy import (GapStructure, check_bounded_density, detect_uniform_gaps,
                         GeneralizedWannierBasis, attach_moments, band_projectors,
-                        initial_basis, projected_spectrum, relabel_to_lattice,
-                        strip_localization_check, wannierize_band)
+                        initial_basis, lifted_eigenpairs, projected_spectrum,
+                        relabel_to_lattice, strip_localization_check,
+                        wannierize_band)
 from .errors import ConfigError, WanlocError
-# position_operators is unused here: it stays for the perfbench/tracing.py
-# binding wanloc.cli:position_operators
 from .lattice import (build_atomic, build_disordered_insulator, build_haldane,
                       build_ssh_chain, make_grid, position_operators)
 from .spectral import InsufficientRangeError, fermi_projector, kernel_decay_fit
@@ -45,6 +47,13 @@ VERDICT_ERROR = "stage-error"
 FIT_R2_MIN = 0.9
 
 
+# the [model] parameters each model type reads; every type accepts `seed`
+MODEL_PARAMS = {"haldane": ("t1", "t2", "phi", "m"), "disordered": ("gap", "w"),
+                "ssh": ("t1", "t2"), "atomic": ("m",)}
+PIPELINE_KEYS = ("fermi_energy", "basis_mode", "s_grid", "delta_list",
+                 "gamma_list", "d_min", "d_max", "chern_windows", "output_dir")
+
+
 @dataclass
 class PipelineConfig:
     model_type: str
@@ -62,8 +71,22 @@ class PipelineConfig:
     output_dir: str = "out"
 
     def validate(self):
-        if self.model_type not in ("haldane", "disordered", "ssh", "atomic"):
+        if self.model_type not in MODEL_PARAMS:
             raise ConfigError(f"unknown model type {self.model_type!r}")
+        unread = sorted(set(self.model_params)
+                        - set(MODEL_PARAMS[self.model_type]))
+        if unread:
+            raise ConfigError(f"model {self.model_type!r} does not read "
+                              f"{', '.join(unread)}")
+        numbers = dict(self.model_params, fermi_energy=self.fermi_energy,
+                       s_grid=self.s_grid, delta_list=self.delta_list,
+                       gamma_list=self.gamma_list, d_min=self.d_min,
+                       d_max=self.d_max)
+        bad = [k for k, v in numbers.items() if not np.all(np.isfinite(v))]
+        if bad:
+            raise ConfigError(f"non-finite value of {', '.join(bad)}")
+        if self.d_min <= 0:
+            raise ConfigError(f"d_min must be > 0, got {self.d_min}")
         if self.L < 4:
             raise ConfigError(f"L must be >= 4, got {self.L}")
         for name in ("s_grid", "delta_list", "gamma_list"):
@@ -93,6 +116,9 @@ def parse_config(path) -> PipelineConfig:
         raise ConfigError("config needs a nonempty [model] section")
     model = dict(parser["model"])
     pipe = dict(parser["pipeline"]) if "pipeline" in parser else {}
+    unknown = sorted(set(pipe) - set(PIPELINE_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown [pipeline] key {', '.join(unknown)}")
     try:
         model_type = model.pop("type")
         L = int(model.pop("l"))
@@ -163,15 +189,16 @@ def _chern_reports(cfg, P):
     return [diagnostics.chern_marker(P, w) for w in sorted(set(windows))]
 
 
-def _delta_step(P, xt, delta, lambdas):
-    """X-hat at one width, the eigenpairs of its one P X-hat P
-    eigendecomposition and its certificates, all from one coupling K."""
-    spec = FilterSpec(delta)
-    xh = build_xhat(xt, spec)
-    spectrum, vectors = projected_spectrum(P, xh.matrix)
+def _delta_step(xt, delta, lambdas):
+    """X-hat at one width, the spectrum and band vectors of P X-hat P and the
+    certificates at `lambdas`, all from one K = W^H (X-hat - X-tilde) W.
+    `build_xtilde` checked that the surrogate's basis W spans range(P), so
+    W^H X-tilde W = diag(m1) and diag(m1) + K is P X-hat P in W coordinates."""
+    xh = build_xhat(xt, FilterSpec(delta))
     K = certificate_coupling(xt, xh)
-    certs = [gap_certificate(P, xt, xh, lam, spec, spectrum=spectrum,
-                             coupling=K) for lam in lambdas]
+    m1 = xt.basis.m1
+    spectrum, vectors = lifted_eigenpairs(xt.basis.psi, np.diag(m1) + K)
+    certs = [gap_certificate(K, m1, spectrum, lam, delta) for lam in lambdas]
     return xh, spectrum, vectors, certs
 
 
@@ -243,7 +270,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
         cert_rows = []
         chosen = None
         for delta in cfg.delta_list:
-            xh, spectrum, vectors, certs = _delta_step(P, xt, delta, lambdas)
+            xh, spectrum, vectors, certs = _delta_step(xt, delta, lambdas)
             report.certificates.extend(certs)
             cert_rows.extend(c.as_csv_row() for c in certs)
             gaps = detect_uniform_gaps(spectrum, cfg.d_min, cfg.d_max)
@@ -407,8 +434,7 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
 
     model = build_model(cfg)
     P = fermi_projector(model, cfg.fermi_energy)
-    basis = attach_moments(relabel_to_lattice(
-        initial_basis(P, mode=cfg.basis_mode)), cfg.s_grid)
+    basis = relabel_to_lattice(initial_basis(P, mode=cfg.basis_mode))
     xt = build_xtilde(basis, P)
     grid_m = model.grid
     anchors = _default_anchors(grid_m)
@@ -416,7 +442,7 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
 
     cert_rows, close_rows, tilt_rows = [], [], []
     for delta in cfg.delta_list:
-        xh, _, _, certs = _delta_step(P, xt, delta, lambdas)
+        xh, _, _, certs = _delta_step(xt, delta, lambdas)
         cert_rows.extend(c.as_csv_row() for c in certs)
         close_rows.append((delta, closeness_norm(xh, grid_m.x)))
         sup, rows = tilt_lipschitz(xh, cfg.gamma_list, anchors, grid_m)

@@ -24,6 +24,7 @@ from .spectral import range_basis, tilt_operator  # noqa: F401
 
 BAND_TOL = 1e-8
 SELECTION_COND_MAX = 1e8
+DENSITY_BLOCK_PAIRS = 1 << 18
 
 
 def fix_phases(W):
@@ -86,17 +87,18 @@ def density_centroids(W, grid: SiteGrid):
     return np.stack([cx / norm, cy / norm], axis=1)
 
 
-def projected_spectrum(P: Projector, A):
-    """Eigenvalues and lifted eigenvectors of P A P restricted to range(P).
-
-    The eigenvalues are independent of the orthonormal basis chosen for
-    range(P); returned eigenvectors live in range(P) and are phase fixed.
-    """
-    W = P.V
-    M = W.conj().T @ np.asarray(A) @ W
+def lifted_eigenpairs(B, M):
+    """Eigenpairs of the Hermitian part of the n x n M = B^H A B, the
+    eigenvectors lifted by B (orthonormal columns) and phase fixed."""
     M = 0.5 * (M + M.conj().T)
     evals, U = np.linalg.eigh(M)
-    return evals, fix_phases(W @ U)
+    return evals, fix_phases(B @ U)
+
+
+def projected_spectrum(P: Projector, A):
+    """Eigenpairs of P A P restricted to range(P), taken in the basis P.V;
+    the eigenvalues do not depend on the orthonormal basis chosen."""
+    return lifted_eigenpairs(P.V, P.V.conj().T @ np.asarray(A) @ P.V)
 
 
 @dataclass
@@ -165,8 +167,8 @@ class BandDecomposition:
 
 
 def band_projectors(vecs, gaps: GapStructure, grid: SiteGrid) -> BandDecomposition:
-    """Spectral subspaces of P A P: the lifted eigenvectors `vecs` of
-    `projected_spectrum(P, A)` split into one block per cluster of `gaps`."""
+    """Spectral subspaces of P A P: its lifted, orthonormal eigenvectors
+    `vecs` split into one block per cluster of `gaps`."""
     n = vecs.shape[1]
     # bounds every ||P_j P_k||, j != k, and the orthonormality inside a band
     gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(n))
@@ -211,10 +213,7 @@ def strip_localization_check(V_j, xi_j, grid: SiteGrid, gamma, anchors):
 
 def coordinate_eigenbasis(V, coord):
     """Eigenpairs of diag(coord) compressed to span(V), vectors phase fixed."""
-    M = V.conj().T @ (coord[:, None] * V)
-    M = 0.5 * (M + M.conj().T)
-    evals, U = np.linalg.eigh(M)
-    return evals, fix_phases(V @ U)
+    return lifted_eigenpairs(V, V.conj().T @ (coord[:, None] * V))
 
 
 def wannierize_band(V_j, y, xi_j):
@@ -238,9 +237,14 @@ def check_bounded_density(centers, grid: SiteGrid | None = None, radius=1.0):
         sx, sy = grid.site_coords()
         queries.append(np.stack([sx, sy], axis=1))
     q = np.concatenate(queries, axis=0)
-    d2 = ((q[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    counts = (d2 <= radius * radius + 1e-12).sum(axis=1)
-    return int(counts.max())
+    # query rows in blocks of about DENSITY_BLOCK_PAIRS query-centre pairs
+    step = max(1, DENSITY_BLOCK_PAIRS // len(centers))
+    best = 0
+    for start in range(0, len(q), step):
+        diff = q[start:start + step, None, :] - centers[None, :, :]
+        d2 = (diff ** 2).sum(axis=2)
+        best = max(best, int((d2 <= radius * radius + 1e-12).sum(axis=1).max()))
+    return best
 
 
 def relabel_to_lattice(basis: GeneralizedWannierBasis) -> GeneralizedWannierBasis:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import toeplitz
 
+# projected_spectrum is unused here: it stays for the perfbench/tracing.py
+# binding wanloc.xhat:projected_spectrum
 from .dichotomy import GeneralizedWannierBasis, projected_spectrum
 from .errors import (IncompleteBasisError, OutsideGapSetError,
                      SqrtResolventError, UnsupportedGeometryError)
@@ -85,8 +87,14 @@ def build_xtilde(basis: GeneralizedWannierBasis, P: Projector) -> XtildeOperator
     x = basis.grid.x.astype(float)
     W = basis.psi
     Q = P.Q
-    M = (W * basis.m1[None, :]) @ W.conj().T + Q @ (x[:, None] * Q)
-    return XtildeOperator(matrix=0.5 * (M + M.conj().T), basis=basis)
+    M = Q @ (x[:, None] * Q)
+    del Q
+    # accumulated in place: once Q is dropped, at most one N x N temporary
+    # lives beside M
+    M += (W * basis.m1[None, :]) @ W.conj().T
+    M += M.conj().T
+    M *= 0.5
+    return XtildeOperator(matrix=M, basis=basis)
 
 
 @dataclass
@@ -213,18 +221,17 @@ def certificate_coupling(xtilde: XtildeOperator, xhat: XhatOperator):
     return W.conj().T @ (xhat.matrix - xtilde.matrix) @ W
 
 
-def gap_certificate(P: Projector, xtilde: XtildeOperator, xhat: XhatOperator,
-                    lam, spec: FilterSpec, spectrum=None,
-                    coupling=None) -> GapCertificate:
-    """Certify that lam stays in the resolvent set of the projected operator.
+def gap_certificate(coupling, m1, spectrum, lam, delta) -> GapCertificate:
+    """Certify that lam stays in the resolvent set of P Xhat P.
 
-    Reports the direct distance from the projected spectrum to lam together
-    with the symmetrized difference norm ||S (PXhatP - PXtildeP) S||; the
-    certificate passes when that norm is below 1/2, the contraction threshold
-    of the mid-gap Neumann series.  In the surrogate's basis W of range(P),
-    S P = W diag(|lam - m1|^{-1/2}) W^H, so the norm is that of the n x n
-    Hermitian matrix r K r with K = `certificate_coupling(xtilde, xhat)`;
-    a sweep over lam passes that K as `coupling` to form it once.
+    Reports the distance from lam to `spectrum`, the spectrum of P Xhat P,
+    and the symmetrized difference norm ||S (PXhatP - PXtildeP) S||; the
+    certificate passes when that norm is below 1/2, the contraction
+    threshold of the mid-gap Neumann series.  In the surrogate's basis W of
+    range(P), S P = W diag(|lam - m1|^{-1/2}) W^H, so the norm is that of
+    the n x n Hermitian r K r with K the `coupling`
+    `certificate_coupling(xtilde, xhat)` at filter width `delta`; one K
+    serves every lam.
 
     By the expansion in `filter_fourier`, Xhat - Xtilde =
     -(3 / delta^2) Xtilde o (dx^2 + dy^2) + O(delta^-4), so the peak norm
@@ -235,12 +242,8 @@ def gap_certificate(P: Projector, xtilde: XtildeOperator, xhat: XhatOperator,
     """
     if not in_gap_set(lam):
         raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
-    if coupling is None:
-        coupling = certificate_coupling(xtilde, xhat)
-    r = np.abs(lam - xtilde.basis.m1) ** -0.5
+    r = np.abs(lam - m1) ** -0.5
     snorm = hermitian_norm(r[:, None] * coupling * r[None, :])
-    if spectrum is None:
-        spectrum, _ = projected_spectrum(P, xhat.matrix)
     dist = float(np.min(np.abs(np.asarray(spectrum) - lam))) if len(spectrum) else math.inf
-    return GapCertificate(lam=float(lam), delta=spec.delta, snorm=snorm,
+    return GapCertificate(lam=float(lam), delta=delta, snorm=snorm,
                           min_gap_distance=dist, passed=bool(snorm < 0.5))

@@ -4,12 +4,11 @@ PASS/FAIL line with the measured values."""
 import numpy as np
 
 import wanloc as wl
-from wanloc.cli import PipelineConfig, run_pipeline, run_verify
-from wanloc.xhat import (FilterSpec, build_xhat, build_xtilde, filter_fourier,
-                         gap_certificate)
+from wanloc.cli import PipelineConfig, _delta_step, run_pipeline, run_verify
+from wanloc.xhat import FilterSpec, build_xhat, build_xtilde, filter_fourier
 
-from conftest import (DIS_PARAMS, DIS_SEED, MARKER_TRIVIAL_PARAMS, SSH_PARAMS,
-                      TOPO_PARAMS, centroid)
+from suite_common import (DIS_PARAMS, DIS_SEED, MARKER_TRIVIAL_PARAMS,
+                          SSH_PARAMS, TOPO_PARAMS, centroid)
 
 
 def announce(num, ok, detail):
@@ -143,10 +142,7 @@ def test_criterion_08_certificate_norm_scaling(dis12_report):
     lambdas = wl.gap_midpoints(0.0, P.grid.width - 1.0)
     peak, spectra, all_pass = [], {}, {}
     for delta in deltas:
-        xh = build_xhat(xt, FilterSpec(delta))
-        spectrum, _ = wl.projected_spectrum(P, xh.matrix)
-        certs = [gap_certificate(P, xt, xh, lam, FilterSpec(delta),
-                                 spectrum=spectrum) for lam in lambdas]
+        _, spectrum, _, certs = _delta_step(xt, delta, lambdas)
         peak.append(max(c.snorm for c in certs))
         spectra[delta] = spectrum
         all_pass[delta] = all(c.passed for c in certs)

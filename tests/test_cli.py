@@ -76,6 +76,58 @@ def test_validation_rejects_small_lattice(tmp_path):
         parse_config(write_config(tmp_path, "[model]\ntype = atomic\nL = 2\n"))
 
 
+DIS6_MODEL = "[model]\ntype = disordered\nL = 6\ngap = 2.0\nw = 0.5\nseed = 7\n"
+
+
+def assert_config_error(tmp_path, text, match):
+    cfg = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(cfg)
+    assert main(["pipeline", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line", ["delta_list = 4, nan", "fermi_energy = nan",
+                                  "d_max = inf", "s_grid = 1, -inf"])
+def test_validation_rejects_non_finite_numbers(tmp_path, line):
+    assert_config_error(tmp_path, DIS6_MODEL + f"\n[pipeline]\n{line}\n",
+                        "non-finite")
+
+
+def test_validation_rejects_non_finite_model_parameter(tmp_path):
+    assert_config_error(tmp_path, DIS6_MODEL.replace("w = 0.5", "w = nan"),
+                        "non-finite value of w")
+
+
+@pytest.mark.parametrize("d_min", ["0", "-0.25"])
+def test_validation_rejects_nonpositive_d_min(tmp_path, d_min):
+    assert_config_error(tmp_path,
+                        DIS6_MODEL + f"\n[pipeline]\nd_min = {d_min}\n",
+                        "d_min must be > 0")
+
+
+def test_parse_rejects_unknown_pipeline_key(tmp_path):
+    # a misspelled delta_list must not fall back to the default widths
+    assert_config_error(tmp_path, DIS6_MODEL + "\n[pipeline]\ndelta = 8\n",
+                        "unknown \\[pipeline\\] key delta")
+
+
+@pytest.mark.parametrize("model, key", [(DIS6_MODEL, "bogus"),
+                                        (DIS6_MODEL, "m"),
+                                        ("[model]\ntype = atomic\nL = 6\n", "t1")])
+def test_validation_rejects_model_parameter_the_model_does_not_read(
+        tmp_path, model, key):
+    assert_config_error(tmp_path, model + f"{key} = 3\n",
+                        f"does not read {key}$")
+
+
+def test_shipped_configs_parse():
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    for name in ("disordered", "haldane_trivial", "haldane_topological"):
+        cfg = parse_config(os.path.join(root, f"{name}.cfg"))
+        assert cfg.delta_list == (4.0, 8.0, 16.0)
+
+
 def test_build_model_dispatch(tmp_path):
     cfg = parse_config(write_config(
         tmp_path, "[model]\ntype = haldane\nL = 4\nt1 = 1.0\nt2 = 0.0\n"

@@ -12,7 +12,7 @@ import wanloc as wl
 from wanloc import cli
 from wanloc.cli import PipelineConfig, run_pipeline
 
-from conftest import DIS_PARAMS, DIS_SEED
+from suite_common import DIS_PARAMS, DIS_SEED
 
 RTOL = 1e-10
 

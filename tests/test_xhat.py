@@ -10,7 +10,7 @@ from wanloc.lattice import SiteGrid, make_grid
 from wanloc.spectral import Projector
 from wanloc.cli import _delta_step
 from wanloc.xhat import (FilterSpec, XtildeOperator, build_xhat, build_xtilde,
-                         gap_certificate)
+                         certificate_coupling, gap_certificate)
 
 
 def atomic_setup(L=6):
@@ -298,9 +298,11 @@ def test_sqrt_resolvent_rejects_basis_outside_range_p(dis8_stack):
 
 
 def test_gap_certificate_unfiltered_surrogate_is_exact(dis8_stack):
-    _, P, _, xt = dis8_stack
+    _, P, basis, xt = dis8_stack
     ident = wl.XhatOperator(matrix=xt.matrix.copy(), delta=8.0)
-    cert = gap_certificate(P, xt, ident, 0.5, FilterSpec(8.0))
+    spectrum, _ = wl.projected_spectrum(P, ident.matrix)
+    cert = gap_certificate(certificate_coupling(xt, ident), basis.m1, spectrum,
+                           0.5, 8.0)
     assert cert.snorm <= 1e-9
     assert cert.min_gap_distance >= 0.25
     assert cert.passed
@@ -311,31 +313,30 @@ def test_gap_certificate_unfiltered_surrogate_is_exact(dis8_stack):
 def test_gap_certificate_matches_full_sandwich(stack, all_pass, request):
     """The basis-coordinate norm equals ||S P (Xh - Xt) P S|| built N x N."""
     _, P, basis, xt = request.getfixturevalue(stack)
-    xh = build_xhat(xt, FilterSpec(4.0))
+    lambdas = wl.gap_midpoints(0.0, 7.0)
+    xh, _, _, certs = _delta_step(xt, 4.0, lambdas)
     D = P.P @ (xh.matrix - xt.matrix) @ P.P
-    certs = []
-    for lam in wl.gap_midpoints(0.0, 7.0):
-        cert = gap_certificate(P, xt, xh, lam, FilterSpec(4.0))
+    for lam, cert in zip(lambdas, certs, strict=True):
         S = wl.sqrt_resolvent(lam, basis, P).matrix
         assert cert.snorm == pytest.approx(wl.operator_norm(S @ D @ S),
                                            rel=1e-10)
-        certs.append(cert)
     assert all(c.passed for c in certs) == all_pass
 
 
 @pytest.mark.parametrize("stack", ["dis8_stack", "topo8_stack"])
-def test_delta_step_certificates_match_per_lambda_calls(stack, request):
-    """One coupling K per width gives the certificates of independent calls."""
+def test_delta_step_spectrum_matches_projected_spectrum(stack, request):
+    """diag(m1) + K in the surrogate's basis has the spectrum of P Xhat P
+    taken in V coordinates, and the certificates measure their gap
+    distances from it."""
     _, P, _, xt = request.getfixturevalue(stack)
     lambdas = wl.gap_midpoints(0.0, 7.0)
     for delta in (4.0, 8.0):
-        xh, spectrum, _, certs = _delta_step(P, xt, delta, lambdas)
+        xh, spectrum, _, certs = _delta_step(xt, delta, lambdas)
+        ref, _ = wl.projected_spectrum(P, xh.matrix)
+        assert np.max(np.abs(spectrum - ref)) <= 1e-12
         for lam, cert in zip(lambdas, certs, strict=True):
-            ref = gap_certificate(P, xt, xh, lam, FilterSpec(delta))
-            assert cert.snorm == pytest.approx(ref.snorm, rel=1e-12)
             assert cert.min_gap_distance == pytest.approx(
-                ref.min_gap_distance, rel=1e-12)
-            assert cert.passed == ref.passed
+                float(np.min(np.abs(ref - lam))), abs=1e-12)
 
 
 def test_gap_certificate_norm_decreases_with_filter_width(dis8_stack):
@@ -343,10 +344,7 @@ def test_gap_certificate_norm_decreases_with_filter_width(dis8_stack):
     lambdas = wl.gap_midpoints(0.0, 7.0)
     norms = []
     for delta in (4.0, 8.0, 16.0):
-        xh = build_xhat(xt, FilterSpec(delta))
-        spectrum, _ = wl.projected_spectrum(P, xh.matrix)
-        certs = [gap_certificate(P, xt, xh, lam, FilterSpec(delta),
-                                 spectrum=spectrum) for lam in lambdas]
+        _, _, _, certs = _delta_step(xt, delta, lambdas)
         assert all(c.passed for c in certs)
         norms.append(max(c.snorm for c in certs))
     assert norms[0] > norms[1] > norms[2]
