@@ -24,7 +24,7 @@ from .dichotomy import (GapStructure, check_bounded_density, detect_uniform_gaps
                         initial_basis, lifted_eigenpairs, projected_spectrum,
                         relabel_to_lattice, strip_localization_check,
                         wannierize_band)
-from .errors import ConfigError, WanlocError
+from .errors import ConfigError, WanlocError, WindowTooLargeError
 from .lattice import (build_atomic, build_disordered_insulator, build_haldane,
                       build_ssh_chain, make_grid, position_operators)
 from .spectral import InsufficientRangeError, fermi_projector, kernel_decay_fit
@@ -50,8 +50,6 @@ FIT_R2_MIN = 0.9
 # the [model] parameters each model type reads; every type accepts `seed`
 MODEL_PARAMS = {"haldane": ("t1", "t2", "phi", "m"), "disordered": ("gap", "w"),
                 "ssh": ("t1", "t2"), "atomic": ("m",)}
-PIPELINE_KEYS = ("fermi_energy", "basis_mode", "s_grid", "delta_list",
-                 "gamma_list", "d_min", "d_max", "chern_windows", "output_dir")
 
 
 @dataclass
@@ -94,17 +92,37 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be nonempty")
         if min(self.delta_list) < 2.0:
             raise ConfigError("every Delta must be >= 2")
+        if min(self.gamma_list) < 0.0:
+            raise ConfigError("every gamma must be >= 0")
         if self.basis_mode not in ("columns", "pxp-eigen"):
             raise ConfigError(f"unknown basis mode {self.basis_mode!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if any(w < 1 for w in self.chern_windows):
             raise ConfigError("every Chern window must be >= 1")
+        if max(self.chern_windows, default=0) > self.L / 4.0:
+            raise WindowTooLargeError(
+                f"Chern window {max(self.chern_windows)} leaves margin < L/4 "
+                f"on an L={self.L} sample")
         return self
 
 
 def _floats(text):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+def _windows(text):
+    windows = _floats(text)
+    if not all(w.is_integer() for w in windows):
+        raise ConfigError(f"Chern windows must be integers, got {windows}")
+    return tuple(int(w) for w in windows)
+
+
+# the parser of each [pipeline] key; an absent key keeps its default
+PIPELINE_PARSERS = {"fermi_energy": float, "basis_mode": str, "s_grid": _floats,
+                    "delta_list": _floats, "gamma_list": _floats,
+                    "d_min": float, "d_max": float, "chern_windows": _windows,
+                    "output_dir": str}
 
 
 def parse_config(path) -> PipelineConfig:
@@ -116,7 +134,7 @@ def parse_config(path) -> PipelineConfig:
         raise ConfigError("config needs a nonempty [model] section")
     model = dict(parser["model"])
     pipe = dict(parser["pipeline"]) if "pipeline" in parser else {}
-    unknown = sorted(set(pipe) - set(PIPELINE_KEYS))
+    unknown = sorted(set(pipe) - set(PIPELINE_PARSERS))
     if unknown:
         raise ConfigError(f"unknown [pipeline] key {', '.join(unknown)}")
     try:
@@ -124,24 +142,11 @@ def parse_config(path) -> PipelineConfig:
         L = int(model.pop("l"))
         seed = int(model.pop("seed", "0"))
         params = {k: float(v) for k, v in model.items()}
-        windows = _floats(pipe.get("chern_windows", ""))
-        if not all(w.is_integer() for w in windows):
-            raise ConfigError(f"Chern windows must be integers, got {windows}")
-        cfg = PipelineConfig(
-            model_type=model_type, L=L, model_params=params, seed=seed,
-            fermi_energy=float(pipe.get("fermi_energy", "0.0")),
-            basis_mode=pipe.get("basis_mode", "columns"),
-            s_grid=_floats(pipe.get("s_grid", "1.0 2.0 2.5 3.0")),
-            delta_list=_floats(pipe.get("delta_list", "4 8 16")),
-            gamma_list=_floats(pipe.get("gamma_list", "0.025 0.05 0.1 0.2")),
-            d_min=float(pipe.get("d_min", "0.25")),
-            d_max=float(pipe.get("d_max", "0.5")),
-            chern_windows=tuple(int(w) for w in windows),
-            output_dir=pipe.get("output_dir", "out"),
-        )
+        options = {k: PIPELINE_PARSERS[k](v) for k, v in pipe.items()}
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
-    return cfg.validate()
+    return PipelineConfig(model_type=model_type, L=L, model_params=params,
+                          seed=seed, **options).validate()
 
 
 def build_model(cfg: PipelineConfig):
@@ -186,7 +191,7 @@ def _chern_reports(cfg, P):
     """Chern markers at the configured windows, by default at L/8 and L/4."""
     width = P.grid.width
     windows = cfg.chern_windows or (max(width // 8, 1), width // 4)
-    return [diagnostics.chern_marker(P, w) for w in sorted(set(windows))]
+    return diagnostics.chern_marker(P, sorted(set(windows)))
 
 
 def _delta_step(xt, delta, lambdas):
@@ -474,11 +479,11 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
 def run_chern(cfg: PipelineConfig, out_dir=None):
     """Chern marker at the requested windows, with the k-space oracle when
     the model has a periodic Bloch bulk (Haldane family)."""
-    out = out_dir or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
     model = build_model(cfg)
     if model.grid.ndim != 2:
         raise ConfigError("chern requires a 2-D model")
+    out = out_dir or cfg.output_dir
+    os.makedirs(out, exist_ok=True)
     meta = {"model": cfg.model_type, "seed": cfg.seed, "L": cfg.L, "Delta": 0}
     P = fermi_projector(model, cfg.fermi_energy)
     oracle = ""

@@ -101,48 +101,53 @@ class ChernReport:
         return (self.window, self.value, self.imag_residual, self.trace_terms)
 
 
-def chern_marker(P: Projector, L_w) -> ChernReport:
-    """Window-traced real-space Chern marker.
+def chern_marker(P: Projector, windows) -> list[ChernReport]:
+    """Window-traced real-space Chern marker, one report per half-width L_w.
 
     value = Re[ 2 pi i / (2 L_w)^2 * tr(chi P [[X,P],[Y,P]] P chi) ] with chi
     the indicator of the centred half-open window (c - L_w, c + L_w]^2, which
     always contains exactly (2 L_w)^2 sites.  The imaginary residual of the
-    trace is reported and must vanish for Hermitian P.  Only the window rows
-    of P [[X,P],[Y,P]] P are formed.
+    trace is reported and must vanish for Hermitian P.  With V^H V = I,
+    P [[X,P],[Y,P]] P = -PXQYP + PYQXP = V [Gx, Gy] V^H for Gx = V^H X V and
+    Gy = V^H Y V, so one n x n commutator serves every window.
     """
     grid = P.grid
     if grid.ndim != 2:
         raise UnsupportedGeometryError("Chern marker needs a 2-D sample")
     L = grid.width
-    if L_w > L / 4.0:
-        raise WindowTooLargeError(
-            f"window half-width {L_w} leaves margin < L/4 on an L={L} sample")
+    if max(windows, default=0) > L / 4.0:
+        raise WindowTooLargeError(f"window half-width {max(windows)} leaves "
+                                  f"margin < L/4 on an L={L} sample")
     c = (L - 1) / 2.0
-    x = grid.x.astype(float)
-    y = grid.y.astype(float)
-    win = ((x > c - L_w) & (x <= c + L_w)
-           & (y > c - L_w) & (y <= c + L_w))
-    Pm = P.P
-    CX = x[:, None] * Pm - Pm * x[None, :]
-    CY = y[:, None] * Pm - Pm * y[None, :]
-    Pw = Pm[win]
-    PK = (Pw @ CX) @ CY - (Pw @ CY) @ CX
-    tr = complex(np.sum(PK * Pm[:, win].T))
-    val = 2.0 * math.pi * 1j * tr / (2.0 * L_w) ** 2
-    residual = abs(float(val.imag))
-    if residual > CHERN_IMAG_TOL:
-        raise ChernResidualError(
-            f"marker trace has imaginary residual {residual:.3e}")
-    return ChernReport(window=int(L_w), value=float(val.real),
-                       imag_residual=residual, trace_terms=int(win.sum()))
+    x, y = grid.x, grid.y
+    V = P.V
+    Gx = V.conj().T @ (x[:, None] * V)
+    Gy = V.conj().T @ (y[:, None] * V)
+    C = Gx @ Gy - Gy @ Gx
+    reports = []
+    for L_w in windows:
+        win = ((x > c - L_w) & (x <= c + L_w)
+               & (y > c - L_w) & (y <= c + L_w))
+        tr = complex(np.sum((V[win] @ C) * V[win].conj()))
+        val = 2.0 * math.pi * 1j * tr / (2.0 * L_w) ** 2
+        residual = abs(float(val.imag))
+        if residual > CHERN_IMAG_TOL:
+            raise ChernResidualError(
+                f"marker trace has imaginary residual {residual:.3e}")
+        reports.append(ChernReport(window=int(L_w), value=float(val.real),
+                                   imag_residual=residual,
+                                   trace_terms=int(win.sum())))
+    return reports
 
 
 def _haldane_bloch(k1, k2, t1, t2, phi, m):
+    """Haldane Bloch Hamiltonian at (k1, k2) arrays, 2 x 2 on the last axes."""
     f = t1 * (1.0 + np.exp(-1j * k1) + np.exp(-1j * k2))
     nnn = ((1, 0), (-1, 1), (0, -1))
-    ga = 2.0 * t2 * sum(math.cos(k1 * v1 + k2 * v2 + phi) for v1, v2 in nnn)
-    gb = 2.0 * t2 * sum(math.cos(k1 * v1 + k2 * v2 - phi) for v1, v2 in nnn)
-    return np.array([[m + ga, f], [np.conj(f), -m + gb]])
+    ga = 2.0 * t2 * sum(np.cos(k1 * v1 + k2 * v2 + phi) for v1, v2 in nnn)
+    gb = 2.0 * t2 * sum(np.cos(k1 * v1 + k2 * v2 - phi) for v1, v2 in nnn)
+    return np.stack([np.stack([m + ga, f], axis=-1),
+                     np.stack([np.conj(f), -m + gb], axis=-1)], axis=-2)
 
 
 def chern_number_kspace(t1, t2, phi, m, n_k=24):
@@ -155,28 +160,20 @@ def chern_number_kspace(t1, t2, phi, m, n_k=24):
     orientation of the real-space embedding.
     """
     ks = 2.0 * math.pi * np.arange(n_k) / n_k
-    u = np.empty((n_k, n_k, 2), dtype=complex)
-    gap = math.inf
-    for i, k1 in enumerate(ks):
-        for j, k2 in enumerate(ks):
-            evals, evecs = np.linalg.eigh(_haldane_bloch(k1, k2, t1, t2, phi, m))
-            gap = min(gap, float(evals[1] - evals[0]))
-            u[i, j] = evecs[:, 0]
+    k1, k2 = np.meshgrid(ks, ks, indexing="ij")
+    evals, evecs = np.linalg.eigh(_haldane_bloch(k1, k2, t1, t2, phi, m))
+    gap = float(np.min(evals[..., 1] - evals[..., 0]))
     if gap < 1e-6:
         raise GaplessModelError(f"bulk gap {gap:.3e} too small for an invariant")
+    u = evecs[..., 0]
 
-    def link(a, b):
-        ov = np.sum(np.conj(a) * b)
-        return ov / abs(ov)
+    def link(axis):
+        ov = np.sum(np.conj(u) * np.roll(u, -1, axis=axis), axis=-1)
+        return ov / np.abs(ov)
 
-    total = 0.0
-    for i in range(n_k):
-        for j in range(n_k):
-            ip, jp = (i + 1) % n_k, (j + 1) % n_k
-            w = (link(u[i, j], u[ip, j]) * link(u[ip, j], u[ip, jp])
-                 * link(u[ip, jp], u[i, jp]) * link(u[i, jp], u[i, j]))
-            total += math.atan2(w.imag, w.real)
-    c = total / (2.0 * math.pi)
+    u1, u2 = link(0), link(1)
+    w = u1 * np.roll(u2, -1, axis=0) * np.conj(np.roll(u1, -1, axis=1) * u2)
+    c = float(np.angle(w).sum()) / (2.0 * math.pi)
     n = round(c)
     if abs(c - n) > 0.01:
         raise GaplessModelError(f"plaquette sum {c:.6f} does not round cleanly")

@@ -185,9 +185,8 @@ def band_projectors(vecs, gaps: GapStructure, grid: SiteGrid) -> BandDecompositi
     blocks = [vecs[:, idx] for idx in gaps.members]
     profiles = []
     for V in blocks:
-        Pj = V @ V.conj().T
         try:
-            profiles.append(matrix_decay_fit(0.5 * (Pj + Pj.conj().T), grid))
+            profiles.append(matrix_decay_fit(V @ V.conj().T, grid))
         except InsufficientRangeError:
             profiles.append(None)
     return BandDecomposition(vectors=blocks, xi=gaps.xi.copy(),

@@ -14,14 +14,14 @@ WDMX_MAGIC = b"WDMX"
 
 def write_matrix(path, matrix):
     """Dump a matrix to WDMX, atomically (write temp, then rename)."""
-    m = np.ascontiguousarray(np.asarray(matrix, dtype=np.complex128))
+    m = np.ascontiguousarray(matrix, dtype="<c16")
     if m.ndim != 2:
         raise ValueError("WDMX stores 2-D matrices only")
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(WDMX_MAGIC)
         fh.write(struct.pack("<QQ", m.shape[0], m.shape[1]))
-        fh.write(m.astype("<c16").tobytes(order="C"))
+        fh.write(m.data)
     os.replace(tmp, path)
 
 

@@ -227,14 +227,14 @@ def test_criterion_11_chern_marker_against_oracle():
     topo_model = wl.build_haldane(16, t1, t2, phi, TOPO_PARAMS["m"])
     triv_P = wl.fermi_projector(triv_model, 0.0)
     topo_P = wl.fermi_projector(topo_model, 0.0)
-    c_triv = wl.chern_marker(triv_P, 4).value
-    c_topo = wl.chern_marker(topo_P, 4).value
+    c_triv = wl.chern_marker(triv_P, [4])[0].value
+    c_topo = wl.chern_marker(topo_P, [4])[0].value
     oracle = wl.chern_number_kspace(t1, t2, phi, TOPO_PARAMS["m"])
     spectrum = np.linalg.eigvalsh(topo_model.H)
     P_empty = wl.fermi_projector(topo_model, spectrum[0] - 1.0)
     P_full = wl.fermi_projector(topo_model, spectrum[-1] + 1.0)
-    c_empty = wl.chern_marker(P_empty, 4).value
-    c_full = wl.chern_marker(P_full, 4).value
+    c_empty = wl.chern_marker(P_empty, [4])[0].value
+    c_full = wl.chern_marker(P_full, [4])[0].value
     ok = (abs(c_triv) <= 0.05 and abs(c_topo - oracle) <= 0.1
           and abs(c_empty) <= 1e-12 and abs(c_full) <= 1e-12)
     announce(11, ok, f"trivial C={c_triv:.4f}, topological C={c_topo:.4f} "

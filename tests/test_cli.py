@@ -7,7 +7,7 @@ import wanloc.io as io
 from wanloc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERDICT,
                         PipelineConfig, build_model, main, parse_config,
                         run_pipeline)
-from wanloc.errors import ConfigError
+from wanloc.errors import ConfigError, WindowTooLargeError
 from wanloc.lattice import TightBindingModel
 
 FULL_CONFIG = """\
@@ -140,12 +140,18 @@ def test_build_model_dispatch(tmp_path):
 def test_wdmx_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     M = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    R = rng.standard_normal((6, 4))
+    inputs = (M, R, np.asfortranarray(M), R[::2, 1::2], M.T)
     path = str(tmp_path / "m.wdmx")
-    io.write_matrix(path, M)
-    back = io.read_matrix(path)
-    assert np.array_equal(back, M.astype(np.complex128))
-    with open(path, "rb") as fh:
-        assert fh.read(4) == b"WDMX"
+    for A in inputs:
+        io.write_matrix(path, A)
+        back = io.read_matrix(path)
+        assert back.shape == A.shape
+        assert np.array_equal(back, A.astype(np.complex128))
+        with open(path, "rb") as fh:
+            assert fh.read(4) == b"WDMX"
+            assert fh.read(16) == np.array(A.shape, dtype="<u8").tobytes()
+            assert fh.read() == np.array(A, dtype="<c16", order="C").tobytes()
 
 
 def test_wdmx_rejects_bad_magic(tmp_path):
@@ -179,6 +185,7 @@ def test_chern_subcommand_rejects_1d(tmp_path):
     cfg = write_config(tmp_path, "[model]\ntype = ssh\nL = 6\nt1 = 1.0\n"
                                  "t2 = 0.45\n")
     assert main(["chern", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
 
 
 def test_chern_subcommand_writes_marker_and_oracle(tmp_path):
@@ -237,7 +244,27 @@ def test_chern_oversized_window_is_config_error(tmp_path):
                        "[model]\ntype = haldane\nL = 8\nt1 = 1.0\n"
                        "t2 = 0.3333333333333333\nphi = 1.5707963267948966\n"
                        "m = 0.2\n\n[pipeline]\nchern_windows = 3\n")
-    assert main(["chern", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    with pytest.raises(WindowTooLargeError):
+        parse_config(cfg)
+    for command in ("chern", "pipeline"):
+        out = tmp_path / command
+        assert main([command, cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+
+def test_negative_gamma_is_config_error(tmp_path):
+    text = ("[model]\ntype = disordered\nL = 6\ngap = 2.0\nw = 0.5\n\n"
+            "[pipeline]\ngamma_list = {}\n")
+    with pytest.raises(ConfigError, match="gamma"):
+        parse_config(write_config(tmp_path, text.format("0.05, -0.1")))
+    for command in ("pipeline", "verify"):
+        out = tmp_path / command
+        cfg = write_config(tmp_path, text.format("-0.1"))
+        assert main([command, cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+    # a zero rate is an untilted operator, which tilt_lipschitz handles
+    assert parse_config(write_config(
+        tmp_path, text.format("0, 0.1"))).gamma_list == (0.0, 0.1)
 
 
 def test_pipeline_exit_codes(tmp_path):

@@ -250,7 +250,7 @@ def empty_and_full_projectors(L=8):
 def test_chern_marker_vanishes_for_trivial_projectors():
     P0, P1 = empty_and_full_projectors()
     for P in (P0, P1):
-        rep = wl.chern_marker(P, 2)
+        rep = wl.chern_marker(P, [2])[0]
         assert abs(rep.value) <= 1e-12
         assert rep.imag_residual <= 1e-12
 
@@ -259,16 +259,18 @@ def test_chern_marker_window_guard():
     model = wl.build_haldane(8, 1.0, 1 / 3, np.pi / 2, 0.2)
     P = wl.fermi_projector(model, 0.0)
     with pytest.raises(WindowTooLargeError):
-        wl.chern_marker(P, 3)
+        wl.chern_marker(P, [3])[0]
+    with pytest.raises(WindowTooLargeError):
+        wl.chern_marker(P, [1, 3])
     with pytest.raises(UnsupportedGeometryError):
         ssh = wl.build_ssh_chain(8, 1.0, 0.5)
-        wl.chern_marker(wl.fermi_projector(ssh, 0.0), 1)
+        wl.chern_marker(wl.fermi_projector(ssh, 0.0), [1])[0]
 
 
 def test_chern_marker_counts_window_sites():
     model = wl.build_haldane(8, 1.0, 1 / 3, np.pi / 2, 0.2)
     P = wl.fermi_projector(model, 0.0)
-    rep = wl.chern_marker(P, 2)
+    rep = wl.chern_marker(P, [2])[0]
     assert rep.trace_terms == (2 * 2) ** 2 * 2   # (2 L_w)^2 sites, 2 orbitals
     assert rep.imag_residual <= 1e-8
 
@@ -283,17 +285,26 @@ def test_chern_marker_matches_full_trace_formula():
     CY = y[:, None] * Pm - Pm * y[None, :]
     diag = np.diagonal(Pm @ (CX @ CY - CY @ CX) @ Pm)
     c = 3.5
-    for L_w in (1, 2):
+    reports = wl.chern_marker(P, [1, 2])
+    for L_w, rep in zip((1, 2), reports, strict=True):
         win = ((x > c - L_w) & (x <= c + L_w) & (y > c - L_w) & (y <= c + L_w))
         full = (2.0 * np.pi * 1j * np.sum(diag[win]) / (2.0 * L_w) ** 2).real
-        assert abs(wl.chern_marker(P, L_w).value - full) <= 1e-12
+        assert rep.window == L_w
+        assert abs(rep.value - full) <= 1e-12
+
+
+def test_chern_marker_never_forms_the_projector_matrix():
+    model = wl.build_haldane(8, 1.0, 1 / 3, np.pi / 2, 0.2)
+    P = wl.fermi_projector(model, 0.0)
+    wl.chern_marker(P, [1, 2])
+    assert "P" not in P.__dict__
 
 
 def test_chern_marker_imaginary_residual_is_typed(monkeypatch, trivial_projectors):
     _, P = trivial_projectors[8]
     monkeypatch.setattr(diagnostics, "CHERN_IMAG_TOL", -1.0)
     with pytest.raises(ChernResidualError, match="imaginary residual"):
-        wl.chern_marker(P, 2)
+        wl.chern_marker(P, [2])[0]
 
 
 def test_chern_number_kspace_values():
@@ -303,6 +314,18 @@ def test_chern_number_kspace_values():
     assert wl.chern_number_kspace(1.0, 0.0001, 0.0, 1.0) == 0
     # deep trivial regime: m = 10 t2
     assert wl.chern_number_kspace(1.0, 1 / 3, np.pi / 2, 10.0 / 3.0) == 0
+
+
+def test_haldane_bloch_broadcasts_like_the_scalar_call():
+    ks = 2.0 * np.pi * np.arange(12) / 12
+    k1, k2 = np.meshgrid(ks, ks, indexing="ij")
+    for params in ((1.0, 1 / 3, np.pi / 2, 0.2), (1.0, 0.0, 0.0, 3.0)):
+        batched = diagnostics._haldane_bloch(k1, k2, *params)
+        assert batched.shape == (12, 12, 2, 2)
+        for i, j in np.ndindex(12, 12):
+            scalar = diagnostics._haldane_bloch(ks[i], ks[j], *params)
+            assert scalar.shape == (2, 2)
+            assert np.array_equal(batched[i, j], scalar)
 
 
 def test_chern_number_kspace_rejects_gap_closing():
