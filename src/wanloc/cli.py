@@ -47,9 +47,19 @@ VERDICT_ERROR = "stage-error"
 FIT_R2_MIN = 0.9
 
 
-# the [model] parameters each model type reads; every type accepts `seed`
-MODEL_PARAMS = {"haldane": ("t1", "t2", "phi", "m"), "disordered": ("gap", "w"),
-                "ssh": ("t1", "t2"), "atomic": ("m",)}
+# each model type: its [model] parameters with their defaults (every type also
+# accepts `seed`), and its builder, looked up at call time for the tracer
+MODELS = {
+    "haldane": ({"t1": 1.0, "t2": 0.0, "phi": 0.0, "m": 1.0},
+                lambda L, seed, p: build_haldane(L, p["t1"], p["t2"], p["phi"],
+                                                 p["m"])),
+    "disordered": ({"gap": 2.0, "w": 0.5},
+                   lambda L, seed, p: build_disordered_insulator(
+                       L, p["gap"], p["w"], seed)),
+    "ssh": ({"t1": 1.0, "t2": 0.5},
+            lambda L, seed, p: build_ssh_chain(L, p["t1"], p["t2"])),
+    "atomic": ({"m": 1.0}, lambda L, seed, p: build_atomic(L, p["m"])),
+}
 
 
 @dataclass
@@ -69,10 +79,10 @@ class PipelineConfig:
     output_dir: str = "out"
 
     def validate(self):
-        if self.model_type not in MODEL_PARAMS:
+        if self.model_type not in MODELS:
             raise ConfigError(f"unknown model type {self.model_type!r}")
         unread = sorted(set(self.model_params)
-                        - set(MODEL_PARAMS[self.model_type]))
+                        - set(MODELS[self.model_type][0]))
         if unread:
             raise ConfigError(f"model {self.model_type!r} does not read "
                               f"{', '.join(unread)}")
@@ -83,6 +93,8 @@ class PipelineConfig:
         bad = [k for k, v in numbers.items() if not np.all(np.isfinite(v))]
         if bad:
             raise ConfigError(f"non-finite value of {', '.join(bad)}")
+        if self.model_params.get("w", 0.0) < 0:
+            raise ConfigError(f"w must be >= 0, got {self.model_params['w']}")
         if self.d_min <= 0:
             raise ConfigError(f"d_min must be > 0, got {self.d_min}")
         if self.L < 4:
@@ -150,18 +162,10 @@ def parse_config(path) -> PipelineConfig:
 
 
 def build_model(cfg: PipelineConfig):
-    p = cfg.model_params
-    if cfg.model_type == "haldane":
-        return build_haldane(cfg.L, t1=p.get("t1", 1.0), t2=p.get("t2", 0.0),
-                             phi=p.get("phi", 0.0), m_stagger=p.get("m", 1.0))
-    if cfg.model_type == "disordered":
-        return build_disordered_insulator(cfg.L, gap=p.get("gap", 2.0),
-                                          w=p.get("w", 0.5), seed=cfg.seed)
-    if cfg.model_type == "ssh":
-        return build_ssh_chain(cfg.L, t1=p.get("t1", 1.0), t2=p.get("t2", 0.5))
-    if cfg.model_type == "atomic":
-        return build_atomic(cfg.L, m=p.get("m", 1.0))
-    raise ConfigError(f"unknown model type {cfg.model_type!r}")
+    if cfg.model_type not in MODELS:
+        raise ConfigError(f"unknown model type {cfg.model_type!r}")
+    defaults, build = MODELS[cfg.model_type]
+    return build(cfg.L, cfg.seed, {**defaults, **cfg.model_params})
 
 
 @dataclass

@@ -10,7 +10,7 @@ from .dichotomy import GeneralizedWannierBasis
 from .errors import (ChernResidualError, GaplessModelError,
                      InsufficientRangeError, OutsideGapSetError,
                      UnsupportedGeometryError, WindowTooLargeError)
-from .lattice import SiteGrid
+from .lattice import SiteGrid, haldane_bonds
 from .spectral import (DecayProfile, Projector, _log_linear_fit, bracket,
                        decay_floor, hermitian_norm)
 from .xhat import XtildeOperator, check_spans_range, in_gap_set
@@ -141,13 +141,15 @@ def chern_marker(P: Projector, windows) -> list[ChernReport]:
 
 
 def _haldane_bloch(k1, k2, t1, t2, phi, m):
-    """Haldane Bloch Hamiltonian at (k1, k2) arrays, 2 x 2 on the last axes."""
-    f = t1 * (1.0 + np.exp(-1j * k1) + np.exp(-1j * k2))
-    nnn = ((1, 0), (-1, 1), (0, -1))
-    ga = 2.0 * t2 * sum(np.cos(k1 * v1 + k2 * v2 + phi) for v1, v2 in nnn)
-    gb = 2.0 * t2 * sum(np.cos(k1 * v1 + k2 * v2 - phi) for v1, v2 in nnn)
-    return np.stack([np.stack([m + ga, f], axis=-1),
-                     np.stack([np.conj(f), -m + gb], axis=-1)], axis=-2)
+    """Haldane Bloch Hamiltonian at (k1, k2) arrays, 2 x 2 on the last axes:
+    the staggered mass plus the Fourier sum of `haldane_bonds` and conjugates."""
+    h = np.zeros(np.broadcast(k1, k2).shape + (2, 2), dtype=complex)
+    h[..., 0, 0], h[..., 1, 1] = m, -m
+    for a, b, (v1, v2), amp in haldane_bonds(t1, t2, phi):
+        term = amp * np.exp(1j * (k1 * v1 + k2 * v2))
+        h[..., a, b] += term
+        h[..., b, a] += np.conj(term)
+    return h
 
 
 def chern_number_kspace(t1, t2, phi, m, n_k=24):

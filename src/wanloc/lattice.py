@@ -77,8 +77,6 @@ class TightBindingModel:
     grid: SiteGrid
     H: np.ndarray = field(repr=False)
     params: dict
-    spectral_gap_estimate: float
-    boundary: str = "open"
 
     def __post_init__(self):
         scale = max(np.linalg.norm(self.H), 1.0)
@@ -88,62 +86,53 @@ class TightBindingModel:
                 f"Hamiltonian not Hermitian: defect {defect:.3e}")
 
 
-def _index(grid, x, y, orb):
-    if grid.ndim == 1:
-        return x * grid.orbitals_per_site + orb
-    return (x * grid.width + y) * grid.orbitals_per_site + orb
+def _hop(H, grid, amp, a, b, v):
+    """H[(c, a), (c + v, b)] += amp and its Hermitian partner += conj(amp),
+    for every cell c with c + v inside the sample (1-D cells have v[1] = 0)."""
+    cells = np.arange(grid.dimension // grid.orbitals_per_site).reshape(grid.width, -1)
+    src = tuple(slice(max(-d, 0), n - max(d, 0)) for d, n in zip(v, cells.shape))
+    dst = tuple(slice(max(d, 0), n - max(-d, 0)) for d, n in zip(v, cells.shape))
+    i = cells[src].ravel() * grid.orbitals_per_site + a
+    j = cells[dst].ravel() * grid.orbitals_per_site + b
+    H[i, j] += amp
+    H[j, i] += np.conj(amp)
+
+
+def haldane_bonds(t1, t2, phi):
+    """Haldane hoppings as (a, b, v, amp) rows, orbital a (A = 0, B = 1) of
+    cell c to orbital b of cell c + v: t1 from A(c) to B(c), B(c - e_x),
+    B(c - e_y); t2*exp(i*phi) on A along +e_x, -e_x+e_y, -e_y and on B along
+    the reversed vectors, so no two rows hit one matrix entry."""
+    t2c = t2 * np.exp(1j * phi)
+    nnn = ((1, 0), (-1, 1), (0, -1))
+    return ([(0, 1, v, t1) for v in ((0, 0), (-1, 0), (0, -1))]
+            + [(0, 0, v, t2c) for v in nnn]
+            + [(1, 1, (-vx, -vy), t2c) for vx, vy in nnn])
 
 
 def build_haldane(L, t1, t2, phi, m_stagger):
     """Haldane model on an L x L cell grid, A/B orbitals on each cell.
 
-    Cell-index hopping structure (equivalent to the honeycomb under an
-    orientation-preserving shear): nearest-neighbour t1 couples A(c) to
-    B(c), B(c - e_x), B(c - e_y); next-nearest t2*exp(i*phi) runs along
-    +e_x, -e_x+e_y, -e_y on the A sublattice and the reversed directions
-    on B.  Staggered on-site +m on A, -m on B.  The gap closes at
-    |m| = 3*sqrt(3)*|t2 sin phi|; smaller |m| is the topological regime.
+    The cell-index hoppings are `haldane_bonds` (equivalent to the honeycomb
+    under an orientation-preserving shear).  Staggered on-site +m on A, -m
+    on B.  The gap closes at |m| = 3*sqrt(3)*|t2 sin phi|; smaller |m| is
+    the topological regime.
     """
     if L < 4:
         raise ModelTooSmallError(f"Haldane grid needs L >= 4, got {L}")
     grid = make_grid(L, orbitals_per_site=2, ndim=2)
     N = grid.dimension
     H = np.zeros((N, N), dtype=complex)
-
-    def add(i, j, amp):
-        H[i, j] += amp
-        H[j, i] += np.conj(amp)
-
-    nn_cells = [(0, 0), (-1, 0), (0, -1)]     # A(c) -> B(c + v)
-    nnn_a = [(1, 0), (-1, 1), (0, -1)]        # A(c) -> A(c + v)
-    t2c = t2 * np.exp(1j * phi)
-    for cx in range(L):
-        for cy in range(L):
-            a = _index(grid, cx, cy, 0)
-            b = _index(grid, cx, cy, 1)
-            H[a, a] += m_stagger
-            H[b, b] += -m_stagger
-            for vx, vy in nn_cells:
-                px, py = cx + vx, cy + vy
-                if 0 <= px < L and 0 <= py < L:
-                    add(a, _index(grid, px, py, 1), t1)
-            for vx, vy in nnn_a:
-                px, py = cx + vx, cy + vy
-                if 0 <= px < L and 0 <= py < L:
-                    add(a, _index(grid, px, py, 0), t2c)
-                qx, qy = cx - vx, cy - vy
-                if 0 <= qx < L and 0 <= qy < L:
-                    add(b, _index(grid, qx, qy, 1), t2c)
+    # added to zeros, so m = 0 leaves +0.0 on the B diagonal, not -0.0
+    H[np.diag_indices(N)] += np.tile((m_stagger, -m_stagger), N // 2)
+    for a, b, v, amp in haldane_bonds(t1, t2, phi):
+        _hop(H, grid, amp, a, b, v)
 
     boundary = 3.0 * np.sqrt(3.0) * abs(t2 * np.sin(phi))
     topological = abs(m_stagger) < boundary
     params = {"type": "haldane", "L": L, "t1": t1, "t2": t2, "phi": phi,
               "m": m_stagger, "regime": "topological" if topological else "trivial"}
-    gap_est = 2.0 * abs(abs(m_stagger) - boundary)
-    if t2 == 0.0:
-        gap_est = 2.0 * abs(m_stagger)
-    return TightBindingModel(grid=grid, H=H, params=params,
-                             spectral_gap_estimate=gap_est)
+    return TightBindingModel(grid=grid, H=H, params=params)
 
 
 def build_disordered_insulator(L, gap, w, seed):
@@ -165,45 +154,25 @@ def build_disordered_insulator(L, gap, w, seed):
     onsite = np.where(np.arange(N) % 2 == 0, -gap / 2.0, +gap / 2.0)
     onsite = onsite + rng.uniform(-w / 2.0, w / 2.0, size=N)
     H = np.diag(onsite.astype(complex))
-
-    t_hop = gap / 32.0
-    for cx in range(L):
-        for cy in range(L):
-            for vx, vy in ((1, 0), (0, 1)):
-                px, py = cx + vx, cy + vy
-                if not (0 <= px < L and 0 <= py < L):
-                    continue
-                for orb in (0, 1):
-                    i = _index(grid, cx, cy, orb)
-                    j = _index(grid, px, py, 1 - orb)
-                    H[i, j] += t_hop
-                    H[j, i] += t_hop
-
+    for v in ((1, 0), (0, 1)):
+        _hop(H, grid, gap / 32.0, 0, 1, v)
+        _hop(H, grid, gap / 32.0, 1, 0, v)
     params = {"type": "disordered", "L": L, "gap": gap, "w": w, "seed": seed}
-    gap_est = max(gap - w - 2.0 * 4.0 * t_hop, 0.0)
-    return TightBindingModel(grid=grid, H=H, params=params,
-                             spectral_gap_estimate=gap_est)
+    return TightBindingModel(grid=grid, H=H, params=params)
 
 
 def build_ssh_chain(L, t1, t2):
-    """Dimerized chain of L cells (2L sites), both dimer orbitals at one x."""
+    """Dimerized chain of L cells (2L sites), both dimer orbitals at one x:
+    t1 within a cell, t2 from its orbital 1 to the next cell's orbital 0."""
     if abs(t1) == abs(t2):
         raise GaplessModelError(f"|t1| == |t2| == {abs(t1)} is gapless")
     grid = make_grid(L, orbitals_per_site=2, ndim=1)
     N = grid.dimension
     H = np.zeros((N, N), dtype=complex)
-    for cx in range(L):
-        a = _index(grid, cx, 0, 0)
-        b = _index(grid, cx, 0, 1)
-        H[a, b] += t1
-        H[b, a] += t1
-        if cx + 1 < L:
-            a_next = _index(grid, cx + 1, 0, 0)
-            H[b, a_next] += t2
-            H[a_next, b] += t2
+    _hop(H, grid, t1, 0, 1, (0, 0))
+    _hop(H, grid, t2, 1, 0, (1, 0))
     params = {"type": "ssh", "L": L, "t1": t1, "t2": t2}
-    return TightBindingModel(grid=grid, H=H, params=params,
-                             spectral_gap_estimate=2.0 * abs(abs(t1) - abs(t2)))
+    return TightBindingModel(grid=grid, H=H, params=params)
 
 
 def build_atomic(L, m=1.0):

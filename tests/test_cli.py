@@ -5,7 +5,7 @@ import pytest
 
 import wanloc.io as io
 from wanloc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERDICT,
-                        PipelineConfig, build_model, main, parse_config,
+                        MODELS, PipelineConfig, build_model, main, parse_config,
                         run_pipeline)
 from wanloc.errors import ConfigError, WindowTooLargeError
 from wanloc.lattice import TightBindingModel
@@ -135,6 +135,33 @@ def test_build_model_dispatch(tmp_path):
     model = build_model(cfg)
     assert model.params["type"] == "haldane"
     assert model.grid.dimension == 32
+
+
+# a value for every [model] parameter, away from each type's default
+GIVEN_PARAMS = {"haldane": {"t1": 0.8, "t2": 0.2, "phi": 1.1, "m": 0.4},
+                "disordered": {"gap": 3.0, "w": 0.25},
+                "ssh": {"t1": 0.4, "t2": 1.2}, "atomic": {"m": 2.0}}
+
+
+@pytest.mark.parametrize("model_type", sorted(MODELS))
+def test_build_model_covers_every_type(model_type):
+    defaults, _ = MODELS[model_type]
+    assert set(GIVEN_PARAMS[model_type]) == set(defaults)
+    for given in ({}, GIVEN_PARAMS[model_type]):
+        cfg = PipelineConfig(model_type=model_type, L=5, model_params=given,
+                             seed=3).validate()
+        model = build_model(cfg)
+        for name, value in {**defaults, **given}.items():
+            assert model.params[name] == value
+        assert model.params["type"] == ("haldane" if model_type == "atomic"
+                                        else model_type)
+        assert model.grid.dimension == (10 if model_type == "ssh" else 50)
+
+
+def test_build_model_rejects_an_unvalidated_unknown_type():
+    cfg = PipelineConfig(model_type="kagome", L=6, model_params={}, seed=0)
+    with pytest.raises(ConfigError, match="kagome"):
+        build_model(cfg)
 
 
 def test_wdmx_round_trip(tmp_path):
@@ -267,6 +294,21 @@ def test_negative_gamma_is_config_error(tmp_path):
         tmp_path, text.format("0, 0.1"))).gamma_list == (0.0, 0.1)
 
 
+def test_negative_disorder_is_config_error(tmp_path):
+    # numpy's uniform(-w/2, w/2) raises ValueError for w < 0
+    text = "[model]\ntype = disordered\nL = 6\ngap = 2.11\nw = {}\n"
+    with pytest.raises(ConfigError, match="w must be >= 0"):
+        parse_config(write_config(tmp_path, text.format("-0.178")))
+    for command in ("model", "pipeline", "chern", "verify"):
+        out = tmp_path / command
+        cfg = write_config(tmp_path, text.format("-0.178"))
+        assert main([command, cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+    # the clean limit stays allowed
+    assert parse_config(write_config(
+        tmp_path, text.format("0"))).model_params["w"] == 0.0
+
+
 def test_pipeline_exit_codes(tmp_path):
     ok_cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\nm = 1.0\n",
                           name="ok.cfg")
@@ -367,8 +409,7 @@ def _non_hermitian_model(cfg):
     model = build_model(cfg)
     H = model.H.copy()
     H[0, 1] += 1.0
-    return TightBindingModel(grid=model.grid, H=H, params=model.params,
-                             spectral_gap_estimate=model.spectral_gap_estimate)
+    return TightBindingModel(grid=model.grid, H=H, params=model.params)
 
 
 def test_invariant_errors_end_in_documented_exit_codes(tmp_path, monkeypatch):

@@ -145,5 +145,115 @@ def test_grid_coordinates_cover_every_index():
 def test_model_rejects_non_hermitian_hamiltonian():
     H = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NotHermitianError, match="not Hermitian"):
-        TightBindingModel(grid=make_grid(2, 1, ndim=1), H=H, params={},
-                          spectral_gap_estimate=0.0)
+        TightBindingModel(grid=make_grid(2, 1, ndim=1), H=H, params={})
+
+
+def reference_haldane(L, t1, t2, phi, m):
+    """Cell loop written from the builder docstring: t1 from A(c) to B(c),
+    B(c - e_x), B(c - e_y); t2*exp(i*phi) on A along +e_x, -e_x+e_y, -e_y
+    and on B along the reversed vectors; +m on A, -m on B."""
+    def idx(cx, cy, orb):
+        return (cx * L + cy) * 2 + orb
+
+    H = np.zeros((2 * L * L, 2 * L * L), dtype=complex)
+
+    def add(i, j, amp):
+        H[i, j] += amp
+        H[j, i] += np.conj(amp)
+
+    t2c = t2 * np.exp(1j * phi)
+    inside = range(L)
+    for cx in range(L):
+        for cy in range(L):
+            a, b = idx(cx, cy, 0), idx(cx, cy, 1)
+            H[a, a] += m
+            H[b, b] += -m
+            for vx, vy in ((0, 0), (-1, 0), (0, -1)):
+                if cx + vx in inside and cy + vy in inside:
+                    add(a, idx(cx + vx, cy + vy, 1), t1)
+            for vx, vy in ((1, 0), (-1, 1), (0, -1)):
+                if cx + vx in inside and cy + vy in inside:
+                    add(a, idx(cx + vx, cy + vy, 0), t2c)
+                if cx - vx in inside and cy - vy in inside:
+                    add(b, idx(cx - vx, cy - vy, 1), t2c)
+    return H
+
+
+def reference_disordered(L, gap, w, seed):
+    """On-site -gap/2, +gap/2 plus uniform noise in [-w/2, w/2]; gap/32
+    between opposite orbitals of nearest-neighbour cells."""
+    N = 2 * L * L
+    rng = np.random.default_rng(seed)
+    onsite = np.where(np.arange(N) % 2 == 0, -gap / 2.0, +gap / 2.0)
+    H = np.diag((onsite + rng.uniform(-w / 2.0, w / 2.0, size=N)).astype(complex))
+    for cx in range(L):
+        for cy in range(L):
+            for px, py in ((cx + 1, cy), (cx, cy + 1)):
+                if px < L and py < L:
+                    for orb in (0, 1):
+                        i = (cx * L + cy) * 2 + orb
+                        j = (px * L + py) * 2 + 1 - orb
+                        H[i, j] += gap / 32.0
+                        H[j, i] += gap / 32.0
+    return H
+
+
+def reference_ssh(L, t1, t2):
+    """t1 inside each cell, t2 from orbital 1 to the next cell's orbital 0."""
+    H = np.zeros((2 * L, 2 * L), dtype=complex)
+    for cx in range(L):
+        H[2 * cx, 2 * cx + 1] += t1
+        H[2 * cx + 1, 2 * cx] += t1
+        if cx + 1 < L:
+            H[2 * cx + 1, 2 * cx + 2] += t2
+            H[2 * cx + 2, 2 * cx + 1] += t2
+    return H
+
+
+@pytest.mark.parametrize("L", [4, 5])
+@pytest.mark.parametrize("params", [
+    (1.0, 1 / 3, np.pi / 2, 0.2), (1.0, 1 / 3, np.pi / 2, 0.0),
+    (0.0, 0.3, 0.7, 1.0), (-0.7, 0.25, -1.1, -0.4), (1.0, 0.0, 0.0, 3.0),
+])
+def test_haldane_bonds_match_the_cell_loop_bytes(L, params):
+    H = wl.build_haldane(L, *params).H
+    assert H.tobytes() == reference_haldane(L, *params).tobytes()
+
+
+@pytest.mark.parametrize("L", [4, 5])
+def test_other_builders_match_the_cell_loop_bytes(L):
+    for gap, w, seed in ((2.0, 0.5, 7), (2.11, 0.0, 3)):
+        H = wl.build_disordered_insulator(L, gap, w, seed).H
+        assert H.tobytes() == reference_disordered(L, gap, w, seed).tobytes()
+    for t1, t2 in ((1.0, 0.5), (0.0, 1.0), (-0.3, 0.8)):
+        H = wl.build_ssh_chain(L, t1, t2).H
+        assert H.tobytes() == reference_ssh(L, t1, t2).tobytes()
+    for m in (1.0, 0.0):
+        H = wl.build_atomic(L, m).H
+        assert H.tobytes() == reference_haldane(L, 0.0, 0.0, 0.0, m).tobytes()
+
+
+def reference_bloch(k1, k2, t1, t2, phi, m):
+    """Closed form: f = t1 (1 + e^{-ik1} + e^{-ik2}) off the diagonal and
+    m + 2 t2 sum cos(k.v + phi), -m + 2 t2 sum cos(k.v - phi) on it."""
+    f = t1 * (1.0 + np.exp(-1j * k1) + np.exp(-1j * k2))
+    nnn = ((1, 0), (-1, 1), (0, -1))
+    ga = 2.0 * t2 * sum(np.cos(k1 * v1 + k2 * v2 + phi) for v1, v2 in nnn)
+    gb = 2.0 * t2 * sum(np.cos(k1 * v1 + k2 * v2 - phi) for v1, v2 in nnn)
+    return np.stack([np.stack([m + ga, f], axis=-1),
+                     np.stack([np.conj(f), -m + gb], axis=-1)], axis=-2)
+
+
+@pytest.mark.parametrize("params", [
+    (1.0, 1 / 3, np.pi / 2, 0.2), (1.0, 0.0, 0.0, 3.0),
+    (-0.7, 0.25, -1.1, -0.4), (0.0, 1.2, 2.5, 0.0),
+])
+def test_haldane_bloch_is_the_fourier_sum_of_the_bonds(params):
+    ks = 2.0 * np.pi * np.arange(9) / 9
+    k1, k2 = np.meshgrid(ks, ks, indexing="ij")
+    h = _haldane_bloch(k1, k2, *params)
+    assert h.shape == (9, 9, 2, 2)
+    assert np.max(np.abs(h - reference_bloch(k1, k2, *params))) <= 1e-13
+    scalar = _haldane_bloch(0.3, -1.7, *params)
+    assert scalar.shape == (2, 2)
+    assert np.max(np.abs(scalar - reference_bloch(0.3, -1.7, *params))) <= 1e-13

@@ -11,14 +11,13 @@ from wanloc.spectral import Projector, kernel_envelope, matrix_decay_fit
 def model_from_matrix(H, width, orbitals=1, ndim=2):
     grid = make_grid(width, orbitals_per_site=orbitals, ndim=ndim)
     return TightBindingModel(grid=grid, H=np.asarray(H, dtype=complex),
-                             params={"type": "custom"},
-                             spectral_gap_estimate=0.0)
+                             params={"type": "custom"})
 
 
 def test_fermi_projector_diagonal_hamiltonian():
     grid = make_grid(2, 1, ndim=1)
     model = TightBindingModel(grid=grid, H=np.diag([-1.0 + 0j, 1.0]),
-                              params={}, spectral_gap_estimate=2.0)
+                              params={})
     P = wl.fermi_projector(model, 0.0)
     assert np.allclose(P.P, np.diag([1.0, 0.0]))
     assert P.rank == 1
@@ -28,7 +27,7 @@ def test_fermi_projector_diagonal_hamiltonian():
 def test_fermi_projector_closed_form_two_level():
     grid = make_grid(2, 1, ndim=1)
     model = TightBindingModel(grid=grid, H=np.array([[0, 1], [1, 0]], dtype=complex),
-                              params={}, spectral_gap_estimate=2.0)
+                              params={})
     P = wl.fermi_projector(model, 0.0)
     assert np.allclose(P.P, 0.5 * np.array([[1, -1], [-1, 1]]), atol=1e-12)
 
@@ -42,7 +41,7 @@ def test_fermi_projector_ssh_half_filling_rank():
 def test_fermi_projector_rejects_fermi_on_eigenvalue():
     grid = make_grid(2, 1, ndim=1)
     model = TightBindingModel(grid=grid, H=np.diag([0.0 + 0j, 1.0]),
-                              params={}, spectral_gap_estimate=1.0)
+                              params={})
     with pytest.raises(NoGapError):
         wl.fermi_projector(model, 1e-8)
 
