@@ -12,10 +12,8 @@ from .errors import (ChernResidualError, GaplessModelError,
                      UnsupportedGeometryError, WindowTooLargeError)
 from .lattice import SiteGrid, haldane_bonds
 from .spectral import (DecayProfile, Projector, _log_linear_fit, bracket,
-                       decay_floor, hermitian_norm)
+                       decay_floor, hermitian_norm, operator_norm)
 from .xhat import XtildeOperator, check_spans_range, in_gap_set
-# unused here; perfbench/tracing.py binds wanloc.diagnostics:operator_norm
-from .spectral import operator_norm  # noqa: F401
 # unused here; perfbench/tracing.py binds wanloc.diagnostics:sqrt_resolvent
 from .xhat import sqrt_resolvent  # noqa: F401
 
@@ -287,9 +285,12 @@ def tilted_comm_survey(P: Projector, xtilde: XtildeOperator, lambdas):
         if not in_gap_set(lam):
             raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
         bminus = 1.0 / bracket(x - lam) ** 0.5
-        # [x, Xtilde] is anti-Hermitian, so 1j times its sandwich is Hermitian
-        comm_x = hermitian_norm(1j * (bminus[:, None] * CX * bminus[None, :]))
-        comm_y = hermitian_norm(1j * (bminus[:, None] * CY * bminus[None, :]))
+        sandwiches = (bminus[:, None] * C * bminus[None, :] for C in (CX, CY))
+        # [x, Xtilde] is anti-Hermitian.  1j times a complex sandwich is
+        # Hermitian, and its one eigvalsh beats a complex Gram matrix; a
+        # real sandwich keeps the real Gram matrix of operator_norm
+        comm_x, comm_y = (hermitian_norm(1j * S) if np.iscomplexobj(S)
+                          else operator_norm(S) for S in sandwiches)
         wts = np.abs(m1[:, None] - m1[None, :]) / np.abs(lam - m1)[None, :]
         weighted = coeff * wts
         sup = 0.0

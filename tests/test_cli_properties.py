@@ -1,12 +1,12 @@
-"""Property test of the CLI contract: whatever the model and its parameters,
-`model`, `pipeline` and `chern` return a documented exit code and never
-raise; a config error writes nothing, and a finished or failed pipeline
-leaves its report."""
+"""Property tests of the CLI contract: whatever the model and its
+parameters, `model`, `pipeline`, `chern` and `verify` return a documented
+exit code and never raise; a config error writes nothing, and a finished or
+failed pipeline leaves its report."""
 
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wanloc.cli import (EXIT_CONFIG, EXIT_INEQUALITY, EXIT_OK, EXIT_RUNTIME,
                         EXIT_VERDICT, main)
@@ -67,3 +67,21 @@ def test_cli_always_returns_a_documented_exit_code(text):
                 assert not os.path.exists(out), command
             if command == "pipeline" and code in (EXIT_OK, EXIT_VERDICT):
                 assert os.path.exists(os.path.join(out, "report.csv"))
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=12)
+@given(configs())
+# a negative disorder strength is a config error
+@example("[model]\ntype = disordered\nL = 4\ngap = 2.0\nw = -0.5\n")
+def test_verify_always_returns_a_documented_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "verify")
+        code = main(["verify", cfg, "--out", out])
+        assert code in DOCUMENTED_EXITS, code
+        if code == EXIT_CONFIG:
+            assert not os.path.exists(out)
+        elif code in (EXIT_OK, EXIT_INEQUALITY):
+            assert os.path.exists(os.path.join(out, "verify_summary.csv"))

@@ -538,6 +538,23 @@ def test_tilted_comm_survey_matches_full_sandwich(stack, request):
             assert row[col] == pytest.approx(full, rel=1e-10)
 
 
+@pytest.mark.parametrize("stack", ["dis8_stack", "topo8_stack"])
+def test_tilted_comm_survey_matches_hermitian_route(stack, request):
+    """comm_x / comm_y agree with the largest |eigenvalue| of 1j times the
+    anti-Hermitian sandwich, for a real and for a complex surrogate."""
+    _, P, _, xt = request.getfixturevalue(stack)
+    grid = xt.grid
+    lambdas = wl.gap_midpoints(0.0, 7.0)
+    rows = wl.tilted_comm_survey(P, xt, lambdas)
+    Xt = xt.matrix
+    for lam, row in zip(lambdas, rows, strict=True):
+        b = 1.0 / bracket(grid.x - lam) ** 0.5
+        for col, c in ((1, grid.x.astype(float)), (2, grid.y.astype(float))):
+            comm = c[:, None] * Xt - Xt * c[None, :]
+            ref = wl.hermitian_norm(1j * (b[:, None] * comm * b[None, :]))
+            assert row[col] == pytest.approx(ref, rel=1e-12, abs=0)
+
+
 def test_tilted_comm_survey_atomic_surrogate_vanishes():
     model = wl.build_haldane(4, 0.0, 0.0, 0.0, 1.0)
     P = wl.fermi_projector(model, 0.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 import wanloc as wl
 from wanloc.errors import (InsufficientRangeError, NoGapError,
@@ -163,6 +164,29 @@ def test_commutator_of_positions_vanishes():
 
 def test_operator_norm_identity():
     assert wl.operator_norm(np.eye(7)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(30, 30), (30, 7), (7, 30)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_operator_norm_matches_svd(shape, dtype):
+    """The Gram-matrix norm equals the top singular value, in every shape,
+    and for rank-1 operands near the ends of the float64 range."""
+    rng = np.random.default_rng(11)
+
+    def draw(*s):
+        A = rng.standard_normal(s)
+        return A + 1j * rng.standard_normal(s) if dtype is complex else A
+
+    outer = np.outer(draw(shape[0]), draw(shape[1]))
+    for A in (draw(*shape), 1e-200 * outer, 1e150 * outer):
+        got = wl.operator_norm(A)
+        assert np.isfinite(got)
+        assert got == pytest.approx(svdvals(A)[0], rel=1e-12, abs=0)
+    assert wl.operator_norm(np.zeros(shape, dtype=dtype)) == 0.0
+
+
+def test_operator_norm_empty_matrix_is_zero():
+    assert wl.operator_norm(np.zeros((0, 0))) == 0.0
 
 
 def test_hermitian_norm_matches_operator_norm():

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 import wanloc as wl
 from wanloc.errors import (IncompleteBasisError, OutsideGapSetError,
@@ -232,6 +233,29 @@ def test_tilt_lipschitz_near_linear_scaling(dis8_stack):
     _, rows = wl.tilt_lipschitz(xh, (0.05, 0.1), anchors, model.grid)
     norm_at = {g: n for (g, _, _, n, _) in rows}
     assert 1.6 <= norm_at[0.1] / norm_at[0.05] <= 2.4
+
+
+@pytest.mark.parametrize("stack", ["dis8_stack", "topo8_stack"])
+def test_tilt_lipschitz_matches_svd_of_tilt_difference(stack, request):
+    """Each row agrees with the top singular value of the N x N difference
+    B Xh B^-1 - Xh, real (disordered) or complex (Haldane); a zero rate
+    gives exactly zero."""
+    model, _, _, xt = request.getfixturevalue(stack)
+    grid = model.grid
+    xh = build_xhat(xt, FilterSpec(8.0))
+    gammas = (0.0, 0.05, 0.2)
+    anchors = [(3.5, 3.5), (0.0, 7.0)]
+    sup, rows = wl.tilt_lipschitz(xh, gammas, anchors, grid)
+    assert len(rows) == len(gammas) * len(anchors)
+    for gamma, a1, a2, norm, ratio in rows:
+        if gamma == 0.0:
+            assert norm == 0.0 and ratio == 0.0
+            continue
+        tilted = wl.tilt_operator(xh.matrix, wl.TiltSpec(gamma, (a1, a2)), grid)
+        ref = svdvals(tilted - xh.matrix)[0]
+        assert norm == pytest.approx(ref, rel=1e-12, abs=0)
+        assert ratio == pytest.approx(ref / gamma, rel=1e-12, abs=0)
+    assert sup == max(r[4] for r in rows)
 
 
 def test_tilt_lipschitz_uniform_in_anchor(dis8_stack):
