@@ -180,28 +180,47 @@ def chern_number_kspace(t1, t2, phi, m, n_k=24):
     return int(n)
 
 
+def _per_case(*values):
+    """A float or bool for a single case, the (cases,) array for a block."""
+    return tuple(v.item() if np.ndim(v) == 0 else v for v in values)
+
+
 def lemma_decay_check(v, m, k, s1, s2, grid: SiteGrid):
-    """Unit-box norm against the bracket-weighted bound; returns (lhs, rhs, pass)."""
+    """Unit-box norm against the bracket-weighted bound; returns (lhs, rhs, pass).
+
+    One case is v (N,), m and k (2,) and scalar exponents; a block of cases
+    stacks them along a leading axis, v (cases, N), m and k (cases, 2) and
+    s1, s2 (cases,), and every result is then a (cases,) array.
+    """
     v = np.asarray(v)
-    mask = (grid.x == k[0]) & (grid.y == k[1])
-    lhs = float(np.linalg.norm(v[mask]))
-    wx = (np.abs(grid.x[mask] - m[0]) + 1.0) ** s1
-    wy = (np.abs(grid.y[mask] - m[1]) + 1.0) ** s2
-    num = float(np.linalg.norm(wx * wy * v[mask]))
-    den = bracket(m[0] - k[0]) ** s1 * bracket(m[1] - k[1]) ** s2
+    m, k = np.asarray(m), np.asarray(k)
+    s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
+    mask = (grid.x == k[..., :1]) & (grid.y == k[..., 1:])
+    lhs = np.linalg.norm(np.where(mask, v, 0.0), axis=-1)
+    wx = (np.abs(grid.x - m[..., :1]) + 1.0) ** s1[..., None]
+    wy = (np.abs(grid.y - m[..., 1:]) + 1.0) ** s2[..., None]
+    num = np.linalg.norm(np.where(mask, wx * wy * v, 0.0), axis=-1)
+    den = (bracket(m[..., 0] - k[..., 0]) ** s1
+           * bracket(m[..., 1] - k[..., 1]) ** s2)
     rhs = 2.0 ** (s1 + s2) * num / den
-    return lhs, rhs, bool(lhs <= rhs + 1e-12)
+    return _per_case(lhs, rhs, lhs <= rhs + 1e-12)
 
 
 def lemma_prod_sum_check(v, m, s1, s2, grid: SiteGrid):
-    """Product weight against the sum of single-axis weights (Young)."""
+    """Product weight against the sum of single-axis weights (Young).
+
+    Takes one case or a block of cases, shaped as in `lemma_decay_check`.
+    """
     v = np.asarray(v)
-    ax = np.abs(grid.x - m[0]) + 1.0
-    ay = np.abs(grid.y - m[1]) + 1.0
-    lhs = float(np.linalg.norm(ax ** s1 * ay ** s2 * v))
-    rhs = (float(np.linalg.norm(ax ** (s1 + s2) * v))
-           + float(np.linalg.norm(ay ** (s1 + s2) * v)))
-    return lhs, rhs, bool(lhs <= rhs + 1e-12)
+    m = np.asarray(m)
+    s1 = np.asarray(s1, dtype=float)[..., None]
+    s2 = np.asarray(s2, dtype=float)[..., None]
+    ax = np.abs(grid.x - m[..., :1]) + 1.0
+    ay = np.abs(grid.y - m[..., 1:]) + 1.0
+    lhs = np.linalg.norm(ax ** s1 * ay ** s2 * v, axis=-1)
+    rhs = (np.linalg.norm(ax ** (s1 + s2) * v, axis=-1)
+           + np.linalg.norm(ay ** (s1 + s2) * v, axis=-1))
+    return _per_case(lhs, rhs, lhs <= rhs + 1e-12)
 
 
 @dataclass
@@ -212,23 +231,44 @@ class SchurReport:
     direct_norm: float
 
 
-def schur_row_sums(basis: GeneralizedWannierBasis) -> SchurReport:
+def _schur_stack(W, m1, x):
+    """(sup_row, sup_col, bound, direct_norm) of the kernels of a stack of
+    bases W (..., N, r) with centre rows m1 (..., r): one eigvalsh."""
+    K = (W.conj().swapaxes(-1, -2) @ (x[:, None] * W)
+         - m1[..., None] * np.eye(W.shape[-1]))
+    absK = np.abs(K)
+    sup_row = absK.sum(axis=-1).max(axis=-1)
+    sup_col = absK.sum(axis=-2).max(axis=-1)
+    evals = np.linalg.eigvalsh(K)
+    # an identically zero kernel has norm exactly 0.0
+    direct = np.where(np.any(K, axis=(-2, -1)),
+                      np.maximum(-evals[..., 0], evals[..., -1]), 0.0)
+    return sup_row, sup_col, np.sqrt(sup_row * sup_col), direct
+
+
+def schur_row_sums(psi, m1, grid: SiteGrid) -> SchurReport:
     """Schur sums of the centred position kernel in the basis coordinates.
 
     The kernel is K[a,b] = <psi_a, X psi_b> - m1(a) delta_ab, i.e. the
     coefficient matrix of P X P minus the m1-weighted basis projectors; the
     implied bound sqrt(sup_row * sup_col) always dominates the direct
     spectral norm.
+
+    `psi` is one basis (N, r) with its centre rows m1 (r,), giving a report
+    of floats, or a list of cases, one (N, r_i) basis and (r_i,) m1 each,
+    giving a report of (cases,) arrays.  The cases of a list are stacked by
+    rank, so it costs one eigvalsh per distinct r_i.
     """
-    x = basis.grid.x.astype(float)
-    W = basis.psi
-    K = W.conj().T @ (x[:, None] * W) - np.diag(basis.m1)
-    absK = np.abs(K)
-    sup_row = float(absK.sum(axis=1).max())
-    sup_col = float(absK.sum(axis=0).max())
-    return SchurReport(sup_row=sup_row, sup_col=sup_col,
-                       bound=math.sqrt(sup_row * sup_col),
-                       direct_norm=hermitian_norm(K))
+    x = grid.x.astype(float)
+    if isinstance(psi, np.ndarray):
+        return SchurReport(*_per_case(*_schur_stack(psi, np.asarray(m1), x)))
+    ranks = np.array([W.shape[-1] for W in psi])
+    out = np.empty((4, len(psi)))
+    for r in np.unique(ranks):
+        idx = np.flatnonzero(ranks == r)
+        out[:, idx] = _schur_stack(np.stack([psi[i] for i in idx]),
+                                   np.stack([m1[i] for i in idx]), x)
+    return SchurReport(*out)
 
 
 def sqrt_bound_survey(P: Projector, basis: GeneralizedWannierBasis, lambdas):

@@ -291,7 +291,8 @@ def initial_basis(P: Projector, mode="columns") -> GeneralizedWannierBasis:
     grid = P.grid
     if mode == "columns":
         V = P.V
-        _, _, pivots = qr(V.conj().T, mode="economic", pivoting=True)
+        # the pivots alone: the same pivoted QR, without forming Q
+        _, pivots = qr(V.conj().T, mode="r", pivoting=True)
         cols = np.sort(pivots[:P.rank])
         U, sv, Zh = np.linalg.svd(V[cols].conj().T)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf

@@ -37,6 +37,11 @@ def read_matrix(path):
 
 def fmt(value):
     """Format one CSV cell; floats use shortest round-trip repr."""
+    kind = type(value)   # the plain Python cells of `tolist()` rows first
+    if kind is float:
+        return repr(value)
+    if kind is int:
+        return str(value)
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):

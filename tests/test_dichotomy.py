@@ -444,6 +444,20 @@ def test_polar_basis_matches_lowdin(dis8_stack, topo8_stack, dis_projectors):
         assert sv[0] / sv[-1] == pytest.approx(np.linalg.cond(A), rel=1e-10)
 
 
+def test_initial_basis_pivots_only_is_byte_identical(dis8_stack, topo8_stack):
+    """Asking the pivoted QR for R and pivots only selects the same columns
+    as the economic factorization, so the basis keeps every bit."""
+    for P in (dis8_stack[1], topo8_stack[1]):
+        V = P.V
+        _, _, pivots = qr(V.conj().T, mode="economic", pivoting=True)
+        cols = np.sort(pivots[:P.rank])
+        U, _, Zh = np.linalg.svd(V[cols].conj().T)
+        ref = fix_phases(V @ (U @ Zh))
+        psi = wl.initial_basis(P).psi
+        assert psi.dtype == ref.dtype and psi.shape == ref.shape
+        assert psi.tobytes() == ref.tobytes()
+
+
 def attach_moments_reference(basis, s_grid):
     """The per-function loop `attach_moments` replaced."""
     moments = {}

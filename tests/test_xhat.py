@@ -88,7 +88,7 @@ def test_xtilde_integer_projected_spectrum(dis8_stack):
 def test_xtilde_distance_to_position_respects_schur_bound(dis8_stack):
     model, P, basis, xt = dis8_stack
     X, _ = wl.position_operators(model)
-    rep = wl.schur_row_sums(basis)
+    rep = wl.schur_row_sums(basis.psi, basis.m1, basis.grid)
     comm = wl.operator_norm(wl.commutator(X, P.P))
     direct = wl.operator_norm(xt.matrix - X)
     assert direct <= rep.bound + 2.0 * comm + 1e-9
