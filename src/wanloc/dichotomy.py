@@ -7,8 +7,13 @@ projected position operator, build one band projector per cluster, then
 diagonalize the transverse position inside each band.
 """
 
+import ctypes
+import functools
+import importlib.util
 import math
+import threading
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import qr
@@ -275,6 +280,56 @@ def attach_moments(basis: GeneralizedWannierBasis, s_grid):
     return replace(basis, moments=moments)
 
 
+@functools.cache
+def _scipy_blas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with scipy,
+    or None when that library or its symbols cannot be found.
+
+    numpy and scipy each bundle their own OpenBLAS, so a process holds two
+    thread pools.  The idle workers of one pool spin-wait while the other
+    runs, so on a machine with few cores a small scipy factorization
+    between numpy calls stalls on contention rather than gaining from a
+    second thread.
+    """
+    scipy_init = Path(importlib.util.find_spec("scipy").origin).resolve()
+    libs = scipy_init.parent.parent / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, ()
+                set_.restype, set_.argtypes = None, (ctypes.c_int,)
+                return get, set_
+    return None
+
+
+# the thread count is process-wide: concurrent pins would restore each
+# other's counts out of order
+_SCIPY_BLAS_LOCK = threading.Lock()
+
+
+def _qr_pivots(A):
+    """Column pivots of the pivoted QR of A (R and pivots only, Q is not
+    formed), run with scipy's OpenBLAS pool on one thread and its previous
+    count restored afterwards; numpy's pool is left alone."""
+    blas = _scipy_blas_threads()
+    if blas is None:
+        return qr(A, mode="r", pivoting=True)[1]
+    get, set_ = blas
+    with _SCIPY_BLAS_LOCK:
+        threads = get()
+        set_(1)
+        try:
+            return qr(A, mode="r", pivoting=True)[1]
+        finally:
+            set_(threads)
+
+
 def initial_basis(P: Projector, mode="columns") -> GeneralizedWannierBasis:
     """Construct an orthonormal basis of range(P) with centre points.
 
@@ -291,9 +346,7 @@ def initial_basis(P: Projector, mode="columns") -> GeneralizedWannierBasis:
     grid = P.grid
     if mode == "columns":
         V = P.V
-        # the pivots alone: the same pivoted QR, without forming Q
-        _, pivots = qr(V.conj().T, mode="r", pivoting=True)
-        cols = np.sort(pivots[:P.rank])
+        cols = np.sort(_qr_pivots(V.conj().T)[:P.rank])
         U, sv, Zh = np.linalg.svd(V[cols].conj().T)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
         if cond > SELECTION_COND_MAX:

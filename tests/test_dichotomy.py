@@ -1,8 +1,13 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.linalg import qr
 
 import wanloc as wl
+from wanloc import dichotomy
 from wanloc.cli import _delta_step
 from wanloc.dichotomy import attach_moments, density_centroids, fix_phases
 from wanloc.errors import NumericalDegeneracyError
@@ -10,7 +15,7 @@ from wanloc.lattice import make_grid
 from wanloc.spectral import (Projector, TiltSpec, bracket, range_basis,
                              tilt_operator)
 
-from suite_common import centroid
+from suite_common import DIS_PARAMS, DIS_SEED, TOPO_PARAMS, centroid
 
 
 def projector_on(grid, columns):
@@ -456,6 +461,113 @@ def test_initial_basis_pivots_only_is_byte_identical(dis8_stack, topo8_stack):
         psi = wl.initial_basis(P).psi
         assert psi.dtype == ref.dtype and psi.shape == ref.shape
         assert psi.tobytes() == ref.tobytes()
+
+
+def scipy_blas_threads():
+    blas = dichotomy._scipy_blas_threads()
+    if blas is None:
+        pytest.skip("scipy's bundled OpenBLAS cannot be found")
+    return blas
+
+
+@pytest.fixture
+def scipy_pool_of_two():
+    """scipy's OpenBLAS pool set to two threads for the test, so a pin to
+    one thread shows; the count it had is restored afterwards."""
+    get, set_ = scipy_blas_threads()
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def test_initial_basis_qr_runs_on_one_scipy_thread(dis8_stack, monkeypatch,
+                                                   scipy_pool_of_two):
+    get = scipy_pool_of_two
+    seen, real_qr = [], dichotomy.qr
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return real_qr(*args, **kwargs)
+
+    monkeypatch.setattr(dichotomy, "qr", spy)
+    wl.initial_basis(dis8_stack[1])
+    assert seen == [1]
+    assert get() == 2
+
+
+def test_initial_basis_restores_scipy_threads_after_qr_raises(
+        dis8_stack, monkeypatch, scipy_pool_of_two):
+    get = scipy_pool_of_two
+
+    def failing_qr(*args, **kwargs):
+        assert get() == 1
+        raise RuntimeError("qr failed")
+
+    monkeypatch.setattr(dichotomy, "qr", failing_qr)
+    with pytest.raises(RuntimeError, match="qr failed"):
+        wl.initial_basis(dis8_stack[1])
+    assert get() == 2
+
+
+def test_concurrent_initial_basis_restores_scipy_threads(monkeypatch,
+                                                        scipy_pool_of_two):
+    """Pins from several threads at once each see one thread, and the pool
+    ends at the count it had before any of them."""
+    get = scipy_pool_of_two
+    P = wl.fermi_projector(wl.build_disordered_insulator(
+        4, seed=DIS_SEED, **DIS_PARAMS), 0.0)
+    seen, real_qr = [], dichotomy.qr
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        time.sleep(0)
+        return real_qr(*args, **kwargs)
+
+    def work():
+        for _ in range(20):
+            wl.initial_basis(P)
+
+    monkeypatch.setattr(dichotomy, "qr", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert seen == [1] * 80
+    assert get() == 2
+
+
+def test_initial_basis_without_scipy_blas_library(dis8_stack, monkeypatch):
+    P = dis8_stack[1]
+    monkeypatch.setattr(dichotomy, "_scipy_blas_threads", lambda: None)
+    basis = wl.initial_basis(P)
+    assert basis.n_functions == P.rank
+    assert basis.orthonormality_defect() <= 1e-10
+
+
+def test_single_thread_qr_changes_no_bits(dis_projectors, monkeypatch,
+                                          scipy_pool_of_two):
+    """The basis with scipy's pool pinned to one thread keeps every bit of
+    the basis built on the pool's two threads."""
+    projectors = [
+        wl.fermi_projector(wl.build_disordered_insulator(
+            6, seed=DIS_SEED, **DIS_PARAMS), 0.0),
+        wl.fermi_projector(wl.build_haldane(
+            6, TOPO_PARAMS["t1"], TOPO_PARAMS["t2"], TOPO_PARAMS["phi"],
+            TOPO_PARAMS["m"]), 0.0),
+        dis_projectors[16][1],
+    ]
+    assert [P.V.dtype.kind for P in projectors] == ["f", "c", "f"]
+    pinned = [wl.initial_basis(P).psi.tobytes() for P in projectors]
+    monkeypatch.setattr(dichotomy, "_scipy_blas_threads", lambda: None)
+    assert [wl.initial_basis(P).psi.tobytes() for P in projectors] == pinned
 
 
 def attach_moments_reference(basis, s_grid):
