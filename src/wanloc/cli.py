@@ -180,19 +180,31 @@ def build_model(cfg: PipelineConfig):
 
 @dataclass
 class RunReport:
-    verdict: str
-    stages: dict
+    verdict: str = VERDICT_ERROR
+    stages: dict = field(default_factory=dict)
     chosen_delta: float | None = None
+    model: object = None
     projector: object = None
     decay: object = None
     basis_initial: object = None
     bounded_density: int | None = None
+    xtilde: object = None
     certificates: list = field(default_factory=list)
+    xhat: object = None
     gaps: object = None
     bands: object = None
+    strips: list = field(default_factory=list)
     basis_final: object = None
+    band_ids: list = field(default_factory=list)
     final_fits: list = field(default_factory=list)
     chern: list = field(default_factory=list)
+
+
+# every file `write_run` may write, in the order it writes them
+PIPELINE_FILES = ("hamiltonian.wdmx", "decay.csv", "basis_initial.csv",
+                  "basis_initial.wdmx", "certificates.csv", "xhat.wdmx",
+                  "gaps.csv", "strips.csv", "basis_final.csv",
+                  "basis_final.wdmx", "chern.csv", "report.csv")
 
 
 def _default_anchors(grid):
@@ -229,69 +241,41 @@ def _fit_passes(fit):
     return fit.gamma > 0 and fit.r_squared >= FIT_R2_MIN
 
 
-def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
-    """Model -> P -> basis -> surrogate -> certificates -> bands -> fits."""
-    out = out_dir or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    meta = {"model": cfg.model_type, "seed": cfg.seed, "L": cfg.L, "Delta": 0}
-    stages = {}
-    report = RunReport(verdict=VERDICT_ERROR, stages=stages)
-
-    def finish(verdict):
-        report.verdict = verdict
-        rows = [(k, v) for k, v in stages.items()] + [("verdict", verdict)]
-        io.write_csv(os.path.join(out, "report.csv"), ("stage", "outcome"),
-                     rows, meta)
-        return report
-
+def _surrogate_stages(cfg, report):
+    """Model -> P -> decay fit -> labelled basis (density, moments) -> X-tilde,
+    each recorded into `report`; a failing stage raises its WanlocError."""
+    stages = report.stages
+    report.model = model = build_model(cfg)
+    stages["model"] = f"ok dim={model.grid.dimension}"
+    report.projector = P = fermi_projector(model, cfg.fermi_energy)
+    stages["projector"] = f"ok rank={P.rank} gap={P.gap:.6g}"
     try:
-        model = build_model(cfg)
-        io.write_matrix(os.path.join(out, "hamiltonian.wdmx"), model.H)
-        stages["model"] = f"ok dim={model.grid.dimension}"
-        grid = model.grid
+        report.decay = decay = kernel_decay_fit(P)
+        stages["decay"] = f"ok gamma={decay.gamma:.6g} r2={decay.r_squared:.6g}"
+    except InsufficientRangeError as exc:
+        stages["decay"] = f"skipped ({exc})"
+    basis = initial_basis(P, mode=cfg.basis_mode)
+    report.bounded_density = check_bounded_density(basis.centers, model.grid)
+    report.basis_initial = basis = attach_moments(relabel_to_lattice(basis),
+                                                  cfg.s_grid)
+    stages["basis"] = (f"ok n={basis.n_functions} M={report.bounded_density} "
+                       f"Msq={basis.max_degeneracy}")
+    report.xtilde = build_xtilde(basis, P)
+    stages["xtilde"] = "ok integer-spectrum"
 
-        P = fermi_projector(model, cfg.fermi_energy)
-        report.projector = P
-        stages["projector"] = f"ok rank={P.rank} gap={P.gap:.6g}"
 
-        try:
-            decay = kernel_decay_fit(P)
-            report.decay = decay
-            stages["decay"] = f"ok gamma={decay.gamma:.6g} r2={decay.r_squared:.6g}"
-        except InsufficientRangeError as exc:
-            decay = None
-            stages["decay"] = f"skipped ({exc})"
-        io.write_csv(os.path.join(out, "decay.csv"),
-                     ("model_id", "C", "gamma", "r_squared", "samples"),
-                     [decay.as_csv_row(cfg.model_type)] if decay else [], meta)
-
-        basis = initial_basis(P, mode=cfg.basis_mode)
-        M = check_bounded_density(basis.centers, grid)
-        report.bounded_density = M
-        basis = attach_moments(relabel_to_lattice(basis), cfg.s_grid)
-        report.basis_initial = basis
-        stages["basis"] = (f"ok n={basis.n_functions} M={M} "
-                           f"Msq={basis.max_degeneracy}")
-        header = (["alpha", "m1", "m2", "j"]
-                  + [f"moment_s{s:g}" for s in cfg.s_grid])
-        rows = []
-        for k in range(basis.n_functions):
-            (m1, m2), j = basis.lattice_index[k]
-            rows.append([k, m1, m2, j]
-                        + [basis.moments[float(s)][k] for s in cfg.s_grid])
-        io.write_csv(os.path.join(out, "basis_initial.csv"), header, rows, meta)
-        io.write_matrix(os.path.join(out, "basis_initial.wdmx"), basis.psi)
-
-        xt = build_xtilde(basis, P)
-        stages["xtilde"] = "ok integer-spectrum"
-
+def construct(cfg: PipelineConfig) -> RunReport:
+    """Model -> P -> basis -> surrogate -> certificates -> bands -> fits, in
+    memory: writes nothing.  A WanlocError ends the run as `stage-error`."""
+    report = RunReport()
+    stages = report.stages
+    try:
+        _surrogate_stages(cfg, report)
+        grid, xt = report.model.grid, report.xtilde
         lambdas = gap_midpoints(0.0, grid.width - 1.0)
-        cert_rows = []
-        chosen = None
         for delta in cfg.delta_list:
             xh, spectrum, vectors, certs = _delta_step(xt, delta, lambdas)
             report.certificates.extend(certs)
-            cert_rows.extend(c.as_csv_row() for c in certs)
             gaps = detect_uniform_gaps(spectrum, cfg.d_min, cfg.d_max)
             cert_ok = all(c.passed for c in certs)
             gaps_ok = isinstance(gaps, GapStructure)
@@ -299,92 +283,125 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
                 f"certificates={'ok' if cert_ok else 'failed'} "
                 f"gaps={'ok' if gaps_ok else 'failed: ' + gaps.reason}")
             if cert_ok and gaps_ok:
-                chosen = (delta, xh, gaps, vectors)
                 break
-        io.write_csv(os.path.join(out, "certificates.csv"),
-                     ("lambda", "delta", "snorm", "min_gap_distance", "pass"),
-                     cert_rows, meta)
-        if chosen is None:
-            last = stages[f"delta={cfg.delta_list[-1]:g}"]
-            return finish(VERDICT_CERT if "certificates=failed" in last
-                          else VERDICT_GAPS)
-        delta, xh, gaps, vectors = chosen
-        report.chosen_delta = delta
-        report.gaps = gaps
-        meta["Delta"] = delta
-        io.write_matrix(os.path.join(out, "xhat.wdmx"), xh.matrix)
+        else:
+            report.verdict = VERDICT_GAPS if cert_ok else VERDICT_CERT
+            return report
+        report.chosen_delta, report.xhat, report.gaps = delta, xh, gaps
 
-        bands = band_projectors(vectors, gaps, grid)
-        report.bands = bands
+        report.bands = bands = band_projectors(vectors, gaps, grid)
         stages["bands"] = f"ok n={len(bands.vectors)} d={gaps.d:.6g} D={gaps.D:.6g}"
-        rows = []
-        for j, (lo, hi) in enumerate(gaps.intervals):
-            prof, rank = bands.decay_profiles[j], bands.vectors[j].shape[1]
-            rows.append((j, lo, hi, float(gaps.xi[j]), rank,
-                         prof.gamma if prof else math.nan,
-                         prof.r_squared if prof else math.nan))
-        io.write_csv(os.path.join(out, "gaps.csv"),
-                     ("band_id", "sigma_lo", "sigma_hi", "xi", "rank",
-                      "decay_gamma", "r2"), rows, meta)
 
         anchors = _default_anchors(grid)
         gamma0 = min(cfg.gamma_list)
-        strip_rows, vec_blocks, ctr_blocks, band_ids = [], [], [], []
+        vec_blocks, ctr_blocks = [], []
         for j, Vj in enumerate(bands.vectors):
             xi_j = float(gaps.xi[j])
-            strip_rows.append((j, gamma0) + strip_localization_check(
+            report.strips.append((j, gamma0) + strip_localization_check(
                 Vj, xi_j, grid, gamma0, anchors))
             vecs, ctrs = wannierize_band(Vj, grid.y, xi_j)
             vec_blocks.append(vecs)
             ctr_blocks.append(ctrs)
-            band_ids.extend([j] * vecs.shape[1])
-        io.write_csv(os.path.join(out, "strips.csv"),
-                     ("band_id", "gamma", "norm_left", "norm_right"),
-                     strip_rows, meta)
+            report.band_ids.extend([j] * vecs.shape[1])
         stages["strips"] = "ok"
         final = GeneralizedWannierBasis(psi=np.hstack(vec_blocks),
                                         centers=np.vstack(ctr_blocks), grid=grid)
         report.basis_final = final
         ortho = final.orthonormality_defect()
-        complete = final.completeness_defect(P.P)
+        complete = final.completeness_defect(report.projector.P)
         stages["wannierize"] = f"ok ortho={ortho:.3e} complete={complete:.3e}"
 
-        fits, fit_rows = [], []
         for k in range(final.n_functions):
             try:
                 fit = diagnostics.fit_exponential(final.psi[:, k],
                                                   final.centers[k], grid)
             except InsufficientRangeError:
                 fit = None
-            fits.append(fit)
-            flag = "unfit" if fit is None else (fit.flag or "")
-            fit_rows.append((k, band_ids[k], final.centers[k, 0],
-                             final.centers[k, 1],
-                             fit.gamma if fit else math.nan,
-                             fit.r_squared if fit else math.nan,
-                             flag, _fit_passes(fit)))
-        report.final_fits = fits
-        io.write_csv(os.path.join(out, "basis_final.csv"),
-                     ("alpha", "band_id", "xi", "eta", "gamma", "r2",
-                      "flag", "pass"), fit_rows, meta)
-        io.write_matrix(os.path.join(out, "basis_final.wdmx"), final.psi)
-        all_fits_ok = all(_fit_passes(f) for f in fits)
+            report.final_fits.append(fit)
+        all_fits_ok = all(_fit_passes(f) for f in report.final_fits)
         stages["fits"] = "ok" if all_fits_ok else "failed"
 
         if grid.ndim == 2:
-            report.chern = _chern_reports(cfg, P)
-            io.write_csv(os.path.join(out, "chern.csv"),
-                         ("window", "value", "imag_residual", "trace_terms"),
-                         [r.as_csv_row() for r in report.chern], meta)
+            report.chern = _chern_reports(cfg, report.projector)
             stages["chern"] = " ".join(f"C(w={r.window})={r.value:.4f}"
                                        for r in report.chern)
 
-        if not (ortho <= 1e-8 and complete <= 1e-8):
-            return finish(VERDICT_ERROR)
-        return finish(VERDICT_OK if all_fits_ok else VERDICT_FIT)
+        if ortho <= 1e-8 and complete <= 1e-8:
+            report.verdict = VERDICT_OK if all_fits_ok else VERDICT_FIT
     except WanlocError as exc:
         stages["error"] = f"{type(exc).__name__}: {exc}"
-        return finish(VERDICT_ERROR)
+    return report
+
+
+def write_run(report: RunReport, cfg: PipelineConfig, out):
+    """Write into `out` the files of the stages `report` reached, report.csv
+    last, after removing the PIPELINE_FILES an earlier run left there."""
+    os.makedirs(out, exist_ok=True)
+    for name in PIPELINE_FILES:
+        path = os.path.join(out, name)
+        if os.path.isfile(path):
+            os.remove(path)
+    # the files from the chosen width on carry its Delta
+    meta = {"model": cfg.model_type, "seed": cfg.seed, "L": cfg.L, "Delta": 0}
+
+    def csv(name, header, rows):
+        io.write_csv(os.path.join(out, name), header, rows, meta)
+
+    if "model" in report.stages:
+        io.write_matrix(os.path.join(out, "hamiltonian.wdmx"), report.model.H)
+    if "decay" in report.stages:
+        csv("decay.csv", ("model_id", "C", "gamma", "r_squared", "samples"),
+            [report.decay.as_csv_row(cfg.model_type)] if report.decay else [])
+    if "basis" in report.stages:
+        basis = report.basis_initial
+        rows = [[k, m1, m2, j] + [basis.moments[float(s)][k] for s in cfg.s_grid]
+                for k, ((m1, m2), j) in enumerate(basis.lattice_index)]
+        csv("basis_initial.csv", ["alpha", "m1", "m2", "j"]
+            + [f"moment_s{s:g}" for s in cfg.s_grid], rows)
+        io.write_matrix(os.path.join(out, "basis_initial.wdmx"), basis.psi)
+    # the Delta loop ran to its end: it chose a width or every width failed
+    if report.chosen_delta is not None or report.verdict in (VERDICT_CERT,
+                                                             VERDICT_GAPS):
+        csv("certificates.csv",
+            ("lambda", "delta", "snorm", "min_gap_distance", "pass"),
+            [c.as_csv_row() for c in report.certificates])
+    if report.chosen_delta is not None:
+        meta["Delta"] = report.chosen_delta
+        io.write_matrix(os.path.join(out, "xhat.wdmx"), report.xhat.matrix)
+    if "bands" in report.stages:
+        gaps, bands = report.gaps, report.bands
+        rows = [(j, lo, hi, float(gaps.xi[j]), V.shape[1],
+                 prof.gamma if prof else math.nan,
+                 prof.r_squared if prof else math.nan)
+                for j, ((lo, hi), V, prof) in enumerate(zip(
+                    gaps.intervals, bands.vectors, bands.decay_profiles))]
+        csv("gaps.csv", ("band_id", "sigma_lo", "sigma_hi", "xi", "rank",
+                         "decay_gamma", "r2"), rows)
+    if "strips" in report.stages:
+        csv("strips.csv", ("band_id", "gamma", "norm_left", "norm_right"),
+            report.strips)
+    if "fits" in report.stages:
+        final = report.basis_final
+        rows = [(k, j, *final.centers[k], fit.gamma if fit else math.nan,
+                 fit.r_squared if fit else math.nan,
+                 "unfit" if fit is None else (fit.flag or ""), _fit_passes(fit))
+                for k, (j, fit) in enumerate(zip(report.band_ids,
+                                                 report.final_fits))]
+        csv("basis_final.csv", ("alpha", "band_id", "xi", "eta", "gamma", "r2",
+                                "flag", "pass"), rows)
+        io.write_matrix(os.path.join(out, "basis_final.wdmx"), final.psi)
+    if "chern" in report.stages:
+        csv("chern.csv", ("window", "value", "imag_residual", "trace_terms"),
+            [r.as_csv_row() for r in report.chern])
+    csv("report.csv", ("stage", "outcome"),
+        list(report.stages.items()) + [("verdict", report.verdict)])
+
+
+def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
+    """`construct`, then `write_run` into `out_dir` (default: the config's)."""
+    report = construct(cfg)
+    write_run(report, cfg, out_dir or cfg.output_dir)
+    return report
 
 
 def _inequality_suite(path, header, draw, check, meta):
@@ -481,11 +498,10 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
         ("rank", "sup_row", "sup_col", "bound", "direct_norm"), schur_case,
         schur_check, meta)
 
-    model = build_model(cfg)
-    P = fermi_projector(model, cfg.fermi_energy)
-    basis = relabel_to_lattice(initial_basis(P, mode=cfg.basis_mode))
-    xt = build_xtilde(basis, P)
-    grid_m = model.grid
+    core = RunReport()
+    _surrogate_stages(cfg, core)
+    P, basis, xt = core.projector, core.basis_initial, core.xtilde
+    grid_m = core.model.grid
     anchors = _default_anchors(grid_m)
     lambdas = gap_midpoints(0.0, grid_m.width - 1.0)
 
@@ -511,7 +527,7 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
                  diagnostics.sqrt_bound_survey(P, basis, lambdas), meta)
     io.write_csv(os.path.join(out, "verify_comm_bounds.csv"),
                  ("lambda", "comm_x", "comm_y", "weighted_sum_sup"),
-                 diagnostics.tilted_comm_survey(P, xt, lambdas), meta)
+                 diagnostics.tilted_comm_survey(xt, lambdas), meta)
 
     io.write_csv(os.path.join(out, "verify_summary.csv"),
                  ("suite", "failures", "pass"),

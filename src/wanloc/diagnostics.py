@@ -305,7 +305,7 @@ def sqrt_bound_survey(P: Projector, basis: GeneralizedWannierBasis, lambdas):
     return rows
 
 
-def tilted_comm_survey(P: Projector, xtilde: XtildeOperator, lambdas):
+def tilted_comm_survey(xtilde: XtildeOperator, lambdas):
     """Bracket-sandwiched commutators of the surrogate with X and Y, plus the
     discrete-kernel Schur sum of the gap-weighted position coefficients.
     Rows: (lambda, comm_x, comm_y, weighted_sum_sup)."""

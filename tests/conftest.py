@@ -98,6 +98,6 @@ def survey_maxima(dis_projectors):
         xt = build_xtilde(basis, P)
         lambdas = wl.gap_midpoints(0.0, L - 1.0)
         sq = wl.sqrt_bound_survey(P, basis, lambdas)
-        cm = wl.tilted_comm_survey(P, xt, lambdas)
+        cm = wl.tilted_comm_survey(xt, lambdas)
         out[L] = (max(max(r[1:]) for r in sq), max(max(r[1:]) for r in cm))
     return out

@@ -5,10 +5,13 @@ import pytest
 
 import wanloc.io as io
 from wanloc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERDICT,
-                        MODELS, PipelineConfig, build_model, main, parse_config,
-                        run_pipeline)
+                        MODELS, VERDICT_CERT, VERDICT_ERROR, VERDICT_FIT,
+                        VERDICT_OK, PipelineConfig, build_model, construct,
+                        main, parse_config, run_pipeline)
 from wanloc.errors import ConfigError, WindowTooLargeError
 from wanloc.lattice import TightBindingModel
+
+from suite_common import DIS_PARAMS, DIS_SEED, TOPO_PARAMS
 
 FULL_CONFIG = """\
 [model]
@@ -430,3 +433,78 @@ def test_chern_residual_exits_with_runtime_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.diagnostics, "CHERN_IMAG_TOL", -1.0)
     cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 8\nm = 1.0\n")
     assert main(["chern", cfg, "--out", str(tmp_path / "c")]) == EXIT_RUNTIME
+
+
+def _config_file(name):
+    return os.path.join(os.path.dirname(__file__), os.pardir, "configs", name)
+
+
+TOPOLOGICAL_CFG = open(_config_file("haldane_topological.cfg")).read()
+
+
+def _files(path):
+    return {name: (path / name).read_bytes() for name in os.listdir(path)}
+
+
+def test_rerun_into_one_directory_removes_the_earlier_pipeline_files(tmp_path):
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    (shared / "notes.txt").write_text("kept\n")
+    trivial = _config_file("haldane_trivial.cfg")
+    topological = _config_file("haldane_topological.cfg")
+    assert main(["pipeline", trivial, "--out", str(shared)]) == EXIT_OK
+    assert len(os.listdir(shared)) == 13
+    assert main(["pipeline", topological, "--out", str(shared)]) == EXIT_VERDICT
+    assert main(["pipeline", topological, "--out", str(fresh)]) == EXIT_VERDICT
+    left = _files(shared)
+    assert left.pop("notes.txt") == b"kept\n"
+    assert len(left) == 6
+    assert left == _files(fresh)
+
+
+def _no_writes(*args, **kwargs):
+    raise AssertionError("construct wrote a file")
+
+
+@pytest.mark.parametrize("fixture, model_type, params, seed", [
+    ("dis12_report", "disordered", DIS_PARAMS, DIS_SEED),
+    ("topological12_report", "haldane", TOPO_PARAMS, 0)])
+def test_construct_writes_nothing(fixture, model_type, params, seed, request,
+                                  tmp_path, monkeypatch):
+    written = request.getfixturevalue(fixture)
+    cfg = PipelineConfig(model_type=model_type, L=12, model_params=params,
+                         seed=seed, output_dir=str(tmp_path / "never"))
+    monkeypatch.setattr(io, "write_csv", _no_writes)
+    monkeypatch.setattr(io, "write_matrix", _no_writes)
+    report = construct(cfg)
+    assert report.verdict == written.verdict
+    assert report.verdict in (VERDICT_OK, VERDICT_CERT)
+    assert ([c.as_csv_row() for c in report.certificates]
+            == [c.as_csv_row() for c in written.certificates])
+    assert not (tmp_path / "never").exists()
+
+
+FRONT_FILES = {"hamiltonian.wdmx", "decay.csv", "basis_initial.csv",
+               "basis_initial.wdmx", "certificates.csv", "report.csv"}
+BAND_FILES = {"xhat.wdmx", "gaps.csv", "strips.csv", "basis_final.csv",
+              "basis_final.wdmx"}
+
+
+@pytest.mark.parametrize("config, verdict, files", [
+    ("[model]\ntype = atomic\nL = 6\nm = 1.0\n", VERDICT_OK,
+     FRONT_FILES | BAND_FILES | {"chern.csv"}),
+    ("[model]\ntype = ssh\nL = 12\nt1 = 1.0\nt2 = 0.45\n", VERDICT_FIT,
+     FRONT_FILES | BAND_FILES),
+    (TOPOLOGICAL_CFG, VERDICT_CERT, FRONT_FILES),
+    # trivial (m_c = sqrt 3) near the transition: certified, failing fits
+    (TOPOLOGICAL_CFG.replace("m = 0.2\n", "m = 1.9\n"), VERDICT_FIT,
+     FRONT_FILES | BAND_FILES | {"chern.csv"}),
+    ("[model]\ntype = atomic\nL = 6\nm = 0.0\n", VERDICT_ERROR,
+     {"hamiltonian.wdmx", "report.csv"}),
+], ids=["constructed", "ssh", "certificate-failed", "fit-failed",
+        "stage-error"])
+def test_pipeline_files_of_each_verdict(tmp_path, config, verdict, files):
+    report = run_pipeline(parse_config(write_config(tmp_path, config)),
+                          out_dir=str(tmp_path / "out"))
+    assert report.verdict == verdict
+    assert set(os.listdir(tmp_path / "out")) == files

@@ -1,7 +1,8 @@
 """Property tests of the CLI contract: whatever the model and its
 parameters, `model`, `pipeline`, `chern` and `verify` return a documented
 exit code and never raise; a config error writes nothing, and a finished or
-failed pipeline leaves its report."""
+failed pipeline leaves its report beside exactly the files of the stages it
+reached."""
 
 import os
 import tempfile
@@ -13,6 +14,30 @@ from wanloc.cli import (EXIT_CONFIG, EXIT_INEQUALITY, EXIT_OK, EXIT_RUNTIME,
 
 DOCUMENTED_EXITS = {EXIT_OK, EXIT_CONFIG, EXIT_INEQUALITY, EXIT_VERDICT,
                     EXIT_RUNTIME}
+
+# the files a pipeline stage leaves once report.csv lists it
+STAGE_FILES = {"model": {"hamiltonian.wdmx"}, "decay": {"decay.csv"},
+               "basis": {"basis_initial.csv", "basis_initial.wdmx"},
+               "bands": {"gaps.csv"}, "strips": {"strips.csv"},
+               "fits": {"basis_final.csv", "basis_final.wdmx"},
+               "chern": {"chern.csv"}}
+
+
+def expected_files(report_path):
+    """The files of the stages a pipeline report.csv lists.  A width whose
+    certificates and gaps pass leaves X-hat and the certificates; a run that
+    fails at every width leaves the certificates."""
+    with open(report_path) as fh:
+        rows = [line.rstrip("\n").split(",", 1) for line in fh][2:]
+    files = {"report.csv"}
+    for stage, outcome in rows:
+        files |= STAGE_FILES.get(stage, set())
+        if stage.startswith("delta=") and outcome == "certificates=ok gaps=ok":
+            files |= {"certificates.csv", "xhat.wdmx"}
+        if stage == "verdict" and outcome in ("certificate-failed",
+                                              "gap-detection-failed"):
+            files.add("certificates.csv")
+    return files
 
 
 def _num(lo, hi):
@@ -66,7 +91,9 @@ def test_cli_always_returns_a_documented_exit_code(text):
             if code == EXIT_CONFIG:
                 assert not os.path.exists(out), command
             if command == "pipeline" and code in (EXIT_OK, EXIT_VERDICT):
-                assert os.path.exists(os.path.join(out, "report.csv"))
+                report = os.path.join(out, "report.csv")
+                assert os.path.exists(report)
+                assert set(os.listdir(out)) == expected_files(report)
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=12)

@@ -525,10 +525,10 @@ def test_sqrt_bound_survey_rejects_outside_gap(dis8_stack):
 @pytest.mark.parametrize("stack", ["dis8_stack", "topo8_stack"])
 def test_tilted_comm_survey_matches_full_sandwich(stack, request):
     """comm_x / comm_y equal the SVD norms of the anti-Hermitian sandwiches."""
-    _, P, _, xt = request.getfixturevalue(stack)
+    xt = request.getfixturevalue(stack)[3]
     grid = xt.grid
     lambdas = wl.gap_midpoints(0.0, 7.0)
-    rows = wl.tilted_comm_survey(P, xt, lambdas)
+    rows = wl.tilted_comm_survey(xt, lambdas)
     X = np.diag(grid.x.astype(float))
     Y = np.diag(grid.y.astype(float))
     for lam, row in zip(lambdas, rows, strict=True):
@@ -542,10 +542,10 @@ def test_tilted_comm_survey_matches_full_sandwich(stack, request):
 def test_tilted_comm_survey_matches_hermitian_route(stack, request):
     """comm_x / comm_y agree with the largest |eigenvalue| of 1j times the
     anti-Hermitian sandwich, for a real and for a complex surrogate."""
-    _, P, _, xt = request.getfixturevalue(stack)
+    xt = request.getfixturevalue(stack)[3]
     grid = xt.grid
     lambdas = wl.gap_midpoints(0.0, 7.0)
-    rows = wl.tilted_comm_survey(P, xt, lambdas)
+    rows = wl.tilted_comm_survey(xt, lambdas)
     Xt = xt.matrix
     for lam, row in zip(lambdas, rows, strict=True):
         b = 1.0 / bracket(grid.x - lam) ** 0.5
@@ -560,7 +560,7 @@ def test_tilted_comm_survey_atomic_surrogate_vanishes():
     P = wl.fermi_projector(model, 0.0)
     basis = wl.relabel_to_lattice(wl.initial_basis(P))
     xt = build_xtilde(basis, P)
-    rows = wl.tilted_comm_survey(P, xt, [0.5, 1.5])
+    rows = wl.tilted_comm_survey(xt, [0.5, 1.5])
     for row in rows:
         assert row[1] <= 1e-10      # [X, Xtilde] = 0 when Xtilde = X
         assert row[3] <= 1e-12      # orthogonality kills the weighted sums
@@ -570,7 +570,7 @@ def test_tilted_comm_survey_rejects_outside_gap(dis12_report):
     rep = dis12_report
     xt = build_xtilde(rep.basis_initial, rep.projector)
     with pytest.raises(OutsideGapSetError):
-        wl.tilted_comm_survey(rep.projector, xt, [1.0])
+        wl.tilted_comm_survey(xt, [1.0])
 
 
 def test_surveys_bounded_across_sizes(survey_maxima):
