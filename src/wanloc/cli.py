@@ -148,24 +148,28 @@ PIPELINE_PARSERS = {"fermi_energy": float, "basis_mode": str, "s_grid": _floats,
 
 
 def parse_config(path) -> PipelineConfig:
+    """The validated config of an INI file.  Text that does not parse (a
+    duplicate option or section, no section header, a line without `=`, a
+    bare `%`, bytes that are not UTF-8), a missing key and a bad value are
+    all a ConfigError."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    if "model" not in parser or not dict(parser["model"]):
-        raise ConfigError("config needs a nonempty [model] section")
-    model = dict(parser["model"])
-    pipe = dict(parser["pipeline"]) if "pipeline" in parser else {}
-    unknown = sorted(set(pipe) - set(PIPELINE_PARSERS))
-    if unknown:
-        raise ConfigError(f"unknown [pipeline] key {', '.join(unknown)}")
     try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+        if "model" not in parser or not dict(parser["model"]):
+            raise ConfigError("config needs a nonempty [model] section")
+        model = dict(parser["model"])
+        pipe = dict(parser["pipeline"]) if "pipeline" in parser else {}
+        unknown = sorted(set(pipe) - set(PIPELINE_PARSERS))
+        if unknown:
+            raise ConfigError(f"unknown [pipeline] key {', '.join(unknown)}")
         model_type = model.pop("type")
         L = int(model.pop("l"))
         seed = int(model.pop("seed", "0"))
         params = {k: float(v) for k, v in model.items()}
         options = {k: PIPELINE_PARSERS[k](v) for k, v in pipe.items()}
-    except (KeyError, ValueError) as exc:
+    # a UnicodeDecodeError is a ValueError
+    except (configparser.Error, KeyError, ValueError) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
     return PipelineConfig(model_type=model_type, L=L, model_params=params,
                           seed=seed, **options).validate()
@@ -195,7 +199,6 @@ class RunReport:
     bands: object = None
     strips: list = field(default_factory=list)
     basis_final: object = None
-    band_ids: list = field(default_factory=list)
     final_fits: list = field(default_factory=list)
     chern: list = field(default_factory=list)
 
@@ -302,7 +305,6 @@ def construct(cfg: PipelineConfig) -> RunReport:
             vecs, ctrs = wannierize_band(Vj, grid.y, xi_j)
             vec_blocks.append(vecs)
             ctr_blocks.append(ctrs)
-            report.band_ids.extend([j] * vecs.shape[1])
         stages["strips"] = "ok"
         final = GeneralizedWannierBasis(psi=np.hstack(vec_blocks),
                                         centers=np.vstack(ctr_blocks), grid=grid)
@@ -333,16 +335,33 @@ def construct(cfg: PipelineConfig) -> RunReport:
     return report
 
 
-def write_run(report: RunReport, cfg: PipelineConfig, out):
-    """Write into `out` the files of the stages `report` reached, report.csv
-    last, after removing the PIPELINE_FILES an earlier run left there."""
-    os.makedirs(out, exist_ok=True)
+def _prepare_output(cfg: PipelineConfig, out_dir=None):
+    """The directory a run writes into, `out_dir` or the config's, and the
+    metadata of its csv files.  An empty path, or one that is or lies under
+    an existing non-directory, is a ConfigError.  Nothing is made here: the
+    writers in `io` make the directory with its first file, so a run that
+    stops before writing leaves nothing behind."""
+    out = cfg.output_dir if out_dir is None else out_dir
+    if not out:
+        raise ConfigError("empty output path")
+    existing = os.path.abspath(out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"output path {out}: {existing} is not a directory")
+    return out, {"model": cfg.model_type, "seed": cfg.seed, "L": cfg.L,
+                 "Delta": 0}
+
+
+def write_run(report: RunReport, cfg: PipelineConfig, out_dir=None):
+    """Write into `out_dir` (default: the config's) the files of the stages
+    `report` reached, report.csv last, after removing the PIPELINE_FILES an
+    earlier run left there."""
+    out, meta = _prepare_output(cfg, out_dir)
     for name in PIPELINE_FILES:
         path = os.path.join(out, name)
         if os.path.isfile(path):
             os.remove(path)
-    # the files from the chosen width on carry its Delta
-    meta = {"model": cfg.model_type, "seed": cfg.seed, "L": cfg.L, "Delta": 0}
 
     def csv(name, header, rows):
         io.write_csv(os.path.join(out, name), header, rows, meta)
@@ -354,8 +373,9 @@ def write_run(report: RunReport, cfg: PipelineConfig, out):
             [report.decay.as_csv_row(cfg.model_type)] if report.decay else [])
     if "basis" in report.stages:
         basis = report.basis_initial
-        rows = [[k, m1, m2, j] + [basis.moments[float(s)][k] for s in cfg.s_grid]
-                for k, ((m1, m2), j) in enumerate(basis.lattice_index)]
+        rows = [[k, *m, j] + [basis.moments[float(s)][k] for s in cfg.s_grid]
+                for k, (m, j) in enumerate(zip(basis.centers.astype(int).tolist(),
+                                               basis.degeneracy.tolist()))]
         csv("basis_initial.csv", ["alpha", "m1", "m2", "j"]
             + [f"moment_s{s:g}" for s in cfg.s_grid], rows)
         io.write_matrix(os.path.join(out, "basis_initial.wdmx"), basis.psi)
@@ -365,9 +385,10 @@ def write_run(report: RunReport, cfg: PipelineConfig, out):
         csv("certificates.csv",
             ("lambda", "delta", "snorm", "min_gap_distance", "pass"),
             [c.as_csv_row() for c in report.certificates])
+    # the files from the chosen width on carry its Delta
     if report.chosen_delta is not None:
         meta["Delta"] = report.chosen_delta
-        io.write_matrix(os.path.join(out, "xhat.wdmx"), report.xhat.matrix)
+        io.write_matrix(os.path.join(out, "xhat.wdmx"), report.xhat)
     if "bands" in report.stages:
         gaps, bands = report.gaps, report.bands
         rows = [(j, lo, hi, float(gaps.xi[j]), V.shape[1],
@@ -382,11 +403,12 @@ def write_run(report: RunReport, cfg: PipelineConfig, out):
             report.strips)
     if "fits" in report.stages:
         final = report.basis_final
+        band_of = [j for j, V in enumerate(report.bands.vectors)
+                   for _ in range(V.shape[1])]
         rows = [(k, j, *final.centers[k], fit.gamma if fit else math.nan,
                  fit.r_squared if fit else math.nan,
                  "unfit" if fit is None else (fit.flag or ""), _fit_passes(fit))
-                for k, (j, fit) in enumerate(zip(report.band_ids,
-                                                 report.final_fits))]
+                for k, (j, fit) in enumerate(zip(band_of, report.final_fits))]
         csv("basis_final.csv", ("alpha", "band_id", "xi", "eta", "gamma", "r2",
                                 "flag", "pass"), rows)
         io.write_matrix(os.path.join(out, "basis_final.wdmx"), final.psi)
@@ -398,9 +420,11 @@ def write_run(report: RunReport, cfg: PipelineConfig, out):
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
-    """`construct`, then `write_run` into `out_dir` (default: the config's)."""
+    """`construct`, then `write_run` into `out_dir` (default: the config's),
+    whose path is checked before the construction starts."""
+    _prepare_output(cfg, out_dir)
     report = construct(cfg)
-    write_run(report, cfg, out_dir or cfg.output_dir)
+    write_run(report, cfg, out_dir)
     return report
 
 
@@ -428,9 +452,7 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
     Returns (summary dict, exit code); the exit code is nonzero only when a
     proven inequality fails an instance.
     """
-    out = out_dir or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    meta = {"model": cfg.model_type, "seed": cfg.seed, "L": cfg.L, "Delta": 0}
+    out, meta = _prepare_output(cfg, out_dir)
     summary = {}
 
     rng = np.random.default_rng(cfg.seed + 1000)
@@ -539,12 +561,10 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
 def run_chern(cfg: PipelineConfig, out_dir=None):
     """Chern marker at the requested windows, with the k-space oracle when
     the model has a periodic Bloch bulk (Haldane family)."""
+    out, meta = _prepare_output(cfg, out_dir)
     model = build_model(cfg)
     if model.grid.ndim != 2:
         raise ConfigError("chern requires a 2-D model")
-    out = out_dir or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    meta = {"model": cfg.model_type, "seed": cfg.seed, "L": cfg.L, "Delta": 0}
     P = fermi_projector(model, cfg.fermi_energy)
     oracle = ""
     if cfg.model_type in ("haldane", "atomic"):
@@ -560,8 +580,7 @@ def run_chern(cfg: PipelineConfig, out_dir=None):
 
 
 def run_model_dump(cfg: PipelineConfig, out_dir=None):
-    out = out_dir or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+    out, _ = _prepare_output(cfg, out_dir)
     model = build_model(cfg)
     io.write_matrix(os.path.join(out, "hamiltonian.wdmx"), model.H)
     return model

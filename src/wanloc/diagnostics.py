@@ -318,7 +318,7 @@ def tilted_comm_survey(xtilde: XtildeOperator, lambdas):
     CY = y[:, None] * Xt - Xt * y[None, :]
     W = basis.psi
     m1 = basis.m1
-    jidx = np.array([j for _, j in basis.lattice_index])
+    jidx = basis.degeneracy
     coeff = np.abs(W.conj().T @ (x[:, None] * W))
     rows = []
     for lam in lambdas:

@@ -3,8 +3,9 @@ per-band wannierization.
 
 The pipeline here turns an algebraically localized orthonormal basis of
 range(P) into per-band position eigenfunctions: cluster the spectrum of a
-projected position operator, build one band projector per cluster, then
-diagonalize the transverse position inside each band.
+projected position operator P A P, split its eigenvectors into one block
+V_j per cluster (the band projector P_j = V_j V_j^H), then diagonalize the
+transverse position inside each band.
 """
 
 import ctypes
@@ -21,7 +22,7 @@ from scipy.linalg import qr
 from .errors import (IllConditionedSelectionError, IncompleteBasisError,
                      NumericalDegeneracyError)
 from .lattice import SiteGrid
-from .spectral import (InsufficientRangeError, Projector, TiltSpec, bracket,
+from .spectral import (InsufficientRangeError, Projector, bracket,
                        matrix_decay_fit, operator_norm, tilt_weights)
 # unused here; perfbench/tracing.py TRACED binds these names in this module
 from scipy.linalg import svdvals  # noqa: F401
@@ -47,16 +48,17 @@ def fix_phases(W):
 class GeneralizedWannierBasis:
     """Orthonormal functions spanning range(P), with center points.
 
-    psi holds the functions as columns; centers is (n, 2).  lattice_index,
-    when present, lists ((m1, m2), j) per function after relabeling onto the
-    integer lattice.  moments maps s -> per-function 2s-th moment about the
-    centers.
+    psi holds the functions as columns; centers is (n, 2).  A basis labelled
+    onto the integer lattice (`relabel_to_lattice`) has its lattice points m
+    as centers and carries degeneracy, the int array of each function's
+    index j = 1..M among the functions at its point.  moments maps s ->
+    per-function 2s-th moment about the centers.
     """
 
     psi: np.ndarray = field(repr=False)
     centers: np.ndarray
     grid: SiteGrid
-    lattice_index: list | None = None
+    degeneracy: np.ndarray | None = None
     moments: dict | None = None
 
     @property
@@ -65,15 +67,15 @@ class GeneralizedWannierBasis:
 
     @property
     def m1(self):
-        if self.lattice_index is None:
+        if self.degeneracy is None:
             raise IncompleteBasisError("basis has no lattice index yet")
-        return np.array([m[0] for m, _ in self.lattice_index], dtype=float)
+        return self.centers[:, 0]
 
     @property
     def max_degeneracy(self):
-        if self.lattice_index is None:
+        if self.degeneracy is None:
             raise IncompleteBasisError("basis has no lattice index yet")
-        return max(j for _, j in self.lattice_index)
+        return int(self.degeneracy.max())
 
     def orthonormality_defect(self):
         G = self.psi.conj().T @ self.psi
@@ -164,10 +166,10 @@ def detect_uniform_gaps(eigenvalues, d_min, d_max=None):
 
 @dataclass
 class BandDecomposition:
-    """Band vector blocks V_j (P_j = V_j V_j^H), strip centres, decay fits."""
+    """Band vector blocks V_j (P_j = V_j V_j^H) and their decay fits; the
+    strip centres are the cluster centroids `GapStructure.xi`."""
 
     vectors: list = field(repr=False)
-    xi: np.ndarray
     decay_profiles: list
 
 
@@ -194,8 +196,7 @@ def band_projectors(vecs, gaps: GapStructure, grid: SiteGrid) -> BandDecompositi
             profiles.append(matrix_decay_fit(V @ V.conj().T, grid))
         except InsufficientRangeError:
             profiles.append(None)
-    return BandDecomposition(vectors=blocks, xi=gaps.xi.copy(),
-                             decay_profiles=profiles)
+    return BandDecomposition(vectors=blocks, decay_profiles=profiles)
 
 
 def strip_localization_check(V_j, xi_j, grid: SiteGrid, gamma, anchors):
@@ -206,7 +207,7 @@ def strip_localization_check(V_j, xi_j, grid: SiteGrid, gamma, anchors):
     xshift = grid.x.astype(float) - xi_j
     n_left = n_right = 0.0
     for anchor in anchors:
-        w = tilt_weights(grid, TiltSpec(gamma, tuple(anchor)))
+        w = tilt_weights(grid, gamma, anchor)
         up, down, x_up, x_down = (
             np.linalg.qr(f[:, None] * V_j, mode="r") for f in
             (np.exp(w), np.exp(-w), xshift * np.exp(w), xshift * np.exp(-w)))
@@ -259,15 +260,12 @@ def relabel_to_lattice(basis: GeneralizedWannierBasis) -> GeneralizedWannierBasi
     square are numbered j = 1..M in original order.  Centres are replaced by
     m, dropping moments about the old ones; empty slots are not materialized.
     """
-    m = np.floor(basis.centers + 0.5).astype(int)
+    m = np.floor(basis.centers + 0.5)
     occupancy = {}
-    index = []
-    for row in m:
-        key = (int(row[0]), int(row[1]))
-        occupancy[key] = occupancy.get(key, 0) + 1
-        index.append((key, occupancy[key]))
-    return replace(basis, centers=m.astype(float), lattice_index=index,
-                   moments=None)
+    degeneracy = np.empty(len(m), dtype=int)
+    for k, key in enumerate(map(tuple, m)):
+        occupancy[key] = degeneracy[k] = occupancy.get(key, 0) + 1
+    return replace(basis, centers=m, degeneracy=degeneracy, moments=None)
 
 
 def attach_moments(basis: GeneralizedWannierBasis, s_grid):

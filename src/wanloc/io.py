@@ -12,17 +12,23 @@ import numpy as np
 WDMX_MAGIC = b"WDMX"
 
 
+def _write_atomic(path, *chunks):
+    """Write the byte `chunks` to a temp file beside `path`, then rename it
+    into place; the directory is made on the first write into it."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+    os.replace(tmp, path)
+
+
 def write_matrix(path, matrix):
     """Dump a matrix to WDMX, atomically (write temp, then rename)."""
     m = np.ascontiguousarray(matrix, dtype="<c16")
     if m.ndim != 2:
         raise ValueError("WDMX stores 2-D matrices only")
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(WDMX_MAGIC)
-        fh.write(struct.pack("<QQ", m.shape[0], m.shape[1]))
-        fh.write(m.data)
-    os.replace(tmp, path)
+    _write_atomic(path, WDMX_MAGIC, struct.pack("<QQ", *m.shape), m.data)
 
 
 def read_matrix(path):
@@ -63,7 +69,4 @@ def write_csv(path, header, rows, meta=None):
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _write_atomic(path, ("\n".join(lines) + "\n").encode())

@@ -131,37 +131,28 @@ def range_basis(P):
     return evecs[:, keep]
 
 
-@dataclass(frozen=True)
-class TiltSpec:
-    """Exponential tilt with rate gamma about an anchor point.
-
-    Estimates use gamma >= 0; a negative rate inverts the conjugation.
-    """
-
-    gamma: float
-    anchor: tuple = (0.0, 0.0)
-
-
-def tilt_weights(grid: SiteGrid, spec: TiltSpec):
+def tilt_weights(grid: SiteGrid, gamma, anchor):
     """Diagonal of log B: gamma * bracket(r - anchor), with overflow guard."""
-    a1, a2 = spec.anchor
+    a1, a2 = anchor
     w = bracket(grid.x - a1, grid.y - a2)
-    max_exp = abs(spec.gamma) * float(np.max(w))
+    max_exp = abs(gamma) * float(np.max(w))
     if max_exp > 700.0 or math.exp(max_exp) > TILT_MAX_WEIGHT:
         raise TiltTooLargeError(
             f"tilt weight exp({max_exp:.3f}) exceeds {TILT_MAX_WEIGHT:.0e}")
-    return spec.gamma * w
+    return gamma * w
 
 
-def tilt_operator(A, spec: TiltSpec, grid: SiteGrid):
-    """Conjugation B A B^{-1} with the diagonal weight B = exp(gamma<r-a>).
+def tilt_operator(A, gamma, anchor, grid: SiteGrid):
+    """Conjugation B A B^{-1} with the diagonal weight B = exp(gamma<r-a>)
+    about the anchor point a.  Estimates use gamma >= 0; a negative rate
+    inverts the conjugation.
 
     Computed entrywise as exp(w_i - w_j) * A_ij, which is exact and avoids
     forming large/small diagonal factors separately.
     """
-    if spec.gamma == 0.0:
+    if gamma == 0.0:
         return np.asarray(A).copy()
-    w = tilt_weights(grid, spec)
+    w = tilt_weights(grid, gamma, anchor)
     return np.asarray(A) * np.exp(w[:, None] - w[None, :])
 
 

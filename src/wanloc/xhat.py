@@ -21,8 +21,7 @@ from .dichotomy import GeneralizedWannierBasis, projected_spectrum
 from .errors import (IncompleteBasisError, OutsideGapSetError,
                      SqrtResolventError, UnsupportedGeometryError)
 from .lattice import make_grid
-from .spectral import (Projector, TiltSpec, hermitian_norm, operator_norm,
-                       tilt_operator)
+from .spectral import Projector, hermitian_norm, operator_norm, tilt_operator
 
 SQRT_SIGN_TOL = 1e-8
 COMMUTE_TOL = 1e-9
@@ -97,14 +96,8 @@ def build_xtilde(basis: GeneralizedWannierBasis, P: Projector) -> XtildeOperator
     return XtildeOperator(matrix=M, basis=basis)
 
 
-@dataclass
-class XhatOperator:
-    matrix: np.ndarray = field(repr=False)
-    delta: float
-
-
-def build_xhat(xtilde: XtildeOperator, spec: FilterSpec) -> XhatOperator:
-    """Entrywise filter smoothing of the surrogate.
+def build_xhat(xtilde: XtildeOperator, spec: FilterSpec) -> np.ndarray:
+    """Entrywise filter smoothing of the surrogate: the N x N matrix X-hat.
 
     On the integer lattice this is exact: entry (i, j) is multiplied by
     fhat(dx / delta) * fhat(dy / delta), so everything beyond distance delta
@@ -120,24 +113,25 @@ def build_xhat(xtilde: XtildeOperator, spec: FilterSpec) -> XhatOperator:
     T = toeplitz(filter_fourier(np.arange(grid.width) / spec.delta))
     o = grid.orbitals_per_site
     F = np.kron(np.kron(T, T) if grid.ndim == 2 else T, np.ones((o, o)))
-    return XhatOperator(matrix=xtilde.matrix * F, delta=spec.delta)
+    return xtilde.matrix * F
 
 
-def closeness_norm(xhat: XhatOperator, x):
+def closeness_norm(xhat, x):
     """Spectral norm distance between the smoothed surrogate and diag(x)."""
-    D = xhat.matrix.copy()
+    D = xhat.copy()
     D[np.diag_indices_from(D)] -= x
     return hermitian_norm(D)
 
 
-def tilt_lipschitz(xhat: XhatOperator, gammas, anchors, grid):
-    """Tilted-minus-plain norms per (gamma, anchor) and the sup of norm/gamma."""
+def tilt_lipschitz(xhat, gammas, anchors, grid):
+    """Tilted-minus-plain norms of the X-hat matrix per (gamma, anchor) and
+    the sup of norm/gamma."""
     rows = []
     sup_ratio = 0.0
     for gamma in gammas:
         for anchor in anchors:
-            tilted = tilt_operator(xhat.matrix, TiltSpec(gamma, tuple(anchor)), grid)
-            norm = operator_norm(tilted - xhat.matrix)
+            tilted = tilt_operator(xhat, gamma, anchor, grid)
+            norm = operator_norm(tilted - xhat)
             ratio = norm / gamma if gamma > 0 else 0.0
             sup_ratio = max(sup_ratio, ratio)
             rows.append((float(gamma), float(anchor[0]), float(anchor[1]),
@@ -209,7 +203,7 @@ class GapCertificate:
                 self.passed)
 
 
-def certificate_coupling(xtilde: XtildeOperator, xhat: XhatOperator):
+def certificate_coupling(xtilde: XtildeOperator, xhat):
     """K = W^H (Xhat - Xtilde) W, the smoothing error in the surrogate's
     basis W of range(P).  It depends on the filter width but not on lambda.
 
@@ -218,7 +212,7 @@ def certificate_coupling(xtilde: XtildeOperator, xhat: XhatOperator):
     lose about 1e-10 of relative accuracy.
     """
     W = xtilde.basis.psi
-    return W.conj().T @ (xhat.matrix - xtilde.matrix) @ W
+    return W.conj().T @ (xhat - xtilde.matrix) @ W
 
 
 def gap_certificate(coupling, m1, spectrum, lam, delta) -> GapCertificate:

@@ -1,6 +1,8 @@
 """Acceptance gate: one test per release criterion, each printing a
 PASS/FAIL line with the measured values."""
 
+from pathlib import Path
+
 import numpy as np
 
 import wanloc as wl
@@ -85,18 +87,18 @@ def test_criterion_05_banded_structure(dis12_report):
     grid = rep.projector.grid
     xt = build_xtilde(rep.basis_initial, rep.projector)
     xh = build_xhat(xt, FilterSpec(4.0))
-    herm = np.linalg.norm(xh.matrix - xh.matrix.conj().T)
-    scale = max(1.0, np.linalg.norm(xh.matrix))
+    herm = np.linalg.norm(xh - xh.conj().T)
+    scale = max(1.0, np.linalg.norm(xh))
     dx = np.abs(grid.x[:, None] - grid.x[None, :])
     dy = np.abs(grid.y[:, None] - grid.y[None, :])
-    beyond = np.abs(xh.matrix[(dx >= 4.0) | (dy >= 4.0)])
+    beyond = np.abs(xh[(dx >= 4.0) | (dy >= 4.0)])
     # atomic case: diagonal surrogate passes through the filter untouched
     atom = wl.build_atomic(6)
     Pa = wl.fermi_projector(atom, 0.0)
     ba = wl.relabel_to_lattice(wl.initial_basis(Pa))
     xta = build_xtilde(ba, Pa)
     xha = build_xhat(xta, FilterSpec(4.0))
-    diag_exact = np.array_equal(xha.matrix, xta.matrix)
+    diag_exact = np.array_equal(xha, xta.matrix)
     ok = (herm <= 1e-12 * scale and beyond.max(initial=0.0) == 0.0 and diag_exact)
     announce(5, ok, f"hermiticity={herm:.2e}, max |entry| beyond width="
                     f"{beyond.max(initial=0.0):.1e}, diagonal case exact={diag_exact}")
@@ -251,7 +253,7 @@ def test_criterion_12_inequality_suites(tmp_path, survey_maxima):
     cm_growth = survey_maxima[16][1] / survey_maxima[8][1]
     growth_ok = sq_growth < 1.2 and cm_growth < 1.2
     # the written certificate table is monotone in the smoothing width
-    lines = open(f"{cfg.output_dir}/verify_certificates.csv").read().splitlines()
+    lines = Path(cfg.output_dir, "verify_certificates.csv").read_text().splitlines()
     peaks = {}
     for row in lines[2:]:
         _, delta, snorm, _, _ = row.split(",")
@@ -279,7 +281,7 @@ def test_criterion_13_deterministic_outputs(tmp_path):
         for root, _, files in os.walk(out):
             for name in sorted(files):
                 path = os.path.join(root, name)
-                blobs[os.path.relpath(path, out)] = open(path, "rb").read()
+                blobs[os.path.relpath(path, out)] = Path(path).read_bytes()
         payload[tag] = blobs
     same_names = sorted(payload["a"]) == sorted(payload["b"])
     diffs = [k for k in payload["a"] if payload["a"][k] != payload["b"].get(k)]

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ def test_csv_has_metadata_and_header(tmp_path):
     path = str(tmp_path / "t.csv")
     io.write_csv(path, ("a", "b"), [(1, 2.5), (3, 0.1)],
                  meta={"model": "x", "seed": 1, "L": 8, "Delta": 0})
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "# model=x seed=1 L=8 Delta=0"
     assert lines[1] == "a,b"
     assert lines[2] == "1,2.5"
@@ -225,7 +226,7 @@ def test_chern_subcommand_writes_marker_and_oracle(tmp_path):
                        "m = 0.2\nseed = 0\n\n[pipeline]\nchern_windows = 2\n")
     out = tmp_path / "chern_out"
     assert main(["chern", cfg, "--out", str(out)]) == EXIT_OK
-    lines = open(out / "chern.csv").read().splitlines()
+    lines = (out / "chern.csv").read_text().splitlines()
     assert lines[1] == "window,value,imag_residual,trace_terms,oracle"
     row = lines[2].split(",")
     assert row[-1] == "1"             # k-space oracle for this phase
@@ -256,7 +257,7 @@ def test_pipeline_empty_range_ends_with_report(tmp_path):
                                  "[pipeline]\nfermi_energy = -5\n")
     out = tmp_path / "empty"
     assert main(["pipeline", cfg, "--out", str(out)]) == EXIT_VERDICT
-    report = open(out / "report.csv").read()
+    report = (out / "report.csv").read_text()
     assert "IncompleteBasisError: projector has empty range" in report
     assert report.splitlines()[-1] == "verdict,stage-error"
 
@@ -295,6 +296,18 @@ def test_negative_gamma_is_config_error(tmp_path):
     # a zero rate is an untilted operator, which tilt_lipschitz handles
     assert parse_config(write_config(
         tmp_path, text.format("0, 0.1"))).gamma_list == (0.0, 0.1)
+
+
+def test_empty_output_path_is_config_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    empty = write_config(tmp_path, "[model]\ntype = atomic\nL = 4\n\n"
+                                   "[pipeline]\noutput_dir =\n", "empty.cfg")
+    named = write_config(tmp_path, "[model]\ntype = atomic\nL = 4\n\n"
+                                   "[pipeline]\noutput_dir = named\n")
+    for command in ("pipeline", "verify", "chern", "model"):
+        assert main([command, empty]) == EXIT_CONFIG, command
+        assert main([command, named, "--out", ""]) == EXIT_CONFIG, command
+    assert sorted(os.listdir(tmp_path)) == ["empty.cfg", "run.cfg"]
 
 
 def test_negative_disorder_is_config_error(tmp_path):
@@ -397,13 +410,13 @@ def test_pipeline_outputs_are_byte_deterministic(tmp_path):
 def test_failed_fit_has_its_own_verdict(tmp_path):
     # haldane_topological.cfg with only m changed: trivial (m_c = sqrt 3),
     # gapped and certified, but most per-function fits fall below r2 0.9
-    text = open(os.path.join(os.path.dirname(__file__), "..", "configs",
-                             "haldane_topological.cfg")).read()
+    text = Path(os.path.dirname(__file__), "..", "configs",
+                "haldane_topological.cfg").read_text()
     assert "m = 0.2\n" in text
     cfg = write_config(tmp_path, text.replace("m = 0.2\n", "m = 1.9\n"))
     out = tmp_path / "m19"
     assert main(["pipeline", cfg, "--out", str(out)]) == EXIT_VERDICT
-    report = open(out / "report.csv").read()
+    report = (out / "report.csv").read_text()
     assert "fits,failed" in report and "error," not in report
     assert report.splitlines()[-1] == "verdict,fit-failed"
 
@@ -421,7 +434,7 @@ def test_invariant_errors_end_in_documented_exit_codes(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\nm = 1.0\n")
     out = tmp_path / "p"
     assert main(["pipeline", cfg, "--out", str(out)]) == EXIT_VERDICT
-    report = open(out / "report.csv").read()
+    report = (out / "report.csv").read_text()
     assert "error,NotHermitianError: Hamiltonian not Hermitian" in report
     assert report.splitlines()[-1] == "verdict,stage-error"
     for command in ("verify", "chern", "model"):
@@ -439,7 +452,7 @@ def _config_file(name):
     return os.path.join(os.path.dirname(__file__), os.pardir, "configs", name)
 
 
-TOPOLOGICAL_CFG = open(_config_file("haldane_topological.cfg")).read()
+TOPOLOGICAL_CFG = Path(_config_file("haldane_topological.cfg")).read_text()
 
 
 def _files(path):

@@ -2,7 +2,8 @@
 parameters, `model`, `pipeline`, `chern` and `verify` return a documented
 exit code and never raise; a config error writes nothing, and a finished or
 failed pipeline leaves its report beside exactly the files of the stages it
-reached."""
+reached.  Config text that does not parse and an output path under a file
+are config errors in every subcommand."""
 
 import os
 import tempfile
@@ -71,7 +72,8 @@ def configs(draw):
     L = draw(st.integers(4, 5))
     # E_F in the gap most often; beyond the spectrum gives rank 0 or full rank
     fermi = draw(st.one_of(st.just(0.0), _num(-4.0, 4.0)))
-    lines = [f"type = {model_type}", f"L = {L}", "seed = 3"]
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    lines = [f"type = {model_type}", f"L = {L}", f"seed = {seed}"]
     lines += [f"{k} = {v!r}" for k, v in params.items()]
     return ("[model]\n" + "\n".join(lines)
             + f"\n\n[pipeline]\nfermi_energy = {fermi!r}\n")
@@ -112,3 +114,73 @@ def test_verify_always_returns_a_documented_exit_code(text):
             assert not os.path.exists(out)
         elif code in (EXIT_OK, EXIT_INEQUALITY):
             assert os.path.exists(os.path.join(out, "verify_summary.csv"))
+
+
+COMMANDS = ("model", "pipeline", "chern", "verify")
+# byte sequences that are not UTF-8
+UNDECODABLE = (b"\xff", b"\xfe\xff", b"\x80", b"\xc3\x28", b"\xed\xa0\x80")
+
+
+@st.composite
+def malformed_configs(draw):
+    """The bytes of a drawn config broken in one of six ways that do not
+    parse as INI text."""
+    text = draw(configs())
+    head, body = text.split("\n", 1)            # "[model]" and the rest
+    key_line = draw(st.sampled_from(body.split("\n")[:2]))   # type or L
+    word = draw(st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1,
+                        max_size=8))
+    form = draw(st.sampled_from(("duplicate option", "duplicate section",
+                                 "no section header", "line without =",
+                                 "bare %", "undecodable bytes")))
+    if form == "duplicate option":
+        text = f"{head}\n{key_line}\n{body}"
+    elif form == "duplicate section":
+        text += draw(st.sampled_from(("[model]", "[pipeline]"))) + "\n"
+    elif form == "no section header":
+        text = body
+    elif form == "line without =":
+        text = f"{head}\n{word}\n{body}"
+    elif form == "bare %":
+        # `%` followed by neither `%` nor `(`
+        text = text.rstrip("\n") + "%" + draw(st.sampled_from(("", word)))
+    data = text.encode()
+    if form == "undecodable bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(UNDECODABLE)) + data[at:]
+    return data
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=30)
+@given(malformed_configs())
+def test_malformed_config_text_is_a_config_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "wb") as fh:
+            fh.write(data)
+        for command in COMMANDS:
+            code = main([command, cfg, "--out", os.path.join(tmp, command)])
+            assert code == EXIT_CONFIG, (command, code)
+            assert os.listdir(tmp) == ["run.cfg"], command
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=20)
+@given(configs(), st.booleans(), st.booleans())
+def test_output_path_at_or_under_a_file_is_a_config_error(text, under,
+                                                          in_config):
+    """`--out` or `output_dir` naming an existing file, or a path under
+    one: exit 2 before any stage runs, the file untouched, nothing made."""
+    with tempfile.TemporaryDirectory() as tmp:
+        blocker = os.path.join(tmp, "blocker")
+        with open(blocker, "w") as fh:
+            fh.write("keep")
+        out = os.path.join(blocker, "out") if under else blocker
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text + (f"output_dir = {out}\n" if in_config else ""))
+        for command in COMMANDS:
+            argv = [command, cfg] + ([] if in_config else ["--out", out])
+            assert main(argv) == EXIT_CONFIG, command
+            assert sorted(os.listdir(tmp)) == ["blocker", "run.cfg"], command
+            with open(blocker) as fh:
+                assert fh.read() == "keep", command

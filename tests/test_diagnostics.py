@@ -423,7 +423,7 @@ def test_schur_direct_norm_below_bound_randomized():
         ms = rng.integers(0, 4, size=(r, 2))
         basis = wl.GeneralizedWannierBasis(
             psi=W, centers=ms.astype(float), grid=grid,
-            lattice_index=[((int(a), int(b)), 1) for a, b in ms])
+            degeneracy=np.ones(r, dtype=int))
         rep = wl.schur_row_sums(basis.psi, basis.m1, basis.grid)
         assert rep.direct_norm <= rep.bound + 1e-9
 
@@ -448,7 +448,7 @@ def test_sqrt_bound_survey_atomic_closed_form():
     proj = Projector(V=V, fermi_energy=0.0, gap=1.0, grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=V.copy(),
                                        centers=np.zeros((1, 2)), grid=grid,
-                                       lattice_index=[((0, 0), 1)])
+                                       degeneracy=np.ones(1, dtype=int))
     rows = wl.sqrt_bound_survey(proj, basis, [0.5])
     sqrt_diff = rows[0][5]
     assert sqrt_diff == pytest.approx(abs(0.5 ** 0.5 - 1.25 ** 0.25), abs=1e-10)
@@ -461,7 +461,7 @@ def test_sqrt_bound_survey_empty_projector():
                      gap=1.0, grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.zeros((N, 0), dtype=complex),
                                        centers=np.zeros((0, 2)), grid=grid,
-                                       lattice_index=[])
+                                       degeneracy=np.ones(0, dtype=int))
     rows = wl.sqrt_bound_survey(proj, basis, [0.5])
     assert all(v <= 1e-12 for v in rows[0][1:])
 
@@ -502,7 +502,7 @@ def test_sqrt_bound_survey_rejects_basis_missing_a_direction(dis8_stack):
     _, P, basis, _ = dis8_stack
     short = wl.GeneralizedWannierBasis(
         psi=basis.psi[:, :-1], centers=basis.centers[:-1], grid=basis.grid,
-        lattice_index=basis.lattice_index[:-1])
+        degeneracy=basis.degeneracy[:-1])
     with pytest.raises(IncompleteBasisError):
         wl.sqrt_bound_survey(P, short, [0.5])
     # same width as range(P), but one column swapped out of it
@@ -511,7 +511,7 @@ def test_sqrt_bound_survey_rejects_basis_missing_a_direction(dis8_stack):
     swapped[:, -1] /= np.linalg.norm(swapped[:, -1])
     off = wl.GeneralizedWannierBasis(psi=swapped, centers=basis.centers,
                                      grid=basis.grid,
-                                     lattice_index=basis.lattice_index)
+                                     degeneracy=basis.degeneracy)
     with pytest.raises(IncompleteBasisError):
         wl.sqrt_bound_survey(P, off, [0.5])
 

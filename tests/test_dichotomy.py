@@ -12,8 +12,7 @@ from wanloc.cli import _delta_step
 from wanloc.dichotomy import attach_moments, density_centroids, fix_phases
 from wanloc.errors import NumericalDegeneracyError
 from wanloc.lattice import make_grid
-from wanloc.spectral import (Projector, TiltSpec, bracket, range_basis,
-                             tilt_operator)
+from wanloc.spectral import Projector, bracket, range_basis, tilt_operator
 
 from suite_common import DIS_PARAMS, DIS_SEED, TOPO_PARAMS, centroid
 
@@ -123,7 +122,7 @@ def test_band_projectors_ssh_dimers_are_rank_one():
     gaps = wl.detect_uniform_gaps(evals, d_min=0.5)
     bands = wl.band_projectors(vecs, gaps, model.grid)
     assert [V.shape[1] for V in bands.vectors] == [1] * 8
-    assert np.allclose(bands.xi, np.arange(8), atol=1e-10)
+    assert np.allclose(gaps.xi, np.arange(8), atol=1e-10)
     projs = [V @ V.conj().T for V in bands.vectors]
     assert np.linalg.norm(sum(projs) - P.P) <= 1e-8
     for j in range(8):
@@ -152,7 +151,7 @@ def test_band_blocks_span_the_projected_spectrum_subspaces(stack, request):
     gaps = wl.detect_uniform_gaps(spectrum, d_min=0.25)
     assert isinstance(gaps, wl.GapStructure)
     bands = wl.band_projectors(vectors, gaps, P.grid)
-    _, recomputed = wl.projected_spectrum(P, xh.matrix)
+    _, recomputed = wl.projected_spectrum(P, xh)
     ref = wl.band_projectors(recomputed, gaps, P.grid)
     assert len(bands.vectors) == len(ref.vectors) == gaps.n_clusters
     for V, R in zip(bands.vectors, ref.vectors, strict=True):
@@ -209,7 +208,7 @@ def test_strip_norms_match_tilted_band_projector(dis12_report):
         xshift = grid.x.astype(float) - xi
         ref_left = ref_right = 0.0
         for anchor in anchors:
-            Pg = tilt_operator(Vj @ Vj.conj().T, TiltSpec(0.05, anchor), grid)
+            Pg = tilt_operator(Vj @ Vj.conj().T, 0.05, anchor, grid)
             ref_left = max(ref_left, wl.operator_norm(xshift[:, None] * Pg))
             ref_right = max(ref_right, wl.operator_norm(Pg * xshift[None, :]))
         nl, nr = wl.strip_localization_check(Vj, xi, grid, 0.05, anchors)
@@ -333,9 +332,9 @@ def test_relabel_square_membership():
     centers = np.array([[0.3, -0.2], [0.5, 0.0], [1.2, 0.9]])
     basis = wl.GeneralizedWannierBasis(psi=psi, centers=centers, grid=grid)
     out = wl.relabel_to_lattice(basis)
-    assert out.lattice_index[0][0] == (0, 0)
-    assert out.lattice_index[1][0] == (1, 0)
-    assert out.lattice_index[2][0] == (1, 1)
+    assert tuple(out.centers[0]) == (0, 0)
+    assert tuple(out.centers[1]) == (1, 0)
+    assert tuple(out.centers[2]) == (1, 1)
     assert np.allclose(out.centers, [[0, 0], [1, 0], [1, 1]])
 
 
@@ -345,7 +344,8 @@ def test_relabel_degeneracy_indices_in_original_order():
     centers = np.array([[2.1, 2.2], [1.8, 2.4]])   # same unit square (2, 2)
     out = wl.relabel_to_lattice(
         wl.GeneralizedWannierBasis(psi=psi, centers=centers, grid=grid))
-    assert out.lattice_index == [((2, 2), 1), ((2, 2), 2)]
+    assert out.centers.tolist() == [[2, 2], [2, 2]]
+    assert out.degeneracy.tolist() == [1, 2]
     assert out.max_degeneracy == 2
 
 
@@ -371,7 +371,7 @@ def test_relabel_consistent_with_square_occupancy(dis12_report):
         occupancy[key] = occupancy.get(key, 0) + 1
     assert basis.max_degeneracy == max(occupancy.values())
     # each original centre lies in the half-open square of its assigned m
-    for k, ((m1, m2), _) in enumerate(basis.lattice_index):
+    for k, (m1, m2) in enumerate(basis.centers):
         cx, cy = raw.centers[k]
         assert m1 - 0.5 <= cx < m1 + 0.5
         assert m2 - 0.5 <= cy < m2 + 0.5

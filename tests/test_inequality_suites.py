@@ -86,9 +86,9 @@ def suites_reference(seed, L):
             + 1j * rng.standard_normal((small.dimension, r))
         W, _ = np.linalg.qr(A)
         ms = rng.integers(0, 4, size=(r, 2))
-        index = [((int(a), int(b)), 1) for a, b in ms]
         basis = GeneralizedWannierBasis(psi=W, centers=ms.astype(float),
-                                        grid=small, lattice_index=index)
+                                        grid=small,
+                                        degeneracy=np.ones(r, dtype=int))
         values = schur_reference(basis)
         schur.append((i, r) + values + (values[3] <= values[2] + 1e-9,))
     # per file: the rows and the columns that hold computed values

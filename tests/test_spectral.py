@@ -65,48 +65,46 @@ def test_projector_rejects_non_orthonormal_basis(V):
 def test_tilt_zero_gamma_is_identity():
     model = wl.build_disordered_insulator(4, 2.0, 0.5, 1)
     A = model.H
-    spec = wl.TiltSpec(0.0, (1.0, 1.0))
-    assert np.array_equal(wl.tilt_operator(A, spec, model.grid), A)
+    assert np.array_equal(wl.tilt_operator(A, 0.0, (1.0, 1.0), model.grid), A)
 
 
 def test_tilt_leaves_diagonal_matrices_unchanged():
     grid = make_grid(4, 1, ndim=2)
     A = np.diag(np.linspace(0.0, 3.0, grid.dimension))
-    out = wl.tilt_operator(A, wl.TiltSpec(0.3, (0.5, 0.5)), grid)
+    out = wl.tilt_operator(A, 0.3, (0.5, 0.5), grid)
     assert np.allclose(out, A, atol=1e-14)
 
 
 def test_tilt_round_trip():
     model = wl.build_disordered_insulator(6, 2.0, 0.5, 2)
     P = wl.fermi_projector(model, 0.0)
-    tilted = wl.tilt_operator(P.P, wl.TiltSpec(0.1, (2.0, 3.0)), model.grid)
-    back = wl.tilt_operator(tilted, wl.TiltSpec(-0.1, (2.0, 3.0)), model.grid)
+    tilted = wl.tilt_operator(P.P, 0.1, (2.0, 3.0), model.grid)
+    back = wl.tilt_operator(tilted, -0.1, (2.0, 3.0), model.grid)
     assert np.linalg.norm(back - P.P) <= 1e-9 * np.linalg.norm(P.P)
 
 
 def test_tilted_projector_is_projection():
     model = wl.build_disordered_insulator(6, 2.0, 0.5, 2)
     P = wl.fermi_projector(model, 0.0)
-    Pg = wl.tilt_operator(P.P, wl.TiltSpec(0.1, (2.5, 2.5)), model.grid)
+    Pg = wl.tilt_operator(P.P, 0.1, (2.5, 2.5), model.grid)
     assert np.linalg.norm(Pg @ Pg - Pg) <= 1e-9
 
 
 def test_tilt_overflow_guard():
     grid = make_grid(8, 1, ndim=2)
     with pytest.raises(TiltTooLargeError):
-        wl.tilt_operator(np.eye(grid.dimension), wl.TiltSpec(5.0, (0.0, 0.0)),
-                         grid)
+        wl.tilt_operator(np.eye(grid.dimension), 5.0, (0.0, 0.0), grid)
 
 
 def test_tilted_projector_distance_near_linear_in_gamma(dis_projectors):
     model, P = dis_projectors[8]
     ratios = []
     for gamma in (0.025, 0.05, 0.1):
-        Pg = wl.tilt_operator(P.P, wl.TiltSpec(gamma, (3.5, 3.5)), model.grid)
+        Pg = wl.tilt_operator(P.P, gamma, (3.5, 3.5), model.grid)
         ratios.append(wl.operator_norm(Pg - P.P) / gamma)
     assert max(ratios) / min(ratios) < 1.5
     norm_01 = wl.operator_norm(
-        wl.tilt_operator(P.P, wl.TiltSpec(0.1, (3.5, 3.5)), model.grid) - P.P)
+        wl.tilt_operator(P.P, 0.1, (3.5, 3.5), model.grid) - P.P)
     assert norm_01 <= max(ratios) * 0.1 + 1e-12
 
 
