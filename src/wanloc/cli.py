@@ -21,9 +21,9 @@ from . import diagnostics, io
 # wanloc.cli:position_operators
 from .dichotomy import (GapStructure, check_bounded_density, detect_uniform_gaps,
                         GeneralizedWannierBasis, attach_moments, band_projectors,
-                        initial_basis, lifted_eigenpairs, projected_spectrum,
-                        relabel_to_lattice, strip_localization_check,
-                        wannierize_band)
+                        fix_phases, hermitian_eigh, initial_basis,
+                        projected_spectrum, relabel_to_lattice,
+                        strip_localization_check, wannierize_band)
 from .errors import ConfigError, WanlocError, WindowTooLargeError
 from .lattice import (build_atomic, build_disordered_insulator, build_haldane,
                       build_ssh_chain, make_grid, position_operators)
@@ -224,16 +224,18 @@ def _chern_reports(cfg, P):
 
 
 def _delta_step(xt, delta, lambdas):
-    """X-hat at one width, the spectrum and band vectors of P X-hat P and the
-    certificates at `lambdas`, all from one K = W^H (X-hat - X-tilde) W.
-    `build_xtilde` checked that the surrogate's basis W spans range(P), so
-    W^H X-tilde W = diag(m1) and diag(m1) + K is P X-hat P in W coordinates."""
+    """X-hat at one width, the spectrum of P X-hat P with its n x n
+    eigenvectors U in W coordinates, and the certificates at `lambdas`, all
+    from one K = W^H (X-hat - X-tilde) W.  `build_xtilde` checked that the
+    surrogate's basis W spans range(P), so W^H X-tilde W = diag(m1) and
+    diag(m1) + K is P X-hat P in W coordinates; the band vectors are
+    fix_phases(W U), formed only at the width the run keeps."""
     xh = build_xhat(xt, FilterSpec(delta))
     K = certificate_coupling(xt, xh)
     m1 = xt.basis.m1
-    spectrum, vectors = lifted_eigenpairs(xt.basis.psi, np.diag(m1) + K)
+    spectrum, U = hermitian_eigh(np.diag(m1) + K)
     certs = [gap_certificate(K, m1, spectrum, lam, delta) for lam in lambdas]
-    return xh, spectrum, vectors, certs
+    return xh, spectrum, U, certs
 
 
 def _fit_passes(fit):
@@ -277,7 +279,7 @@ def construct(cfg: PipelineConfig) -> RunReport:
         grid, xt = report.model.grid, report.xtilde
         lambdas = gap_midpoints(0.0, grid.width - 1.0)
         for delta in cfg.delta_list:
-            xh, spectrum, vectors, certs = _delta_step(xt, delta, lambdas)
+            xh, spectrum, U, certs = _delta_step(xt, delta, lambdas)
             report.certificates.extend(certs)
             gaps = detect_uniform_gaps(spectrum, cfg.d_min, cfg.d_max)
             cert_ok = all(c.passed for c in certs)
@@ -292,7 +294,8 @@ def construct(cfg: PipelineConfig) -> RunReport:
             return report
         report.chosen_delta, report.xhat, report.gaps = delta, xh, gaps
 
-        report.bands = bands = band_projectors(vectors, gaps, grid)
+        report.bands = bands = band_projectors(fix_phases(xt.basis.psi @ U),
+                                               gaps, grid)
         stages["bands"] = f"ok n={len(bands.vectors)} d={gaps.d:.6g} D={gaps.D:.6g}"
 
         anchors = _default_anchors(grid)

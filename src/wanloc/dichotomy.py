@@ -10,22 +10,20 @@ transverse position inside each band.
 
 import ctypes
 import functools
-import importlib.util
 import math
 import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import qr
 
 from .errors import (IllConditionedSelectionError, IncompleteBasisError,
-                     NumericalDegeneracyError)
+                     LapackError, NumericalDegeneracyError)
 from .lattice import SiteGrid
 from .spectral import (InsufficientRangeError, Projector, bracket,
                        matrix_decay_fit, operator_norm, tilt_weights)
 # unused here; perfbench/tracing.py TRACED binds these names in this module
-from scipy.linalg import svdvals  # noqa: F401
 from .spectral import range_basis, tilt_operator  # noqa: F401
 
 BAND_TOL = 1e-8
@@ -94,11 +92,15 @@ def density_centroids(W, grid: SiteGrid):
     return np.stack([cx / norm, cy / norm], axis=1)
 
 
+def hermitian_eigh(M):
+    """Eigenpairs of the Hermitian part of M."""
+    return np.linalg.eigh(0.5 * (M + M.conj().T))
+
+
 def lifted_eigenpairs(B, M):
     """Eigenpairs of the Hermitian part of the n x n M = B^H A B, the
     eigenvectors lifted by B (orthonormal columns) and phase fixed."""
-    M = 0.5 * (M + M.conj().T)
-    evals, U = np.linalg.eigh(M)
+    evals, U = hermitian_eigh(M)
     return evals, fix_phases(B @ U)
 
 
@@ -278,54 +280,80 @@ def attach_moments(basis: GeneralizedWannierBasis, s_grid):
     return replace(basis, moments=moments)
 
 
-@functools.cache
-def _scipy_blas_threads():
-    """(get, set) of the thread count of the OpenBLAS bundled with scipy,
-    or None when that library or its symbols cannot be found.
+class _NumpyLapack(NamedTuple):
+    """The typed ctypes functions `_qr_pivots` calls."""
 
-    numpy and scipy each bundle their own OpenBLAS, so a process holds two
-    thread pools.  The idle workers of one pool spin-wait while the other
-    runs, so on a machine with few cores a small scipy factorization
-    between numpy calls stalls on contention rather than gaining from a
-    second thread.
+    get_threads: object
+    set_threads: object
+    dgeqp3: object
+    zgeqp3: object
+
+
+@functools.cache
+def _numpy_lapack():
+    """LAPACKE ?geqp3 and the thread-count calls of the OpenBLAS bundled with
+    the numpy wheel (`numpy.libs/libscipy_openblas64_*.so`, ILP64 symbols),
+    or None when numpy links another BLAS or the symbols cannot be found.
+
+    Loading the library numpy already holds hands back that same library,
+    so its one thread pool serves numpy and these calls alike.
     """
-    scipy_init = Path(importlib.util.find_spec("scipy").origin).resolve()
-    libs = scipy_init.parent.parent / "scipy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so")):
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
             lib = ctypes.CDLL(str(path))
-        except OSError:
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+            geqp3 = (lib.scipy_LAPACKE_dgeqp364_, lib.scipy_LAPACKE_zgeqp364_)
+        except (OSError, AttributeError):
             continue
-        for prefix in ("scipy_openblas", "openblas"):
-            get = getattr(lib, f"{prefix}_get_num_threads", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads", None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, ()
-                set_.restype, set_.argtypes = None, (ctypes.c_int,)
-                return get, set_
+        get.restype, get.argtypes = ctypes.c_int, ()
+        set_.restype, set_.argtypes = None, (ctypes.c_int,)
+        for fn in geqp3:
+            # (layout, m, n, a, lda, jpvt, tau) -> info
+            fn.restype = ctypes.c_int64
+            fn.argtypes = (ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
+                           ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                           ctypes.c_void_p)
+        return _NumpyLapack(get, set_, *geqp3)
     return None
 
 
+LAPACK_COL_MAJOR = 102
+
 # the thread count is process-wide: concurrent pins would restore each
 # other's counts out of order
-_SCIPY_BLAS_LOCK = threading.Lock()
+_BLAS_LOCK = threading.Lock()
 
 
 def _qr_pivots(A):
-    """Column pivots of the pivoted QR of A (R and pivots only, Q is not
-    formed), run with scipy's OpenBLAS pool on one thread and its previous
-    count restored afterwards; numpy's pool is left alone."""
-    blas = _scipy_blas_threads()
-    if blas is None:
+    """Column pivots of the pivoted QR of A (LAPACK ?geqp3: R and pivots
+    only, Q is not formed), run in numpy's OpenBLAS with its pool pinned to
+    one thread and the previous count restored afterwards.  The pin keeps
+    the pivots independent of the thread count: a threaded geqp3 can order
+    near-equal column norms differently.  Without that library the QR
+    falls back to scipy's, on scipy's pool as it is."""
+    lapack = _numpy_lapack()
+    if lapack is None:
+        from scipy.linalg import qr
         return qr(A, mode="r", pivoting=True)[1]
-    get, set_ = blas
-    with _SCIPY_BLAS_LOCK:
-        threads = get()
-        set_(1)
+    is_complex = np.iscomplexobj(A)
+    a = np.array(A, dtype=complex if is_complex else float, order="F")
+    m, n = a.shape
+    jpvt = np.zeros(n, dtype=np.int64)   # zero: every column is free
+    tau = np.empty(min(m, n), dtype=a.dtype)
+    geqp3 = lapack.zgeqp3 if is_complex else lapack.dgeqp3
+    with _BLAS_LOCK:
+        threads = lapack.get_threads()
+        lapack.set_threads(1)
         try:
-            return qr(A, mode="r", pivoting=True)[1]
+            info = geqp3(LAPACK_COL_MAJOR, m, n, a.ctypes.data, max(m, 1),
+                         jpvt.ctypes.data, tau.ctypes.data)
         finally:
-            set_(threads)
+            lapack.set_threads(threads)
+    if info != 0:
+        raise LapackError(f"LAPACKE ?geqp3 returned info={info}")
+    return jpvt - 1
 
 
 def initial_basis(P: Projector, mode="columns") -> GeneralizedWannierBasis:
@@ -358,3 +386,12 @@ def initial_basis(P: Projector, mode="columns") -> GeneralizedWannierBasis:
         raise ValueError(f"unknown basis mode {mode!r}")
     return GeneralizedWannierBasis(psi=W, centers=density_centroids(W, grid),
                                    grid=grid)
+
+
+def __getattr__(name):
+    # serves only the perfbench/tracing.py binding wanloc.dichotomy:svdvals,
+    # so scipy loads when the tracer asks for it; delete with ROADMAP item 9
+    if name == "svdvals":
+        from scipy.linalg import svdvals
+        return svdvals
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

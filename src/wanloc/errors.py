@@ -33,6 +33,10 @@ class NumericalDegeneracyError(WanlocError):
     pass
 
 
+class LapackError(WanlocError):
+    """A LAPACK routine reported a nonzero info."""
+
+
 class NotHermitianError(WanlocError):
     """An operator that must be Hermitian is not, beyond rounding."""
 

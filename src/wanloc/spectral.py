@@ -5,8 +5,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
-# unused here; perfbench/tracing.py TRACED binds wanloc.spectral:svdvals
-from scipy.linalg import svdvals  # noqa: F401
 
 from .errors import (InsufficientRangeError, NoGapError, NotOrthonormalError,
                      TiltTooLargeError)
@@ -233,3 +231,12 @@ def matrix_decay_fit(matrix, grid: SiteGrid) -> DecayProfile:
     flag = "no-decay" if gamma < NO_DECAY_RATE else None
     return DecayProfile(C=C, gamma=gamma, r_squared=r2,
                         samples=int(usable.sum()), flag=flag)
+
+
+def __getattr__(name):
+    # serves only the perfbench/tracing.py binding wanloc.spectral:svdvals,
+    # so scipy loads when the tracer asks for it; delete with ROADMAP item 9
+    if name == "svdvals":
+        from scipy.linalg import svdvals
+        return svdvals
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 # projected_spectrum is unused here: it stays for the perfbench/tracing.py
 # binding wanloc.xhat:projected_spectrum
@@ -110,7 +109,8 @@ def build_xhat(xtilde: XtildeOperator, spec: FilterSpec) -> np.ndarray:
     layout = make_grid(grid.width, grid.orbitals_per_site, grid.ndim)
     if not (np.array_equal(grid.x, layout.x) and np.array_equal(grid.y, layout.y)):
         raise UnsupportedGeometryError("filter smoothing needs the make_grid layout")
-    T = toeplitz(filter_fourier(np.arange(grid.width) / spec.delta))
+    offsets = np.arange(grid.width)
+    T = filter_fourier(offsets / spec.delta)[np.abs(offsets[:, None] - offsets)]
     o = grid.orbitals_per_site
     F = np.kron(np.kron(T, T) if grid.ndim == 2 else T, np.ones((o, o)))
     return xtilde.matrix * F

@@ -1,6 +1,10 @@
+import ctypes
+import functools
+import importlib.util
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ import wanloc as wl
 from wanloc import dichotomy
 from wanloc.cli import _delta_step
 from wanloc.dichotomy import attach_moments, density_centroids, fix_phases
-from wanloc.errors import NumericalDegeneracyError
+from wanloc.errors import LapackError, NumericalDegeneracyError
 from wanloc.lattice import make_grid
 from wanloc.spectral import Projector, bracket, range_basis, tilt_operator
 
@@ -147,10 +151,10 @@ def test_band_blocks_span_the_projected_spectrum_subspaces(stack, request):
     split into the band subspaces and fits of `projected_spectrum(P, Xhat)`
     in V coordinates."""
     _, P, _, xt = request.getfixturevalue(stack)
-    xh, spectrum, vectors, _ = _delta_step(xt, 4.0, [])
+    xh, spectrum, U, _ = _delta_step(xt, 4.0, [])
     gaps = wl.detect_uniform_gaps(spectrum, d_min=0.25)
     assert isinstance(gaps, wl.GapStructure)
-    bands = wl.band_projectors(vectors, gaps, P.grid)
+    bands = wl.band_projectors(fix_phases(xt.basis.psi @ U), gaps, P.grid)
     _, recomputed = wl.projected_spectrum(P, xh)
     ref = wl.band_projectors(recomputed, gaps, P.grid)
     assert len(bands.vectors) == len(ref.vectors) == gaps.n_clusters
@@ -463,72 +467,93 @@ def test_initial_basis_pivots_only_is_byte_identical(dis8_stack, topo8_stack):
         assert psi.tobytes() == ref.tobytes()
 
 
-def scipy_blas_threads():
-    blas = dichotomy._scipy_blas_threads()
-    if blas is None:
-        pytest.skip("scipy's bundled OpenBLAS cannot be found")
-    return blas
+def numpy_lapack():
+    lapack = dichotomy._numpy_lapack()
+    if lapack is None:
+        pytest.skip("numpy's bundled OpenBLAS cannot be found")
+    return lapack
 
 
 @pytest.fixture
-def scipy_pool_of_two():
-    """scipy's OpenBLAS pool set to two threads for the test, so a pin to
+def numpy_pool_of_two():
+    """numpy's OpenBLAS pool set to two threads for the test, so a pin to
     one thread shows; the count it had is restored afterwards."""
-    get, set_ = scipy_blas_threads()
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
+    lapack = numpy_lapack()
+    before = lapack.get_threads()
+    lapack.set_threads(2)
+    assert lapack.get_threads() == 2
+    yield lapack.get_threads
+    lapack.set_threads(before)
 
 
-def test_initial_basis_qr_runs_on_one_scipy_thread(dis8_stack, monkeypatch,
-                                                   scipy_pool_of_two):
-    get = scipy_pool_of_two
-    seen, real_qr = [], dichotomy.qr
+def spied_lapack(monkeypatch, geqp3):
+    """Route `_qr_pivots` through `geqp3(real_geqp3, *args)` for both dtypes."""
+    lapack = numpy_lapack()
+    spied = lapack._replace(
+        dgeqp3=functools.partial(geqp3, lapack.dgeqp3),
+        zgeqp3=functools.partial(geqp3, lapack.zgeqp3))
+    monkeypatch.setattr(dichotomy, "_numpy_lapack", lambda: spied)
 
-    def spy(*args, **kwargs):
+
+def test_initial_basis_qr_runs_on_one_numpy_thread(dis8_stack, topo8_stack,
+                                                   monkeypatch,
+                                                   numpy_pool_of_two):
+    get = numpy_pool_of_two
+    seen = []
+
+    def spy(real, *args):
         seen.append(get())
-        return real_qr(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(dichotomy, "qr", spy)
+    spied_lapack(monkeypatch, spy)
     wl.initial_basis(dis8_stack[1])
-    assert seen == [1]
+    wl.initial_basis(topo8_stack[1])
+    assert seen == [1, 1]
     assert get() == 2
 
 
-def test_initial_basis_restores_scipy_threads_after_qr_raises(
-        dis8_stack, monkeypatch, scipy_pool_of_two):
-    get = scipy_pool_of_two
+def test_initial_basis_restores_numpy_threads_after_qr_raises(
+        dis8_stack, monkeypatch, numpy_pool_of_two):
+    get = numpy_pool_of_two
 
-    def failing_qr(*args, **kwargs):
+    def failing(real, *args):
         assert get() == 1
         raise RuntimeError("qr failed")
 
-    monkeypatch.setattr(dichotomy, "qr", failing_qr)
+    spied_lapack(monkeypatch, failing)
     with pytest.raises(RuntimeError, match="qr failed"):
         wl.initial_basis(dis8_stack[1])
     assert get() == 2
 
 
-def test_concurrent_initial_basis_restores_scipy_threads(monkeypatch,
-                                                        scipy_pool_of_two):
+def test_nonzero_lapack_info_is_a_typed_error(dis8_stack, monkeypatch,
+                                              numpy_pool_of_two):
+    get = numpy_pool_of_two
+    spied_lapack(monkeypatch, lambda real, *args: -4)
+    with pytest.raises(LapackError, match="info=-4"):
+        wl.initial_basis(dis8_stack[1])
+    assert get() == 2
+
+
+def test_concurrent_initial_basis_restores_numpy_threads(monkeypatch,
+                                                        numpy_pool_of_two):
     """Pins from several threads at once each see one thread, and the pool
     ends at the count it had before any of them."""
-    get = scipy_pool_of_two
+    get = numpy_pool_of_two
     P = wl.fermi_projector(wl.build_disordered_insulator(
         4, seed=DIS_SEED, **DIS_PARAMS), 0.0)
-    seen, real_qr = [], dichotomy.qr
+    seen = []
 
-    def spy(*args, **kwargs):
+    def spy(real, *args):
         seen.append(get())
         time.sleep(0)
-        return real_qr(*args, **kwargs)
+        return real(*args)
 
     def work():
         for _ in range(20):
             wl.initial_basis(P)
 
-    monkeypatch.setattr(dichotomy, "qr", spy)
+    spied_lapack(monkeypatch, spy)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -544,18 +569,18 @@ def test_concurrent_initial_basis_restores_scipy_threads(monkeypatch,
     assert get() == 2
 
 
-def test_initial_basis_without_scipy_blas_library(dis8_stack, monkeypatch):
+def test_initial_basis_without_numpy_lapack_library(dis8_stack, monkeypatch):
     P = dis8_stack[1]
-    monkeypatch.setattr(dichotomy, "_scipy_blas_threads", lambda: None)
+    monkeypatch.setattr(dichotomy, "_numpy_lapack", lambda: None)
     basis = wl.initial_basis(P)
     assert basis.n_functions == P.rank
     assert basis.orthonormality_defect() <= 1e-10
 
 
-def test_single_thread_qr_changes_no_bits(dis_projectors, monkeypatch,
-                                          scipy_pool_of_two):
-    """The basis with scipy's pool pinned to one thread keeps every bit of
-    the basis built on the pool's two threads."""
+def test_single_thread_qr_changes_no_bits(dis_projectors, monkeypatch):
+    """The basis from numpy's geqp3 pinned to one thread keeps every bit of
+    the basis from the scipy fallback on scipy's pool as it is, on these
+    operands."""
     projectors = [
         wl.fermi_projector(wl.build_disordered_insulator(
             6, seed=DIS_SEED, **DIS_PARAMS), 0.0),
@@ -566,8 +591,66 @@ def test_single_thread_qr_changes_no_bits(dis_projectors, monkeypatch,
     ]
     assert [P.V.dtype.kind for P in projectors] == ["f", "c", "f"]
     pinned = [wl.initial_basis(P).psi.tobytes() for P in projectors]
-    monkeypatch.setattr(dichotomy, "_scipy_blas_threads", lambda: None)
+    monkeypatch.setattr(dichotomy, "_numpy_lapack", lambda: None)
     assert [wl.initial_basis(P).psi.tobytes() for P in projectors] == pinned
+
+
+def scipy_blas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with scipy."""
+    scipy_init = Path(importlib.util.find_spec("scipy").origin).resolve()
+    for path in sorted((scipy_init.parent.parent / "scipy.libs").glob(
+            "libscipy_openblas*.so")):
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads", None)
+            if get is not None and set_ is not None:
+                get.restype, set_.argtypes = ctypes.c_int, (ctypes.c_int,)
+                return get, set_
+    pytest.skip("scipy's bundled OpenBLAS cannot be found")
+
+
+@pytest.mark.parametrize("L", [6, 8, 12, 16])
+def test_qr_pivots_match_scipy_single_thread(L):
+    """numpy's LAPACKE geqp3 gives the pivots of scipy's pivoted QR on one
+    thread, on real (disordered) and complex (Haldane) operands."""
+    numpy_lapack()
+    get, set_ = scipy_blas_threads()
+    models = [wl.build_disordered_insulator(L, seed=DIS_SEED, **DIS_PARAMS),
+              wl.build_haldane(L, TOPO_PARAMS["t1"], TOPO_PARAMS["t2"],
+                               TOPO_PARAMS["phi"], 1.6)]
+    before = get()
+    set_(1)
+    try:
+        for model in models:
+            A = wl.fermi_projector(model, 0.0).V.conj().T
+            ref = qr(A, mode="r", pivoting=True)[1]
+            assert np.array_equal(dichotomy._qr_pivots(A), ref)
+    finally:
+        set_(before)
+
+
+def test_pinned_qr_pivots_do_not_depend_on_the_pool_size(monkeypatch,
+                                                         numpy_pool_of_two):
+    """On Haldane L=16 m=0.2 a geqp3 on two threads orders near-equal column
+    norms differently; the pin gives the one-thread pivots on a pool of two."""
+    lapack = numpy_lapack()
+    P = wl.fermi_projector(wl.build_haldane(
+        16, TOPO_PARAMS["t1"], TOPO_PARAMS["t2"], TOPO_PARAMS["phi"],
+        TOPO_PARAMS["m"]), 0.0)
+    lapack.set_threads(1)
+    ref = dichotomy._qr_pivots(P.V.conj().T)
+    lapack.set_threads(2)
+    seen, real_pivots = [], dichotomy._qr_pivots
+
+    def spy(A):
+        seen.append(real_pivots(A))
+        return seen[-1]
+
+    monkeypatch.setattr(dichotomy, "_qr_pivots", spy)
+    wl.initial_basis(P)
+    assert numpy_pool_of_two() == 2
+    assert len(seen) == 1 and np.array_equal(seen[0], ref)
 
 
 def attach_moments_reference(basis, s_grid):
