@@ -29,8 +29,8 @@ from .lattice import (build_atomic, build_disordered_insulator, build_haldane,
                       build_ssh_chain, make_grid, position_operators)
 from .spectral import InsufficientRangeError, fermi_projector, kernel_decay_fit
 from .xhat import (FilterSpec, build_xhat, build_xtilde, certificate_coupling,
-                   closeness_norm, gap_certificate, gap_midpoints,
-                   tilt_lipschitz)
+                   closeness_norm, gap_certificate, gap_distance,
+                   gap_midpoints, tilt_lipschitz)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -229,12 +229,18 @@ def _delta_step(xt, delta, lambdas):
     from one K = W^H (X-hat - X-tilde) W.  `build_xtilde` checked that the
     surrogate's basis W spans range(P), so W^H X-tilde W = diag(m1) and
     diag(m1) + K is P X-hat P in W coordinates; the band vectors are
-    fix_phases(W U), formed only at the width the run keeps."""
+    fix_phases(W U), formed only at the width the run keeps.  The
+    certificate norms come first: U is computed only when every certificate
+    passes, the one case in which a run can keep the width, and is None
+    otherwise."""
     xh = build_xhat(xt, FilterSpec(delta))
     K = certificate_coupling(xt, xh)
     m1 = xt.basis.m1
-    spectrum, U = hermitian_eigh(np.diag(m1) + K)
-    certs = [gap_certificate(K, m1, spectrum, lam, delta) for lam in lambdas]
+    certs = [gap_certificate(K, m1, None, lam, delta) for lam in lambdas]
+    spectrum, U = hermitian_eigh(np.diag(m1) + K,
+                                 vectors=all(c.passed for c in certs))
+    certs = [replace(c, min_gap_distance=gap_distance(spectrum, c.lam))
+             for c in certs]
     return xh, spectrum, U, certs
 
 
@@ -308,6 +314,9 @@ def construct(cfg: PipelineConfig) -> RunReport:
             vecs, ctrs = wannierize_band(Vj, grid.y, xi_j)
             vec_blocks.append(vecs)
             ctr_blocks.append(ctrs)
+            # fitted band by band: the fits' temporaries stay N x rank
+            report.final_fits.extend(
+                diagnostics.fit_exponentials(vecs, ctrs, grid))
         stages["strips"] = "ok"
         final = GeneralizedWannierBasis(psi=np.hstack(vec_blocks),
                                         centers=np.vstack(ctr_blocks), grid=grid)
@@ -316,13 +325,6 @@ def construct(cfg: PipelineConfig) -> RunReport:
         complete = final.completeness_defect(report.projector.P)
         stages["wannierize"] = f"ok ortho={ortho:.3e} complete={complete:.3e}"
 
-        for k in range(final.n_functions):
-            try:
-                fit = diagnostics.fit_exponential(final.psi[:, k],
-                                                  final.centers[k], grid)
-            except InsufficientRangeError:
-                fit = None
-            report.final_fits.append(fit)
         all_fits_ok = all(_fit_passes(f) for f in report.final_fits)
         stages["fits"] = "ok" if all_fits_ok else "failed"
 

@@ -47,38 +47,72 @@ def fit_exponential(psi, mu, grid: SiteGrid, shell_width=SHELL_WIDTH) -> DecayPr
     and the envelope artificially collapses), but the cutoff never starves
     the fit below MIN_SHELLS + 1 shells' worth of radius.  A function that
     vanishes identically outside its support shells is reported as compactly
-    supported (infinite rate sentinel).
+    supported (infinite rate sentinel); one with fewer than MIN_SHELLS
+    usable shells raises InsufficientRangeError.  The one-column case of
+    `fit_exponentials`.
+    """
+    fit, = fit_exponentials(np.asarray(psi)[:, None], [mu], grid, shell_width)
+    if fit is None:
+        raise InsufficientRangeError(
+            f"fewer than {MIN_SHELLS} usable shells")
+    return fit
+
+
+def fit_exponentials(psi, centers, grid: SiteGrid, shell_width=SHELL_WIDTH):
+    """`fit_exponential` of every column psi[:, k] about centers[k], in one
+    array pass: a DecayProfile per column, or None for a column with too
+    few usable shells.
+
+    One bincount over shell indices offset by column bins every column's
+    shells, and every fitted column's line comes from one closed-form
+    `_log_linear_fit` call.
     """
     psi = np.abs(np.asarray(psi))
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
+    if np.any(np.abs(np.linalg.norm(psi, axis=0) - 1.0) > 1e-8):
         raise ValueError("psi must be normalized")
-    r = bracket(grid.x - mu[0], grid.y - mu[1])
-    reach = max(mu[0], (grid.width - 1) - mu[0])
+    mu = np.asarray(centers, dtype=float)
+    size, cols = psi.shape
+    r = bracket(grid.x[:, None] - mu[:, 0], grid.y[:, None] - mu[:, 1])
+    edge = grid.width - 1
+    reach = np.maximum(mu[:, 0], edge - mu[:, 0])
     if grid.ndim == 2:
-        reach = max(reach, mu[1], (grid.width - 1) - mu[1])
-    r_cap = max(math.sqrt(1.0 + reach * reach),
-                1.0 + (MIN_SHELLS + 1) * shell_width) + 1e-9
+        reach = np.maximum(reach, np.maximum(mu[:, 1], edge - mu[:, 1]))
+    r_cap = np.maximum(np.sqrt(1.0 + reach * reach),
+                       1.0 + (MIN_SHELLS + 1) * shell_width) + 1e-9
     shell = np.floor((r - 1.0) / shell_width).astype(int)
-    count = np.bincount(shell)
+    n_bins = int(shell.max()) + 1
+    # row k of each binned array holds the shells of column k
+    flat = (shell + n_bins * np.arange(cols)).ravel()
+
+    def binned(weights=None):
+        return np.bincount(flat, None if weights is None else weights.ravel(),
+                           minlength=cols * n_bins).reshape(cols, n_bins)
+
+    count = binned()
     nonempty = count > 0
-    count = count[nonempty]
-    vals = np.sqrt(np.bincount(shell, weights=psi * psi)[nonempty] / count)
-    dist = np.bincount(shell, weights=r)[nonempty] / count
-    usable = vals > decay_floor(psi.max(), psi.size)
-    points = usable & (dist <= r_cap)
-    n_points = int(points.sum())
-    if n_points < MIN_SHELLS:
-        # zero shells, no sub-floor noise, and no usable shell past the cap
-        compact = (np.any(vals == 0.0) and np.all(usable | (vals == 0.0))
-                   and np.array_equal(usable, points) and n_points > 0)
-        if compact:
-            return DecayProfile(C=float(vals[points].max()), gamma=math.inf,
-                                r_squared=1.0, samples=n_points,
-                                flag="compact-support")
-        raise InsufficientRangeError(
-            f"only {n_points} usable shells, need {MIN_SHELLS}")
-    C, gamma, r2 = _log_linear_fit(dist[points], vals[points])
-    return DecayProfile(C=C, gamma=gamma, r_squared=r2, samples=n_points)
+    # an empty shell divides by 1; nonempty masks it out below
+    count = np.maximum(count, 1)
+    vals = np.sqrt(binned(psi * psi) / count)
+    dist = binned(r) / count
+    usable = nonempty & (vals > decay_floor(psi.max(axis=0), size)[:, None])
+    points = usable & (dist <= r_cap[:, None])
+    n_points = points.sum(axis=1)
+    fitted = n_points >= MIN_SHELLS
+    zero = nonempty & (vals == 0.0)
+    # zero shells, no sub-floor noise, and no usable shell past the cap
+    compact = (~fitted & zero.any(axis=1) & (n_points > 0)
+               & ~(nonempty & ~usable & ~zero).any(axis=1)
+               & ~(usable & ~points).any(axis=1))
+    peak = np.max(vals, axis=1, where=points, initial=0.0)
+    lines = _log_linear_fit(dist[fitted], vals[fitted], points[fitted])
+    fits = [None] * cols
+    for k, C, gamma, r2 in zip(np.flatnonzero(fitted), *lines):
+        fits[k] = DecayProfile(C=float(C), gamma=float(gamma),
+                               r_squared=float(r2), samples=int(n_points[k]))
+    for k in np.flatnonzero(compact):
+        fits[k] = DecayProfile(C=float(peak[k]), gamma=math.inf, r_squared=1.0,
+                               samples=int(n_points[k]), flag="compact-support")
+    return fits
 
 
 def pointwise_bound_fit(psi, mu, grid: SiteGrid, s, ceiling=10.0):

@@ -32,13 +32,17 @@ DENSITY_BLOCK_PAIRS = 1 << 18
 
 
 def fix_phases(W):
-    """Make the largest-magnitude coefficient of each column real positive."""
+    """Make the largest-magnitude coefficient of each column real positive.
+
+    The lead's magnitude is hypot(re, im), which equals the scalar abs of a
+    complex number bit for bit; np.abs of a complex array need not.  A zero
+    column is left as it is.
+    """
     W = np.array(W)
-    for k in range(W.shape[1]):
-        col = W[:, k]
-        lead = col[int(np.argmax(np.abs(col)))]
-        if abs(lead) > 0:
-            W[:, k] = col * (np.conj(lead) / abs(lead))
+    lead = W[np.argmax(np.abs(W), axis=0), np.arange(W.shape[1])]
+    mag = np.hypot(lead.real, lead.imag)
+    nonzero = mag > 0
+    W[:, nonzero] *= np.conj(lead[nonzero]) / mag[nonzero]
     return W
 
 
@@ -92,9 +96,11 @@ def density_centroids(W, grid: SiteGrid):
     return np.stack([cx / norm, cy / norm], axis=1)
 
 
-def hermitian_eigh(M):
-    """Eigenpairs of the Hermitian part of M."""
-    return np.linalg.eigh(0.5 * (M + M.conj().T))
+def hermitian_eigh(M, vectors=True):
+    """Eigenpairs of the Hermitian part of M; with vectors=False, its
+    eigenvalues and None."""
+    H = 0.5 * (M + M.conj().T)
+    return np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
 
 
 def lifted_eigenpairs(B, M):
@@ -205,17 +211,19 @@ def strip_localization_check(V_j, xi_j, grid: SiteGrid, gamma, anchors):
     """max over anchors of ||(X - xi_j) P_tilted|| and ||P_tilted (X - xi_j)||.
 
     P_tilted = B P_j B^-1 = (e^w V_j)(e^-w V_j)^H with w = log B, so each norm
-    is ||R_a R_b^H||, R_a and R_b the r x r QR factors of the two sides."""
+    is ||R_a R_b^H||, R_a and R_b the r x r QR factors of the two sides.  The
+    four tilted blocks of every anchor share one stacked QR, and the norms
+    one stacked `operator_norm`."""
     xshift = grid.x.astype(float) - xi_j
-    n_left = n_right = 0.0
-    for anchor in anchors:
-        w = tilt_weights(grid, gamma, anchor)
-        up, down, x_up, x_down = (
-            np.linalg.qr(f[:, None] * V_j, mode="r") for f in
-            (np.exp(w), np.exp(-w), xshift * np.exp(w), xshift * np.exp(-w)))
-        n_left = max(n_left, operator_norm(x_up @ down.conj().T))
-        n_right = max(n_right, operator_norm(up @ x_down.conj().T))
-    return n_left, n_right
+    w = np.array([tilt_weights(grid, gamma, anchor) for anchor in anchors])
+    up, down = np.exp(w), np.exp(-w)
+    sides = np.stack([up, down, xshift * up, xshift * down])
+    R = np.linalg.qr(sides[..., None] * V_j, mode="r")
+    R_up, R_down, R_xup, R_xdown = R
+    norms = operator_norm(np.stack([R_xup @ R_down.conj().swapaxes(-1, -2),
+                                    R_up @ R_xdown.conj().swapaxes(-1, -2)]))
+    n_left, n_right = norms.max(axis=1)
+    return float(n_left), float(n_right)
 
 
 def coordinate_eigenbasis(V, coord):

@@ -30,23 +30,27 @@ def commutator(A, B):
 
 
 def operator_norm(A):
-    """Spectral norm (largest singular value) of any matrix.
+    """Spectral norm (largest singular value) of any matrix, or the array of
+    norms of a stack of matrices (..., m, k).
 
     Taken as the square root of the top eigenvalue of the smaller Gram
-    matrix, A A^H or (for a tall A) A^H A, after dividing A by max|A| so
-    that tiny or huge entries neither underflow nor overflow.  A Hermitian
-    `eigvalsh` of the Gram matrix, real for a real A, costs about half an
-    SVD (`gesdd`) of A.  Squaring loses accuracy only in the small singular
-    values: the top one, the only one read, keeps a relative error of about
-    k * eps for a k x k Gram matrix.
+    matrix, A A^H or (for a tall A) A^H A, after dividing each matrix by its
+    own max|A| so that tiny or huge entries neither underflow nor overflow.
+    A Hermitian `eigvalsh` of the Gram matrix, real for a real A, costs
+    about half an SVD (`gesdd`) of A.  Squaring loses accuracy only in the
+    small singular values: the top one, the only one read, keeps a relative
+    error of about k * eps for a k x k Gram matrix.
     """
     A = np.atleast_2d(np.asarray(A))
-    if not np.any(A):
-        return 0.0
-    scale = float(np.max(np.abs(A)))
-    A = A / scale
-    gram = A @ A.conj().T if A.shape[0] <= A.shape[1] else A.conj().T @ A
-    return scale * math.sqrt(float(np.linalg.eigvalsh(gram)[-1]))
+    scale = np.max(np.abs(A), axis=(-2, -1), initial=0.0)
+    if not np.any(scale):
+        return 0.0 if A.ndim == 2 else scale
+    # a zero matrix in a stack is divided by 1 and has norm 0
+    A = A / np.where(scale > 0, scale, 1.0)[..., None, None]
+    Ah = A.conj().swapaxes(-1, -2)
+    gram = A @ Ah if A.shape[-2] <= A.shape[-1] else Ah @ A
+    norms = scale * np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+    return float(norms) if A.ndim == 2 else norms
 
 
 def hermitian_norm(A):
@@ -168,15 +172,30 @@ class DecayProfile:
         return (model_id, self.C, self.gamma, self.r_squared, self.samples)
 
 
-def _log_linear_fit(dist, vals):
-    """Least squares of log(vals) against dist; returns (C, gamma, r2)."""
-    logs = np.log(vals)
-    slope, intercept = np.polyfit(dist, logs, 1)
-    pred = slope * dist + intercept
-    ss_res = float(np.sum((logs - pred) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(np.exp(intercept)), float(-slope), r2
+def _log_linear_fit(dist, vals, where=True):
+    """Least squares of log(vals) against dist along the last axis, over the
+    entries `where` selects (at least two distinct distances per line);
+    returns the arrays (C, gamma, r2) over the leading axes.
+
+    Every decay fit uses this one closed form: the line through the means
+    with slope S_xy / S_xx, and r2 = 1 - SS_res / SS_tot (0 for a flat
+    line).
+    """
+    dist, vals, where = np.broadcast_arrays(dist, vals, where)
+    logs = np.log(vals, out=np.zeros(vals.shape), where=where)
+    count = np.count_nonzero(where, axis=-1)
+    x_mean = np.sum(dist, axis=-1, where=where) / count
+    y_mean = np.sum(logs, axis=-1, where=where) / count
+    dx = dist - x_mean[..., None]
+    dy = logs - y_mean[..., None]
+    slope = (np.sum(dx * dy, axis=-1, where=where)
+             / np.sum(dx * dx, axis=-1, where=where))
+    intercept = y_mean - slope * x_mean
+    ss_res = np.sum((dy - slope[..., None] * dx) ** 2, axis=-1, where=where)
+    ss_tot = np.sum(dy * dy, axis=-1, where=where)
+    flat = ss_tot <= 0
+    r2 = np.where(flat, 0.0, 1.0 - ss_res / np.where(flat, 1.0, ss_tot))
+    return np.exp(intercept), -slope, r2
 
 
 def kernel_envelope(matrix, grid: SiteGrid):
@@ -206,8 +225,9 @@ def decay_floor(scale, size):
     DECAY_FLOOR_FACTOR = 2000, fits on a real H and on its complex gauge
     twin agree to 5e-7 (disordered L=32, N=2048); 1000 left 1.3e-6 in the
     band fits, and 5000 leaves some functions with only MIN_SHELLS shells.
+    An array of scales gives the array of floors.
     """
-    return DECAY_FLOOR_FACTOR * np.finfo(float).eps * float(scale) * math.sqrt(size)
+    return DECAY_FLOOR_FACTOR * np.finfo(float).eps * scale * math.sqrt(size)
 
 
 def kernel_decay_fit(P: Projector) -> DecayProfile:
@@ -227,7 +247,7 @@ def matrix_decay_fit(matrix, grid: SiteGrid) -> DecayProfile:
     if int(usable.sum()) < MIN_DECAY_BINS:
         raise InsufficientRangeError(
             f"only {int(usable.sum())} usable distance bins, need {MIN_DECAY_BINS}")
-    C, gamma, r2 = _log_linear_fit(dist[usable], mags[usable])
+    C, gamma, r2 = map(float, _log_linear_fit(dist[usable], mags[usable]))
     flag = "no-decay" if gamma < NO_DECAY_RATE else None
     return DecayProfile(C=C, gamma=gamma, r_squared=r2,
                         samples=int(usable.sum()), flag=flag)

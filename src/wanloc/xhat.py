@@ -233,11 +233,21 @@ def gap_certificate(coupling, m1, spectrum, lam, delta) -> GapCertificate:
     C2 = max_lam ||R W^H (Xtilde o 3 (dx^2 + dy^2)) W R||,
     R = diag(|lam - m1|^{-1/2}); the certified 1/delta rate is only an
     upper bound it must beat.
+
+    A `spectrum` of None leaves the distance nan, for a caller that solves
+    for the spectrum only once the pass flags are known and then fills the
+    distance in with `gap_distance`.
     """
     if not in_gap_set(lam):
         raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
     r = np.abs(lam - m1) ** -0.5
     snorm = hermitian_norm(r[:, None] * coupling * r[None, :])
-    dist = float(np.min(np.abs(np.asarray(spectrum) - lam))) if len(spectrum) else math.inf
+    dist = math.nan if spectrum is None else gap_distance(spectrum, lam)
     return GapCertificate(lam=float(lam), delta=delta, snorm=snorm,
                           min_gap_distance=dist, passed=bool(snorm < 0.5))
+
+
+def gap_distance(spectrum, lam):
+    """Distance from lam to the nearest value of `spectrum`, inf if empty."""
+    spectrum = np.asarray(spectrum)
+    return float(np.min(np.abs(spectrum - lam))) if spectrum.size else math.inf

@@ -135,14 +135,20 @@ def fit_exponential_reference(psi, mu, grid, shell_width=diagnostics.SHELL_WIDTH
     return (None, float(np.exp(intercept)), n_points, float(-slope))
 
 
-def _fit_outcome(psi, mu, grid):
-    try:
-        fit = wl.fit_exponential(psi, mu, grid)
-    except InsufficientRangeError:
+def _outcome(fit):
+    """The fields `fit_exponential_reference` reports, for a fit or None."""
+    if fit is None:
         return InsufficientRangeError
     if fit.flag == "compact-support":
         return (fit.flag, fit.C, fit.samples)
     return (fit.flag, fit.C, fit.samples, fit.gamma)
+
+
+def _fit_outcome(psi, mu, grid):
+    try:
+        return _outcome(wl.fit_exponential(psi, mu, grid))
+    except InsufficientRangeError:
+        return InsufficientRangeError
 
 
 def _assert_same_fit(got, ref):
@@ -163,7 +169,9 @@ def test_fit_exponential_matches_shell_loop(dis12_report):
         _assert_same_fit(got, fit_exponential_reference(psi, mu, grid))
 
 
-def test_fit_exponential_matches_shell_loop_on_edge_cases():
+def edge_case_vectors():
+    """(grid, mu, vectors, expected outcome) of vectors about one centre:
+    compact, too-few-shell and fitted cases."""
     grid = make_grid(12, 1, ndim=2)
     mu = (5.0, 6.0)
     centre = int(np.flatnonzero((grid.x == 5) & (grid.y == 6))[0])
@@ -181,17 +189,69 @@ def test_fit_exponential_matches_shell_loop_on_edge_cases():
     decaying, _ = synthetic_profile(grid, mu, lambda r: np.exp(-0.8 * r))
     noisy_tail = decaying + noise
     noisy_tail /= np.linalg.norm(noisy_tail)
+    # zeros between a delta and a corner site past the reach cap: one usable
+    # shell beyond the cap, so neither compact nor fitted
+    corner = delta.copy()
+    corner[int(np.flatnonzero((grid.x == 11) & (grid.y == 0))[0])] = 0.5
+    corner /= np.linalg.norm(corner)
     expected = {"delta": "compact-support", "clipped": "compact-support",
                 "noisy_delta": InsufficientRangeError,
                 "noisy_clip": InsufficientRangeError, "decaying": None,
-                "noisy_tail": None}
+                "noisy_tail": None, "corner": InsufficientRangeError}
     vectors = {"delta": delta, "clipped": clipped, "noisy_delta": noisy_delta,
                "noisy_clip": noisy_clip, "decaying": decaying,
-               "noisy_tail": noisy_tail}
+               "noisy_tail": noisy_tail, "corner": corner}
+    return grid, mu, vectors, expected
+
+
+def test_fit_exponential_matches_shell_loop_on_edge_cases():
+    grid, mu, vectors, expected = edge_case_vectors()
     for name, v in vectors.items():
         got = _fit_outcome(v, mu, grid)
         assert (got if got is InsufficientRangeError else got[0]) == expected[name]
         _assert_same_fit(got, fit_exponential_reference(v, mu, grid))
+
+
+def _assert_block_matches(psi, centers, grid):
+    """Each column of one block fit against the shell loop, and against the
+    one-column `fit_exponential` field for field; returns the outcomes."""
+    fits = diagnostics.fit_exponentials(psi, centers, grid)
+    assert len(fits) == psi.shape[1]
+    outcomes = []
+    for k, fit in enumerate(fits):
+        got = _outcome(fit)
+        _assert_same_fit(got, fit_exponential_reference(psi[:, k], centers[k],
+                                                        grid))
+        if fit is None:
+            with pytest.raises(InsufficientRangeError):
+                wl.fit_exponential(psi[:, k], centers[k], grid)
+        else:
+            assert fit == wl.fit_exponential(psi[:, k], centers[k], grid)
+        outcomes.append(got)
+    return outcomes
+
+
+def test_block_fit_mixes_compact_short_and_fitted_columns():
+    """The edge-case vectors as the columns of one block: compact,
+    too-short and fitted columns share one bincount and one line fit."""
+    grid, mu, vectors, expected = edge_case_vectors()
+    psi = np.stack(list(vectors.values()), axis=1)
+    outcomes = _assert_block_matches(psi, [mu] * psi.shape[1], grid)
+    for got, want in zip(outcomes, expected.values(), strict=True):
+        assert (got if got is InsufficientRangeError else got[0]) == want
+
+
+def test_block_fit_matches_shell_loop_band_by_band(dis12_report):
+    final = dis12_report.basis_final
+    start = 0
+    for V in dis12_report.bands.vectors:
+        cols = slice(start, start + V.shape[1])
+        outcomes = _assert_block_matches(final.psi[:, cols],
+                                         final.centers[cols], final.grid)
+        assert all(o is not InsufficientRangeError and o[0] is None
+                   for o in outcomes)
+        start = cols.stop
+    assert start == final.n_functions
 
 
 def test_exp_moment_finite_below_fitted_rate():

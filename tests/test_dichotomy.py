@@ -689,6 +689,31 @@ def test_phase_fixing_is_idempotent_and_normalizing():
         assert lead.imag == pytest.approx(0.0, abs=1e-12)
 
 
+def fix_phases_reference(W):
+    """The per-column loop `fix_phases` replaced."""
+    W = np.array(W)
+    for k in range(W.shape[1]):
+        col = W[:, k]
+        lead = col[int(np.argmax(np.abs(col)))]
+        if abs(lead) > 0:
+            W[:, k] = col * (np.conj(lead) / abs(lead))
+    return W
+
+
+def test_fix_phases_matches_column_loop_bit_for_bit(dis8_stack, topo8_stack):
+    rng = np.random.default_rng(3)
+    with_zero = rng.standard_normal((20, 5)) + 1j * rng.standard_normal((20, 5))
+    with_zero[:, 2] = 0.0
+    real_zero = rng.standard_normal((20, 4))
+    real_zero[:, 1] = 0.0
+    blocks = {"real": dis8_stack[1].V, "complex": topo8_stack[1].V,
+              "complex-zero-column": with_zero, "real-zero-column": real_zero}
+    for name, W in blocks.items():
+        got, ref = fix_phases(W), fix_phases_reference(W)
+        assert got.dtype == ref.dtype, name
+        assert got.tobytes() == ref.tobytes(), name
+
+
 def test_density_centroids_of_delta():
     grid = make_grid(4, 1, ndim=2)
     psi = np.zeros((grid.dimension, 1), dtype=complex)

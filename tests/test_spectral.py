@@ -183,6 +183,25 @@ def test_operator_norm_matches_svd(shape, dtype):
     assert wl.operator_norm(np.zeros(shape, dtype=dtype)) == 0.0
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_operator_norm_of_a_stack_is_per_matrix(dtype):
+    """A stack returns each matrix's norm, bit for bit, each scaled by its own
+    max|A|: scales 1e-200 and 1e150 and a zero matrix share one stack."""
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((5, 9, 6))
+    if dtype is complex:
+        A = A + 1j * rng.standard_normal(A.shape)
+    A[1] *= 1e-200
+    A[2] *= 1e150
+    A[3] = 0.0
+    for stack in (A, A.swapaxes(-1, -2)):
+        got = wl.operator_norm(stack)
+        assert got.shape == (5,)
+        assert got.tolist() == [wl.operator_norm(M) for M in stack]
+        assert got[3] == 0.0
+    assert wl.operator_norm(np.zeros((2, 3, 3))).tolist() == [0.0, 0.0]
+
+
 def test_operator_norm_empty_matrix_is_zero():
     assert wl.operator_norm(np.zeros((0, 0))) == 0.0
 

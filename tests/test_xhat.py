@@ -362,6 +362,28 @@ def test_delta_step_spectrum_matches_projected_spectrum(stack, request):
                 float(np.min(np.abs(ref - lam))), abs=1e-12)
 
 
+@pytest.mark.parametrize("stack", ["dis8_stack", "topo8_stack"])
+def test_delta_step_eigenvectors_only_when_every_certificate_passes(
+        stack, request):
+    """U is formed only at a width a run can keep; a failing width, also
+    one where some certificates pass (topological L=8 at Delta=16), gets
+    eigvalsh's spectrum, within 1e-12 of eigh's, and no U."""
+    _, _, _, xt = request.getfixturevalue(stack)
+    lambdas = wl.gap_midpoints(0.0, 7.0)
+    for delta in (4.0, 16.0):
+        xh, spectrum, U, certs = _delta_step(xt, delta, lambdas)
+        passed = all(c.passed for c in certs)
+        assert (U is not None) == passed
+        M = np.diag(xt.basis.m1) + certificate_coupling(xt, xh)
+        ref, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
+        assert np.max(np.abs(spectrum - ref)) <= 1e-12
+        if passed:
+            assert U.shape == vecs.shape
+            assert np.array_equal(spectrum, ref)
+        for cert in certs:
+            assert cert.min_gap_distance == np.min(np.abs(spectrum - cert.lam))
+
+
 def test_gap_certificate_norm_decreases_with_filter_width(dis8_stack):
     _, P, _, xt = dis8_stack
     lambdas = wl.gap_midpoints(0.0, 7.0)
