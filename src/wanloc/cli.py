@@ -211,9 +211,13 @@ PIPELINE_FILES = ("hamiltonian.wdmx", "decay.csv", "basis_initial.csv",
 
 
 def _default_anchors(grid):
-    c = (grid.width - 1) / 2.0
-    off = max(grid.width // 4, 1)
-    return [(c, c), (c - off, c - off), (c + off, c + off)]
+    """The centre of the box `grid.shape`, and the centre moved by -off and
+    +off, off = max(L_a // 4, 1) clipped to the centre of each axis: a
+    chain's anchors lie on the chain."""
+    shape = np.array(grid.shape)
+    c = (shape - 1) / 2.0
+    off = np.minimum(np.maximum(shape // 4, 1), c)
+    return [c, c - off, c + off]
 
 
 def _chern_reports(cfg, P):
@@ -223,7 +227,7 @@ def _chern_reports(cfg, P):
     return diagnostics.chern_marker(P, sorted(set(windows)))
 
 
-def _delta_step(xt, delta, lambdas):
+def _delta_step(xt, delta, lambdas, keep_vectors=True):
     """X-hat at one width, the spectrum of P X-hat P with its n x n
     eigenvectors U in W coordinates, and the certificates at `lambdas`, all
     from one K = W^H (X-hat - X-tilde) W.  `build_xtilde` checked that the
@@ -231,14 +235,14 @@ def _delta_step(xt, delta, lambdas):
     diag(m1) + K is P X-hat P in W coordinates; the band vectors are
     fix_phases(W U), formed only at the width the run keeps.  The
     certificate norms come first: U is computed only when every certificate
-    passes, the one case in which a run can keep the width, and is None
-    otherwise."""
+    passes, the one case in which a run can keep the width, and when
+    `keep_vectors` asks for it; it is None otherwise."""
     xh = build_xhat(xt, FilterSpec(delta))
     K = certificate_coupling(xt, xh)
     m1 = xt.basis.m1
     certs = [gap_certificate(K, m1, None, lam, delta) for lam in lambdas]
-    spectrum, U = hermitian_eigh(np.diag(m1) + K,
-                                 vectors=all(c.passed for c in certs))
+    spectrum, U = hermitian_eigh(
+        np.diag(m1) + K, vectors=keep_vectors and all(c.passed for c in certs))
     certs = [replace(c, min_gap_distance=gap_distance(spectrum, c.lam))
              for c in certs]
     return xh, spectrum, U, certs
@@ -534,7 +538,7 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
 
     cert_rows, close_rows, tilt_rows = [], [], []
     for delta in cfg.delta_list:
-        xh, _, _, certs = _delta_step(xt, delta, lambdas)
+        xh, _, _, certs = _delta_step(xt, delta, lambdas, keep_vectors=False)
         cert_rows.extend(c.as_csv_row() for c in certs)
         close_rows.append((delta, closeness_norm(xh, grid_m.x)))
         sup, rows = tilt_lipschitz(xh, cfg.gamma_list, anchors, grid_m)

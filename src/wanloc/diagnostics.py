@@ -73,10 +73,8 @@ def fit_exponentials(psi, centers, grid: SiteGrid, shell_width=SHELL_WIDTH):
     mu = np.asarray(centers, dtype=float)
     size, cols = psi.shape
     r = bracket(grid.x[:, None] - mu[:, 0], grid.y[:, None] - mu[:, 1])
-    edge = grid.width - 1
-    reach = np.maximum(mu[:, 0], edge - mu[:, 0])
-    if grid.ndim == 2:
-        reach = np.maximum(reach, np.maximum(mu[:, 1], edge - mu[:, 1]))
+    # the largest distance to an edge of the box, over both axes
+    reach = np.maximum(mu, np.subtract(grid.shape, 1) - mu).max(axis=1)
     r_cap = np.maximum(np.sqrt(1.0 + reach * reach),
                        1.0 + (MIN_SHELLS + 1) * shell_width) + 1e-9
     shell = np.floor((r - 1.0) / shell_width).astype(int)
@@ -216,7 +214,7 @@ def chern_number_kspace(t1, t2, phi, m, n_k=24):
 
 def _per_case(*values):
     """A float or bool for a single case, the (cases,) array for a block."""
-    return tuple(v.item() if np.ndim(v) == 0 else v for v in values)
+    return tuple(v if np.ndim(v) else np.asarray(v).item() for v in values)
 
 
 def lemma_decay_check(v, m, k, s1, s2, grid: SiteGrid):
@@ -273,11 +271,7 @@ def _schur_stack(W, m1, x):
     absK = np.abs(K)
     sup_row = absK.sum(axis=-1).max(axis=-1)
     sup_col = absK.sum(axis=-2).max(axis=-1)
-    evals = np.linalg.eigvalsh(K)
-    # an identically zero kernel has norm exactly 0.0
-    direct = np.where(np.any(K, axis=(-2, -1)),
-                      np.maximum(-evals[..., 0], evals[..., -1]), 0.0)
-    return sup_row, sup_col, np.sqrt(sup_row * sup_col), direct
+    return sup_row, sup_col, np.sqrt(sup_row * sup_col), hermitian_norm(K)
 
 
 def schur_row_sums(psi, m1, grid: SiteGrid) -> SchurReport:

@@ -226,14 +226,9 @@ def strip_localization_check(V_j, xi_j, grid: SiteGrid, gamma, anchors):
     return float(n_left), float(n_right)
 
 
-def coordinate_eigenbasis(V, coord):
-    """Eigenpairs of diag(coord) compressed to span(V), vectors phase fixed."""
-    return lifted_eigenpairs(V, V.conj().T @ (coord[:, None] * V))
-
-
 def wannierize_band(V_j, y, xi_j):
     """Eigenfunctions of P_j Y P_j on span(V_j), centred at (xi_j, eta)."""
-    eta, vecs = coordinate_eigenbasis(V_j, y)
+    eta, vecs = lifted_eigenpairs(V_j, V_j.conj().T @ (y[:, None] * V_j))
     centers = np.stack([np.full(eta.size, float(xi_j)), eta], axis=1)
     return vecs, centers
 
@@ -389,7 +384,7 @@ def initial_basis(P: Projector, mode="columns") -> GeneralizedWannierBasis:
                 "re-run with more pivots or a different selection")
         W = fix_phases(V @ (U @ Zh))
     elif mode == "pxp-eigen":
-        _, W = coordinate_eigenbasis(P.V, grid.x)
+        _, W = lifted_eigenpairs(P.V, P.V.conj().T @ (grid.x[:, None] * P.V))
     else:
         raise ValueError(f"unknown basis mode {mode!r}")
     return GeneralizedWannierBasis(psi=W, centers=density_centroids(W, grid),

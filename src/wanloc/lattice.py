@@ -21,8 +21,8 @@ HERMITICITY_RTOL = 1e-12
 class SiteGrid:
     """Maps matrix indices to integer lattice coordinates.
 
-    Index layout: site s = x * width + y (1-D: s = x), matrix index
-    i = s * orbitals_per_site + orbital.
+    The sites fill the box `shape` in row-major order, site s = x * shape[1]
+    + y, and matrix index i = s * orbitals_per_site + orbital.
     """
 
     width: int
@@ -30,6 +30,10 @@ class SiteGrid:
     ndim: int
     x: np.ndarray = field(repr=False)   # per matrix index
     y: np.ndarray = field(repr=False)
+
+    @property
+    def shape(self):
+        return _box(self.width, self.ndim)
 
     @property
     def dimension(self):
@@ -57,17 +61,17 @@ class SiteGrid:
         return order, starts, np.sqrt(uniq.astype(float))
 
 
+def _box(width, ndim):
+    """The box of sites: width x width for a sheet, and width x 1 for a
+    chain, which lies along x at y = 0."""
+    return (width, width if ndim == 2 else 1)
+
+
 def make_grid(width, orbitals_per_site, ndim=2):
-    if ndim == 2:
-        sx, sy = np.meshgrid(np.arange(width), np.arange(width), indexing="ij")
-        sx, sy = sx.ravel(), sy.ravel()
-    elif ndim == 1:
-        sx = np.arange(width)
-        sy = np.zeros(width, dtype=int)
-    else:
+    if ndim not in (1, 2):
         raise ValueError(f"ndim must be 1 or 2, got {ndim}")
-    x = np.repeat(sx, orbitals_per_site)
-    y = np.repeat(sy, orbitals_per_site)
+    cells = np.indices(_box(width, ndim)).reshape(2, -1)
+    x, y = np.repeat(cells, orbitals_per_site, axis=1)
     return SiteGrid(width=width, orbitals_per_site=orbitals_per_site,
                     ndim=ndim, x=x, y=y)
 
@@ -89,7 +93,7 @@ class TightBindingModel:
 def _hop(H, grid, amp, a, b, v):
     """H[(c, a), (c + v, b)] += amp and its Hermitian partner += conj(amp),
     for every cell c with c + v inside the sample (1-D cells have v[1] = 0)."""
-    cells = np.arange(grid.dimension // grid.orbitals_per_site).reshape(grid.width, -1)
+    cells = np.arange(grid.dimension // grid.orbitals_per_site).reshape(grid.shape)
     src = tuple(slice(max(-d, 0), n - max(d, 0)) for d, n in zip(v, cells.shape))
     dst = tuple(slice(max(d, 0), n - max(-d, 0)) for d, n in zip(v, cells.shape))
     i = cells[src].ravel() * grid.orbitals_per_site + a

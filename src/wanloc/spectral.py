@@ -54,7 +54,8 @@ def operator_norm(A):
 
 
 def hermitian_norm(A):
-    """Spectral norm of a Hermitian matrix: its largest |eigenvalue|.
+    """Spectral norm of a Hermitian matrix: its largest |eigenvalue|, or the
+    array of norms of a stack of Hermitian matrices (..., m, m).
 
     Only the lower triangle is read, so pass operands that are Hermitian
     by construction; everything else goes through `operator_norm`.  For a
@@ -63,9 +64,9 @@ def hermitian_norm(A):
     """
     A = np.atleast_2d(np.asarray(A))
     if not np.any(A):
-        return 0.0
-    evals = np.linalg.eigvalsh(A)
-    return float(max(-evals[0], evals[-1]))
+        return 0.0 if A.ndim == 2 else np.zeros(A.shape[:-2])
+    norms = np.max(np.abs(np.linalg.eigvalsh(A)), axis=-1, initial=0.0)
+    return float(norms) if A.ndim == 2 else norms
 
 
 @dataclass(frozen=True)

@@ -102,18 +102,18 @@ def build_xhat(xtilde: XtildeOperator, spec: FilterSpec) -> np.ndarray:
     fhat(dx / delta) * fhat(dy / delta), so everything beyond distance delta
     in either coordinate is exactly zero and Hermiticity is preserved
     (the profile is real and even).  In the `make_grid` layout that mask is
-    kron(T, T) (T in 1-D), repeated over orbital pairs, with the L x L
-    Toeplitz T[i, j] = fhat(|i - j| / delta) of the lattice offsets.
+    kron(T_x, T_y), repeated over orbital pairs, with the Toeplitz
+    T[i, j] = fhat(|i - j| / delta) of the offsets along each axis of the
+    box `grid.shape`; a chain's one-site axis gives T = [[1.0]].
     """
     grid = xtilde.grid
     layout = make_grid(grid.width, grid.orbitals_per_site, grid.ndim)
     if not (np.array_equal(grid.x, layout.x) and np.array_equal(grid.y, layout.y)):
         raise UnsupportedGeometryError("filter smoothing needs the make_grid layout")
-    offsets = np.arange(grid.width)
-    T = filter_fourier(offsets / spec.delta)[np.abs(offsets[:, None] - offsets)]
+    T_x, T_y = (filter_fourier(a / spec.delta)[np.abs(a[:, None] - a)]
+                for a in map(np.arange, grid.shape))
     o = grid.orbitals_per_site
-    F = np.kron(np.kron(T, T) if grid.ndim == 2 else T, np.ones((o, o)))
-    return xtilde.matrix * F
+    return xtilde.matrix * np.kron(np.kron(T_x, T_y), np.ones((o, o)))
 
 
 def closeness_norm(xhat, x):

@@ -8,9 +8,10 @@ import wanloc.io as io
 from wanloc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERDICT,
                         MODELS, VERDICT_CERT, VERDICT_ERROR, VERDICT_FIT,
                         VERDICT_OK, PipelineConfig, build_model, construct,
-                        main, parse_config, run_pipeline)
+                        _default_anchors, main, parse_config,
+                        run_pipeline)
 from wanloc.errors import ConfigError, WindowTooLargeError
-from wanloc.lattice import TightBindingModel
+from wanloc.lattice import TightBindingModel, make_grid
 
 from suite_common import DIS_PARAMS, DIS_SEED, TOPO_PARAMS
 
@@ -521,3 +522,16 @@ def test_pipeline_files_of_each_verdict(tmp_path, config, verdict, files):
                           out_dir=str(tmp_path / "out"))
     assert report.verdict == verdict
     assert set(os.listdir(tmp_path / "out")) == files
+
+
+@pytest.mark.parametrize("L", [4, 5, 12, 24])
+def test_default_anchors_lie_on_the_sample(L):
+    """A sheet keeps the (c, c) triple, offset by max(L // 4, 1) along the
+    diagonal; a chain's anchors share its x values and lie on it, at y = 0."""
+    c, off = (L - 1) / 2.0, max(L // 4, 1)
+    sheet = _default_anchors(make_grid(L, 2, ndim=2))
+    assert [tuple(a.tolist()) for a in sheet] == [
+        (c, c), (c - off, c - off), (c + off, c + off)]
+    chain = _default_anchors(make_grid(L, 2, ndim=1))
+    assert [tuple(a.tolist()) for a in chain] == [
+        (c, 0.0), (c - off, 0.0), (c + off, 0.0)]

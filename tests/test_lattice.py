@@ -142,6 +142,33 @@ def test_grid_coordinates_cover_every_index():
     assert len(coords) == 50 and len(set(coords)) == 25
 
 
+def per_ndim_layout(width, orbitals, ndim):
+    """The coordinates `make_grid` built before its one box path: a meshgrid
+    for a sheet, an arange beside zeros for a chain."""
+    if ndim == 2:
+        sx, sy = np.meshgrid(np.arange(width), np.arange(width), indexing="ij")
+        sx, sy = sx.ravel(), sy.ravel()
+    else:
+        sx, sy = np.arange(width), np.zeros(width, dtype=int)
+    return np.repeat(sx, orbitals), np.repeat(sy, orbitals)
+
+
+@pytest.mark.parametrize("width, orbitals, ndim",
+                         [(5, 2, 2), (4, 1, 2), (1, 1, 2), (6, 2, 1), (3, 1, 1)])
+def test_make_grid_matches_the_per_ndim_layout(width, orbitals, ndim):
+    grid = make_grid(width, orbitals, ndim=ndim)
+    x, y = per_ndim_layout(width, orbitals, ndim)
+    assert np.array_equal(grid.x, x) and grid.x.dtype == x.dtype
+    assert np.array_equal(grid.y, y) and grid.y.dtype == y.dtype
+    # a sheet is a width x width box, a chain a width x 1 box
+    assert grid.shape == ((width, width) if ndim == 2 else (width, 1))
+
+
+def test_make_grid_rejects_other_dimensions():
+    with pytest.raises(ValueError, match="ndim"):
+        make_grid(4, 1, ndim=3)
+
+
 def test_model_rejects_non_hermitian_hamiltonian():
     H = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NotHermitianError, match="not Hermitian"):

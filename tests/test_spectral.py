@@ -221,6 +221,26 @@ def test_hermitian_norm_matches_operator_norm():
     assert wl.hermitian_norm(np.zeros((0, 0))) == 0.0
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermitian_norm_of_a_stack_is_per_matrix(dtype):
+    """A stack returns each matrix's largest |eigenvalue|, bit for bit, with
+    0.0 for a zero matrix in it and for a stack of empty matrices."""
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((2, 3, 7, 7))
+    if dtype is complex:
+        A = A + 1j * rng.standard_normal(A.shape)
+    stack = A + A.conj().swapaxes(-1, -2)
+    stack[1, 2] = 0.0
+    got = wl.hermitian_norm(stack)
+    assert got.shape == (2, 3)
+    assert got.tolist() == [[wl.hermitian_norm(M) for M in row]
+                            for row in stack]
+    assert got[1, 2] == 0.0
+    assert wl.hermitian_norm(np.zeros((3, 0, 0))).tolist() == [0.0] * 3
+    assert wl.hermitian_norm(np.zeros((2, 4, 4), dtype=dtype)).tolist() == [
+        0.0, 0.0]
+
+
 def test_commutator_position_with_atomic_projector():
     model = wl.build_haldane(4, 0.0, 0.0, 0.0, 1.0)
     P = wl.fermi_projector(model, 0.0)

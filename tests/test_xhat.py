@@ -156,6 +156,16 @@ def test_xhat_matches_offset_array_reference(delta, dis8_stack, ssh24):
         assert np.array_equal(build_xhat(xt, spec), xhat_reference(xt, spec))
 
 
+@pytest.mark.parametrize("orbitals", [1, 2])
+def test_xhat_on_a_chain_is_the_one_axis_mask(orbitals):
+    """A chain's one-site y axis adds nothing: the mask is kron(T, ones)."""
+    xt = random_xtilde(make_grid(7, orbitals, ndim=1))
+    i = np.arange(7)
+    T = wl.filter_fourier(np.abs(i[:, None] - i) / 3.0)
+    assert np.array_equal(build_xhat(xt, FilterSpec(3.0)),
+                          xt.matrix * np.kron(T, np.ones((orbitals, orbitals))))
+
+
 def test_xhat_hermitian(dis8_stack):
     _, _, _, xt = dis8_stack
     xh = build_xhat(xt, FilterSpec(8.0))
@@ -382,6 +392,20 @@ def test_delta_step_eigenvectors_only_when_every_certificate_passes(
             assert np.array_equal(spectrum, ref)
         for cert in certs:
             assert cert.min_gap_distance == np.min(np.abs(spectrum - cert.lam))
+
+
+def test_delta_step_without_vectors_keeps_the_certificates(dis8_stack):
+    """keep_vectors=False forms no U even where every certificate passes,
+    and leaves the certificate norms as they are."""
+    _, _, _, xt = dis8_stack
+    lambdas = wl.gap_midpoints(0.0, 7.0)
+    _, spectrum, U, certs = _delta_step(xt, 4.0, lambdas)
+    _, bare, no_U, bare_certs = _delta_step(xt, 4.0, lambdas,
+                                            keep_vectors=False)
+    assert U is not None and no_U is None
+    assert np.max(np.abs(bare - spectrum)) <= 1e-12
+    assert [c.snorm for c in bare_certs] == [c.snorm for c in certs]
+    assert [c.passed for c in bare_certs] == [c.passed for c in certs]
 
 
 def test_gap_certificate_norm_decreases_with_filter_width(dis8_stack):
