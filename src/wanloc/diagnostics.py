@@ -139,7 +139,9 @@ def chern_marker(P: Projector, windows) -> list[ChernReport]:
     always contains exactly (2 L_w)^2 sites.  The imaginary residual of the
     trace is reported and must vanish for Hermitian P.  With V^H V = I,
     P [[X,P],[Y,P]] P = -PXQYP + PYQXP = V [Gx, Gy] V^H for Gx = V^H X V and
-    Gy = V^H Y V, so one n x n commutator serves every window.
+    Gy = V^H Y V, so one n x n commutator serves every window.  Gx and Gy
+    are Hermitian, so Gy Gx = (Gx Gy)^H and the commutator is A - A^H for
+    the one product A = Gx Gy.
     """
     grid = P.grid
     if grid.ndim != 2:
@@ -151,9 +153,9 @@ def chern_marker(P: Projector, windows) -> list[ChernReport]:
     c = (L - 1) / 2.0
     x, y = grid.x, grid.y
     V = P.V
-    Gx = V.conj().T @ (x[:, None] * V)
-    Gy = V.conj().T @ (y[:, None] * V)
-    C = Gx @ Gy - Gy @ Gx
+    Vh = V.conj().T
+    A = (Vh @ (x[:, None] * V)) @ (Vh @ (y[:, None] * V))
+    C = A - A.conj().T
     reports = []
     for L_w in windows:
         win = ((x > c - L_w) & (x <= c + L_w)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import (InsufficientRangeError, NoGapError, NotOrthonormalError,
                      TiltTooLargeError)
-from .lattice import SiteGrid, TightBindingModel
+from .lattice import SiteGrid, TightBindingModel, row_slabs, xy_mirror
 
 IDEMPOTENCY_TOL = 1e-10
 DECAY_FLOOR_FACTOR = 2000.0
@@ -105,11 +105,19 @@ def fermi_projector(model: TightBindingModel, fermi_energy: float) -> Projector:
 
     A Hamiltonian with identically zero imaginary part is diagonalized as a
     real symmetric matrix, so V, and everything later built from it, is
-    float64; otherwise it is complex128.
+    float64; otherwise V is complex128.  A complex H on a sheet that obeys
+    the x <-> y mirror S H S = conj(H) bitwise (S the permutation matrix of
+    `xy_mirror`, as for `build_haldane`) is diagonalized in real form too:
+    U = a I + conj(a) S with a = (1 + i)/2 is unitary and U^H H U = M =
+    Re H - S Im H, which is real symmetric, so `eigh(M)` at real-arithmetic
+    cost gives the eigenvalues of H and, mapped by U, its eigenvectors.
     """
-    H = model.H
+    H, s = model.H, None
     if not np.any(H.imag):
         H = H.real
+    elif (s := _conjugating_mirror(H, model.grid)) is not None:
+        M = H.imag[s]
+        H = np.subtract(H.real, M, out=M)
     evals, evecs = np.linalg.eigh(H)
     dist = np.abs(evals - fermi_energy)
     nearest = int(np.argmin(dist))
@@ -121,9 +129,23 @@ def fermi_projector(model: TightBindingModel, fermi_energy: float) -> Projector:
         raise NoGapError(
             f"E_F={fermi_energy} within 1e-6 of spectrum "
             f"(bracketing eigenvalues {lo}, {hi})")
-    return Projector(V=evecs[:, evals < fermi_energy],
-                     fermi_energy=fermi_energy, gap=2.0 * float(dist[nearest]),
-                     grid=model.grid)
+    V = evecs[:, evals < fermi_energy]
+    if s is not None:
+        a = 0.5 + 0.5j
+        V = a * V + a.conjugate() * V[s]     # U V: a v + conj(a) S v
+    return Projector(V=V, fermi_energy=fermi_energy,
+                     gap=2.0 * float(dist[nearest]), grid=model.grid)
+
+
+def _conjugating_mirror(H, grid):
+    """The permutation s of the grid's x <-> y mirror if H[s][:, s] ==
+    conj(H) holds bitwise (checked a row slab at a time), else None."""
+    s = xy_mirror(grid)
+    if s is None or not all(np.array_equal(np.take(H[s[r]], s, axis=1),
+                                           H[r].conj())
+                            for r in row_slabs(len(s))):
+        return None
+    return s
 
 
 def range_basis(P):

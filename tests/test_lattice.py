@@ -5,7 +5,8 @@ import wanloc as wl
 from wanloc.diagnostics import _haldane_bloch
 from wanloc.errors import (GapClosureRiskError, GaplessModelError,
                            ModelTooSmallError, NotHermitianError)
-from wanloc.lattice import TightBindingModel, make_grid
+from wanloc.lattice import (HERMITICITY_RTOL, ROW_SLAB, TightBindingModel,
+                            make_grid)
 
 
 def bulk_min_gap(t1, t2, phi, m, n_k=24):
@@ -173,6 +174,23 @@ def test_model_rejects_non_hermitian_hamiltonian():
     H = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NotHermitianError, match="not Hermitian"):
         TightBindingModel(grid=make_grid(2, 1, ndim=1), H=H, params={})
+
+
+@pytest.mark.parametrize("eps, hermitian", [(1e-14, True), (1e-9, False)])
+def test_hermiticity_defect_spans_every_row_slab(eps, hermitian):
+    """The defect is the Frobenius norm of H - H^H over all rows, also for a
+    defect past the first ROW_SLAB rows (N = 200 here)."""
+    model = wl.build_haldane(10, 1.0, 1.0 / 3.0, np.pi / 2.0, 0.2)
+    H = model.H.copy()
+    assert len(H) > ROW_SLAB
+    H[len(H) - 1, 3] += eps
+    assert (np.linalg.norm(H - H.conj().T) <= HERMITICITY_RTOL
+            * np.linalg.norm(H)) == hermitian
+    if hermitian:
+        TightBindingModel(grid=model.grid, H=H, params={})
+        return
+    with pytest.raises(NotHermitianError, match=f"{np.sqrt(2.0) * eps:.3e}"):
+        TightBindingModel(grid=model.grid, H=H, params={})
 
 
 def reference_haldane(L, t1, t2, phi, m):

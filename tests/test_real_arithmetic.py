@@ -1,8 +1,11 @@
 """The dtype follows H: a real Hamiltonian is carried in float64 from its
 diagonalization on, a complex one in complex128, and a gauge twin of a real
-model (complex path) gives the same physics as the real path."""
+model (complex path) gives the same physics as the real path.  A complex H
+that obeys the x <-> y mirror S H S = conj(H), such as the Haldane model, is
+diagonalized in real form and gives the physics of the complex eigensolve."""
 
 import csv
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -11,15 +14,22 @@ import pytest
 import wanloc as wl
 from wanloc import cli
 from wanloc.cli import PipelineConfig, run_pipeline
+from wanloc.lattice import xy_mirror
+from wanloc.spectral import Projector
 
-from suite_common import DIS_PARAMS, DIS_SEED
+from suite_common import DIS_PARAMS, DIS_SEED, TOPO_PARAMS
 
 RTOL = 1e-10
+REAL_FORM_TOL = 1e-12
+
+
+def gauge_phases(dimension, seed=3):
+    return np.exp(2j * np.pi * np.random.default_rng(seed).random(dimension))
 
 
 def gauge_twin(model, seed=3):
     """H' = D H D* with a random diagonal phase D: same spectrum, complex H."""
-    d = np.exp(2j * np.pi * np.random.default_rng(seed).random(model.grid.dimension))
+    d = gauge_phases(model.grid.dimension, seed)
     return replace(model, H=d[:, None] * model.H * d.conj()[None, :])
 
 
@@ -84,3 +94,114 @@ def test_site_pair_bins_cached_per_grid():
     assert np.array_equal(d[order][starts], dist)
     assert np.all(np.diff(d[order]) >= 0)
     assert dist[0] == 0.0 and dist[-1] == pytest.approx(4.0 * np.sqrt(2.0))
+
+
+def record_eigh(monkeypatch):
+    """Replace np.linalg.eigh by a recorder; returns the list that each call
+    appends (operand dtype, eigenvalues) to."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recorder(A, *args, **kwargs):
+        out = eigh(A, *args, **kwargs)
+        calls.append((A.dtype, out[0]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigh", recorder)
+    return calls
+
+
+def haldane_draws(count=6, seed=11):
+    """Random (t1, t2, phi, m) with phi away from 0 and pi, so H is complex."""
+    rng = np.random.default_rng(seed)
+    return [(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-1.0, 1.0)),
+             float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, np.pi - 0.2)),
+             float(rng.uniform(-3.0, 3.0))) for _ in range(count)]
+
+
+def shipped_topological():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "haldane_topological.cfg")
+    return cli.build_model(cli.parse_config(path))
+
+
+def test_xy_mirror_swaps_the_coordinates():
+    grid = wl.make_grid(5, 2, ndim=2)
+    s = xy_mirror(grid)
+    assert np.array_equal(grid.x[s], grid.y) and np.array_equal(grid.y[s], grid.x)
+    assert np.array_equal(s % 2, np.arange(grid.dimension) % 2)
+    assert np.array_equal(s[s], np.arange(grid.dimension))
+    assert xy_mirror(wl.make_grid(5, 2, ndim=1)) is None
+
+
+@pytest.mark.parametrize("L, params", [(12, None)] + [(L, p) for L in (4, 7)
+                                                     for p in haldane_draws()])
+def test_haldane_obeys_the_xy_mirror_bitwise(L, params, monkeypatch):
+    """The guard of the real-form eigensolve: a bond-table edit that breaks
+    the mirror makes H fall back to the complex eigh and fails here."""
+    model = (shipped_topological() if params is None
+             else wl.build_haldane(L, *params))
+    H, s = model.H, xy_mirror(model.grid)
+    assert np.any(H.imag)
+    assert np.array_equal(H[s][:, s], H.conj())
+    calls = record_eigh(monkeypatch)
+    wl.fermi_projector(model, 0.0)
+    assert [dtype for dtype, _ in calls] == [np.float64]
+
+
+def topological(L):
+    return wl.build_haldane(L, TOPO_PARAMS["t1"], TOPO_PARAMS["t2"],
+                            TOPO_PARAMS["phi"], TOPO_PARAMS["m"])
+
+
+def complex_reference(model, fermi_energy=0.0):
+    """Eigenvalues and Projector from a direct complex eigh of H."""
+    evals, evecs = np.linalg.eigh(model.H)
+    gap = 2.0 * float(np.min(np.abs(evals - fermi_energy)))
+    return evals, Projector(V=evecs[:, evals < fermi_energy],
+                            fermi_energy=fermi_energy, gap=gap, grid=model.grid)
+
+
+@pytest.mark.parametrize("L", [6, 8])
+def test_real_form_matches_the_complex_eigensolve(L, monkeypatch):
+    model = topological(L)
+    ref_evals, ref = complex_reference(model)
+    calls = record_eigh(monkeypatch)
+    P = wl.fermi_projector(model, 0.0)
+    (dtype, evals), = calls
+    assert dtype == np.float64
+    np.testing.assert_allclose(evals, ref_evals, rtol=0, atol=REAL_FORM_TOL)
+    assert P.rank == ref.rank
+    assert P.gap == pytest.approx(ref.gap, rel=REAL_FORM_TOL)
+    assert P.V.dtype == np.complex128
+    assert np.linalg.norm(P.V.conj().T @ P.V - np.eye(P.rank)) < REAL_FORM_TOL
+    assert np.max(np.abs(P.P - ref.P)) < REAL_FORM_TOL
+    windows = [w for w in (1, 2) if w <= L / 4.0]
+    for got, want in zip(wl.chern_marker(P, windows),
+                         wl.chern_marker(ref, windows), strict=True):
+        assert got.value == pytest.approx(want.value, rel=REAL_FORM_TOL)
+
+
+def perturbed_diagonal(model, seed=5):
+    """The model with a random on-site term, which breaks the mirror."""
+    d = np.random.default_rng(seed).uniform(-0.05, 0.05, model.grid.dimension)
+    return replace(model, H=model.H + np.diag(d))
+
+
+def test_models_without_the_mirror_take_the_complex_path(monkeypatch):
+    topo = topological(8)
+    twin = gauge_twin(topo)
+    chain = gauge_twin(wl.build_ssh_chain(12, t1=1.0, t2=0.45))
+    calls = record_eigh(monkeypatch)
+    for model in (perturbed_diagonal(topo), twin, chain):
+        calls.clear()
+        P = wl.fermi_projector(model, 0.0)
+        assert [dtype for dtype, _ in calls] == [np.complex128]
+        _, ref = complex_reference(model)
+        assert np.max(np.abs(P.P - ref.P)) < REAL_FORM_TOL
+    # the twin's P' = D P D*, with P from the real form of the mirror path
+    d = gauge_phases(topo.grid.dimension)
+    P = wl.fermi_projector(topo, 0.0)
+    twin_P = wl.fermi_projector(twin, 0.0)
+    assert np.max(np.abs(twin_P.P - d[:, None] * P.P * d.conj()[None, :])) \
+        < REAL_FORM_TOL
