@@ -142,6 +142,15 @@ def chern_marker(P: Projector, windows) -> list[ChernReport]:
     Gy = V^H Y V, so one n x n commutator serves every window.  Gx and Gy
     are Hermitian, so Gy Gx = (Gx Gy)^H and the commutator is A - A^H for
     the one product A = Gx Gy.
+
+    A mirror-symmetric H (`P.mirror` is s) is traced in the real form R of
+    its projector, V = U R with U = a I + conj(a) S, a = (1 + i)/2.  S X S
+    = Y gives U^H X U = (X + Y)/2 + (i/2)(S X - X S), so Gx = Rm + iT/2 and
+    Gy = Rm - iT/2 with Rm = R^T ((x + y)/2) R, G = (S R)^T X R and the
+    antisymmetric T = G - G^T, and [Gx, Gy] = -i(Rm T + (Rm T)^T).  Each
+    centred window is mirror-invariant, so chi commutes with U and its
+    trace is taken on the real rows R[win]: the trace is -i times a real
+    number and the imaginary residual is exactly 0.
     """
     grid = P.grid
     if grid.ndim != 2:
@@ -152,15 +161,24 @@ def chern_marker(P: Projector, windows) -> list[ChernReport]:
                                   f"margin < L/4 on an L={L} sample")
     c = (L - 1) / 2.0
     x, y = grid.x, grid.y
-    V = P.V
-    Vh = V.conj().T
-    A = (Vh @ (x[:, None] * V)) @ (Vh @ (y[:, None] * V))
-    C = A - A.conj().T
+    F, s = P.factor, P.mirror
+    if s is None:                       # F is V
+        Fh = F.conj().T
+        A = (Fh @ (x[:, None] * F)) @ (Fh @ (y[:, None] * F))
+        C = A - A.conj().T
+    else:                               # F is R; C is i [Gx, Gy]
+        Rm = F.T @ ((0.5 * (x + y))[:, None] * F)
+        G = F[s].T @ (x[:, None] * F)
+        A = Rm @ (G - G.T)
+        C = A + A.T
     reports = []
     for L_w in windows:
         win = ((x > c - L_w) & (x <= c + L_w)
                & (y > c - L_w) & (y <= c + L_w))
-        tr = complex(np.sum((V[win] @ C) * V[win].conj()))
+        if s is None:
+            tr = complex(np.sum((F[win] @ C) * F[win].conj()))
+        else:
+            tr = -1j * float(np.sum((F[win] @ C) * F[win]))
         val = 2.0 * math.pi * 1j * tr / (2.0 * L_w) ** 2
         residual = abs(float(val.imag))
         if residual > CHERN_IMAG_TOL:

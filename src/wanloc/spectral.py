@@ -71,24 +71,44 @@ def hermitian_norm(A):
 
 @dataclass(frozen=True)
 class Projector:
-    """Fermi projection P = V V^H, carried as its occupied eigenvectors V
-    (orthonormal columns), with gap and grid metadata.  The N x N matrix P
-    is formed on first use and kept."""
+    """Fermi projection P = V V^H, carried as the occupied eigenvectors from
+    `eigh`, with gap and grid metadata.
 
-    V: np.ndarray = field(repr=False)
+    `factor` is what `eigh` returned over the occupied columns.  With
+    `mirror` None it is V itself: float64 for a real H, complex128 for a
+    complex H.  With `mirror` the permutation s of `xy_mirror`, H obeys
+    S H S = conj(H) and `factor` is the float64 R of its real form, so that
+    V = U R for the unitary U = a I + conj(a) S, a = (1 + i)/2.  V and the
+    N x N matrix P are formed on first use and kept.  U is unitary, so
+    V^H V = R^T R and the orthonormality check and the rank read `factor`.
+    """
+
+    factor: np.ndarray = field(repr=False)
     fermi_energy: float
     gap: float
     grid: SiteGrid
+    mirror: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        defect = np.linalg.norm(self.V.conj().T @ self.V - np.eye(self.rank))
+        F = self.factor
+        defect = np.linalg.norm(F.conj().T @ F - np.eye(self.rank))
         if defect > IDEMPOTENCY_TOL:
             raise NotOrthonormalError(
                 f"projector basis not orthonormal: {defect:.3e}")
 
     @property
     def rank(self):
-        return self.V.shape[1]
+        return self.factor.shape[1]
+
+    @cached_property
+    def V(self):
+        """Orthonormal basis of range(P) as columns: `factor`, or U R,
+        a R + conj(a) S R, on the mirror path."""
+        R, s = self.factor, self.mirror
+        if s is None:
+            return R
+        a = 0.5 + 0.5j
+        return a * R + a.conjugate() * R[s]
 
     @cached_property
     def P(self):
@@ -97,7 +117,7 @@ class Projector:
 
     @property
     def Q(self):
-        return np.eye(self.V.shape[0]) - self.P
+        return np.eye(self.factor.shape[0]) - self.P
 
 
 def fermi_projector(model: TightBindingModel, fermi_energy: float) -> Projector:
@@ -110,7 +130,9 @@ def fermi_projector(model: TightBindingModel, fermi_energy: float) -> Projector:
     `xy_mirror`, as for `build_haldane`) is diagonalized in real form too:
     U = a I + conj(a) S with a = (1 + i)/2 is unitary and U^H H U = M =
     Re H - S Im H, which is real symmetric, so `eigh(M)` at real-arithmetic
-    cost gives the eigenvalues of H and, mapped by U, its eigenvectors.
+    cost gives the eigenvalues of H, and its occupied eigenvectors R give
+    those of H as V = U R.  The Projector keeps R with the mirror and forms
+    V only when a stage asks for it; `chern_marker` works on R itself.
     """
     H, s = model.H, None
     if not np.any(H.imag):
@@ -129,12 +151,10 @@ def fermi_projector(model: TightBindingModel, fermi_energy: float) -> Projector:
         raise NoGapError(
             f"E_F={fermi_energy} within 1e-6 of spectrum "
             f"(bracketing eigenvalues {lo}, {hi})")
-    V = evecs[:, evals < fermi_energy]
-    if s is not None:
-        a = 0.5 + 0.5j
-        V = a * V + a.conjugate() * V[s]     # U V: a v + conj(a) S v
-    return Projector(V=V, fermi_energy=fermi_energy,
-                     gap=2.0 * float(dist[nearest]), grid=model.grid)
+    return Projector(factor=evecs[:, evals < fermi_energy],
+                     fermi_energy=fermi_energy,
+                     gap=2.0 * float(dist[nearest]), grid=model.grid,
+                     mirror=s)
 
 
 def _conjugating_mirror(H, grid):

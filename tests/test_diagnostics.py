@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 import wanloc as wl
-from wanloc import diagnostics
+from wanloc import cli, diagnostics
+from wanloc.cli import PipelineConfig
 from wanloc.errors import (ChernResidualError, GaplessModelError,
                            IncompleteBasisError, InsufficientRangeError,
                            OutsideGapSetError, UnsupportedGeometryError,
                            WindowTooLargeError)
-from wanloc.lattice import make_grid
-from wanloc.spectral import Projector, bracket, decay_floor
+from wanloc.lattice import make_grid, xy_mirror
+from wanloc.spectral import Projector, bracket, decay_floor, fermi_projector
 from wanloc.xhat import build_xtilde
+
+from suite_common import TOPO_PARAMS, gauge_twin
 
 RNG_SEED = 1234
 
@@ -353,11 +356,66 @@ def test_chern_marker_matches_full_trace_formula():
         assert abs(rep.value - full) <= 1e-12
 
 
-def test_chern_marker_never_forms_the_projector_matrix():
+def test_chern_marker_never_forms_the_projector_matrix(tmp_path, monkeypatch):
     model = wl.build_haldane(8, 1.0, 1 / 3, np.pi / 2, 0.2)
     P = wl.fermi_projector(model, 0.0)
     wl.chern_marker(P, [1, 2])
     assert "P" not in P.__dict__
+    # the mirror path keeps the real R and forms neither V nor P
+    assert "V" not in P.__dict__
+    assert P.factor.dtype == np.float64
+    assert np.array_equal(P.mirror, xy_mirror(P.grid))
+    made = []
+
+    def recording_projector(*args):
+        made.append(fermi_projector(*args))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "fermi_projector", recording_projector)
+    cfg = PipelineConfig(model_type="haldane", L=8, model_params=TOPO_PARAMS,
+                         seed=0, output_dir=str(tmp_path))
+    cli.run_chern(cfg)
+    (run_P,) = made
+    assert run_P.mirror is not None and run_P.factor.dtype == np.float64
+    assert "V" not in run_P.__dict__ and "P" not in run_P.__dict__
+    # V on demand is bit for bit the U R that fermi_projector once returned
+    a = 0.5 + 0.5j
+    U_R = a * P.factor + a.conjugate() * P.factor[P.mirror]
+    assert P.V.dtype == np.complex128 and P.V.tobytes() == U_R.tobytes()
+    # a real H and a complex H without the mirror keep V as the factor
+    for other in (gauge_twin(model), wl.build_haldane(8, 1.0, 0.0, 0.0, 3.0)):
+        Q = wl.fermi_projector(other, 0.0)
+        assert Q.mirror is None and Q.V is Q.factor
+
+
+def _random_haldane_params(rng, count):
+    """(t1, t2, phi, m) with phi away from {0, pi}; every third mass lies
+    within 2% of the phase boundary m_c = 3 sqrt(3) t2 |sin phi|."""
+    for i in range(count):
+        t1, t2 = rng.uniform(0.5, 1.5), rng.uniform(0.1, 0.5)
+        phi = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, np.pi - 0.1)
+        m_c = 3.0 * np.sqrt(3.0) * t2 * abs(np.sin(phi))
+        m = m_c * rng.uniform(0.98, 1.02) if i % 3 == 0 \
+            else rng.uniform(0.0, 2.0 * m_c)
+        yield t1, t2, phi, m
+
+
+@pytest.mark.parametrize("L", [8, 12])
+def test_real_form_chern_marker_matches_the_complex_formula(L):
+    windows = list(range(1, L // 4 + 1))
+    rng = np.random.default_rng(L)
+    for params in _random_haldane_params(rng, 6):
+        P = wl.fermi_projector(wl.build_haldane(L, *params), 0.0)
+        assert P.mirror is not None
+        got = wl.chern_marker(P, windows)
+        # the same projector carried as its complex V: the complex formula
+        complex_P = Projector(factor=P.V, fermi_energy=0.0, gap=P.gap,
+                              grid=P.grid)
+        want = wl.chern_marker(complex_P, windows)
+        for g, w in zip(got, want, strict=True):
+            assert g.value == pytest.approx(w.value, rel=1e-12, abs=1e-12)
+            assert (g.window, g.trace_terms) == (w.window, w.trace_terms)
+            assert g.imag_residual == 0.0
 
 
 def test_chern_marker_imaginary_residual_is_typed(monkeypatch, trivial_projectors):
@@ -505,7 +563,7 @@ def test_sqrt_bound_survey_atomic_closed_form():
     grid = make_grid(4, 1, ndim=2)
     N = grid.dimension
     V = np.eye(N, 1, dtype=complex)     # occupied site at x = 0
-    proj = Projector(V=V, fermi_energy=0.0, gap=1.0, grid=grid)
+    proj = Projector(factor=V, fermi_energy=0.0, gap=1.0, grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=V.copy(),
                                        centers=np.zeros((1, 2)), grid=grid,
                                        degeneracy=np.ones(1, dtype=int))
@@ -517,8 +575,8 @@ def test_sqrt_bound_survey_atomic_closed_form():
 def test_sqrt_bound_survey_empty_projector():
     grid = make_grid(4, 1, ndim=2)
     N = grid.dimension
-    proj = Projector(V=np.zeros((N, 0), dtype=complex), fermi_energy=-10.0,
-                     gap=1.0, grid=grid)
+    proj = Projector(factor=np.zeros((N, 0), dtype=complex),
+                     fermi_energy=-10.0, gap=1.0, grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.zeros((N, 0), dtype=complex),
                                        centers=np.zeros((0, 2)), grid=grid,
                                        degeneracy=np.ones(0, dtype=int))

@@ -24,7 +24,7 @@ from suite_common import DIS_PARAMS, DIS_SEED, TOPO_PARAMS, centroid
 def projector_on(grid, columns):
     """Rank-k projector onto the given unit coordinate directions."""
     V = np.eye(grid.dimension, dtype=complex)[:, list(columns)]
-    return Projector(V=V, fermi_energy=0.0, gap=1.0, grid=grid)
+    return Projector(factor=V, fermi_energy=0.0, gap=1.0, grid=grid)
 
 
 # --- projected spectra -------------------------------------------------------
@@ -41,7 +41,7 @@ def test_projected_spectrum_full_projector_gives_coordinates():
 def test_projected_spectrum_rank_one():
     grid = make_grid(3, 1, ndim=1)
     v = np.array([0.6, 0.8, 0.0], dtype=complex)
-    P = Projector(V=v[:, None], fermi_energy=0.0, gap=1.0, grid=grid)
+    P = Projector(factor=v[:, None], fermi_energy=0.0, gap=1.0, grid=grid)
     X = np.diag(grid.x.astype(float))
     evals, _ = wl.projected_spectrum(P, X)
     assert evals.shape == (1,)
@@ -399,7 +399,7 @@ def test_initial_basis_atomic_gives_deltas():
 def test_initial_basis_rank_one_phase_convention():
     grid = make_grid(3, 1, ndim=1)
     v = np.array([0.6, -0.8j, 0.0])
-    P = Projector(V=v[:, None], fermi_energy=0.0, gap=1.0, grid=grid)
+    P = Projector(factor=v[:, None], fermi_energy=0.0, gap=1.0, grid=grid)
     basis = wl.initial_basis(P)
     lead = basis.psi[np.argmax(np.abs(basis.psi[:, 0])), 0]
     assert lead.imag == pytest.approx(0.0, abs=1e-12)

@@ -17,20 +17,11 @@ from wanloc.cli import PipelineConfig, run_pipeline
 from wanloc.lattice import xy_mirror
 from wanloc.spectral import Projector
 
-from suite_common import DIS_PARAMS, DIS_SEED, TOPO_PARAMS
+from suite_common import (DIS_PARAMS, DIS_SEED, TOPO_PARAMS, gauge_phases,
+                          gauge_twin)
 
 RTOL = 1e-10
 REAL_FORM_TOL = 1e-12
-
-
-def gauge_phases(dimension, seed=3):
-    return np.exp(2j * np.pi * np.random.default_rng(seed).random(dimension))
-
-
-def gauge_twin(model, seed=3):
-    """H' = D H D* with a random diagonal phase D: same spectrum, complex H."""
-    d = gauge_phases(model.grid.dimension, seed)
-    return replace(model, H=d[:, None] * model.H * d.conj()[None, :])
 
 
 def test_dtype_follows_hamiltonian(dis8_stack, topo8_stack, dis12_report):
@@ -158,8 +149,9 @@ def complex_reference(model, fermi_energy=0.0):
     """Eigenvalues and Projector from a direct complex eigh of H."""
     evals, evecs = np.linalg.eigh(model.H)
     gap = 2.0 * float(np.min(np.abs(evals - fermi_energy)))
-    return evals, Projector(V=evecs[:, evals < fermi_energy],
-                            fermi_energy=fermi_energy, gap=gap, grid=model.grid)
+    return evals, Projector(factor=evecs[:, evals < fermi_energy],
+                                 fermi_energy=fermi_energy, gap=gap,
+                                 grid=model.grid)
 
 
 @pytest.mark.parametrize("L", [6, 8])

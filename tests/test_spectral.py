@@ -59,7 +59,17 @@ def test_projector_invariants_across_builders(dis_projectors, trivial_projectors
 def test_projector_rejects_non_orthonormal_basis(V):
     grid = make_grid(2, 1, ndim=1)
     with pytest.raises(NotOrthonormalError):
-        Projector(V=V, fermi_energy=0.0, gap=1.0, grid=grid)
+        Projector(factor=V, fermi_energy=0.0, gap=1.0, grid=grid)
+
+
+def test_mirror_projector_checks_orthonormality_of_its_factor():
+    # U is unitary, so the check reads R^T R - I on the stored real factor
+    P = wl.fermi_projector(wl.build_haldane(8, 1.0, 1 / 3, np.pi / 2, 0.2), 0.0)
+    R = P.factor.copy()
+    R[0, 0] += 1e-6
+    with pytest.raises(NotOrthonormalError, match="not orthonormal"):
+        Projector(factor=R, fermi_energy=0.0, gap=P.gap, grid=P.grid,
+                  mirror=P.mirror)
 
 
 def test_tilt_zero_gamma_is_identity():

@@ -51,8 +51,8 @@ def test_xtilde_atomic_equals_position():
 def test_xtilde_single_function_origin_center():
     grid = SiteGrid(width=1, orbitals_per_site=1, ndim=2,
                     x=np.array([0]), y=np.array([0]))
-    P = Projector(V=np.eye(1, dtype=complex), fermi_energy=0.0, gap=1.0,
-                  grid=grid)
+    P = Projector(factor=np.eye(1, dtype=complex), fermi_energy=0.0,
+                  gap=1.0, grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.eye(1, dtype=complex),
                                        centers=np.zeros((1, 2)), grid=grid,
                                        degeneracy=np.ones(1, dtype=int))
@@ -290,8 +290,8 @@ def test_gap_set_membership_and_midpoints():
 def test_sqrt_resolvent_single_function():
     grid = SiteGrid(width=1, orbitals_per_site=1, ndim=2,
                     x=np.array([0]), y=np.array([0]))
-    P = Projector(V=np.eye(1, dtype=complex), fermi_energy=0.0, gap=1.0,
-                  grid=grid)
+    P = Projector(factor=np.eye(1, dtype=complex), fermi_energy=0.0,
+                  gap=1.0, grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.eye(1, dtype=complex),
                                        centers=np.zeros((1, 2)), grid=grid,
                                        degeneracy=np.ones(1, dtype=int))
@@ -302,8 +302,8 @@ def test_sqrt_resolvent_single_function():
 def test_sqrt_resolvent_empty_projector_is_scaled_identity():
     grid = make_grid(4, 1, ndim=2)
     N = grid.dimension
-    P = Projector(V=np.zeros((N, 0), dtype=complex), fermi_energy=-10.0,
-                  gap=1.0, grid=grid)
+    P = Projector(factor=np.zeros((N, 0), dtype=complex),
+                  fermi_energy=-10.0, gap=1.0, grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.zeros((N, 0), dtype=complex),
                                        centers=np.zeros((0, 2)), grid=grid,
                                        degeneracy=np.ones(0, dtype=int))
