@@ -27,7 +27,8 @@ from .dichotomy import (GapStructure, check_bounded_density, detect_uniform_gaps
 from .errors import ConfigError, WanlocError, WindowTooLargeError
 from .lattice import (build_atomic, build_disordered_insulator, build_haldane,
                       build_ssh_chain, make_grid, position_operators)
-from .spectral import InsufficientRangeError, fermi_projector, kernel_decay_fit
+from .spectral import (InsufficientRangeError, eigh_projector, fermi_projector,
+                       kernel_decay_fit, projector_operand)
 from .xhat import (FilterSpec, build_xhat, build_xtilde, certificate_coupling,
                    closeness_norm, gap_certificate, gap_distance,
                    gap_midpoints, tilt_lipschitz)
@@ -574,10 +575,14 @@ def run_chern(cfg: PipelineConfig, out_dir=None):
     model = build_model(cfg)
     if model.grid.ndim != 2:
         raise ConfigError("chern requires a 2-D model")
-    P = fermi_projector(model, cfg.fermi_energy)
+    grid, p = model.grid, model.params
+    A, mirror = projector_operand(model)
+    # nothing reads H from here on: on the mirror path dropping the model
+    # frees the complex H before eigh allocates its buffers
+    del model
+    P = eigh_projector(A, mirror, grid, cfg.fermi_energy)
     oracle = ""
     if cfg.model_type in ("haldane", "atomic"):
-        p = model.params
         oracle = diagnostics.chern_number_kspace(p["t1"], p["t2"], p["phi"],
                                                  p["m"])
     reports = _chern_reports(cfg, P)

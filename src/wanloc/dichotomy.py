@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (IllConditionedSelectionError, IncompleteBasisError,
                      LapackError, NumericalDegeneracyError)
-from .lattice import SiteGrid
+from .lattice import SiteGrid, row_slabs
 from .spectral import (InsufficientRangeError, Projector, bracket,
                        matrix_decay_fit, operator_norm, tilt_weights)
 # unused here; perfbench/tracing.py TRACED binds these names in this module
@@ -84,7 +84,12 @@ class GeneralizedWannierBasis:
         return float(np.linalg.norm(G - np.eye(self.n_functions)))
 
     def completeness_defect(self, P):
-        return float(np.linalg.norm(self.psi @ self.psi.conj().T - np.asarray(P)))
+        """Frobenius norm of Psi Psi^H - P, summed a row slab at a time, so
+        that no N x N Psi Psi^H is formed."""
+        psi, P = self.psi, np.asarray(P)
+        psi_h = psi.conj().T
+        return math.sqrt(sum(np.linalg.norm(psi[r] @ psi_h - P[r]) ** 2
+                             for r in row_slabs(len(P))))
 
 
 def density_centroids(W, grid: SiteGrid):

@@ -104,8 +104,13 @@ class TightBindingModel:
     def __post_init__(self):
         H = self.H
         scale = max(np.linalg.norm(H), 1.0)
-        defect = math.sqrt(sum(np.linalg.norm(H[r] - H[:, r].conj().T) ** 2
-                               for r in row_slabs(len(H))))
+        # ||H - H^H||_F over square slab pairs (a, b), a <= b: the pair
+        # (b, a) has the same norm, so each off-diagonal pair counts twice
+        slabs = row_slabs(len(H))
+        defect = math.sqrt(sum(
+            (1 if i == j else 2)
+            * np.linalg.norm(H[a, b] - H[b, a].conj().T) ** 2
+            for i, a in enumerate(slabs) for j, b in enumerate(slabs[i:], i)))
         if defect > HERMITICITY_RTOL * scale:
             raise NotHermitianError(
                 f"Hamiltonian not Hermitian: defect {defect:.3e}")

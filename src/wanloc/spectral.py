@@ -121,26 +121,54 @@ class Projector:
 
 
 def fermi_projector(model: TightBindingModel, fermi_energy: float) -> Projector:
-    """Spectral projector onto eigenstates below the Fermi energy.
+    """Spectral projector onto eigenstates below the Fermi energy: the
+    operand step `projector_operand` followed by the eigensolve step
+    `eigh_projector`.  A caller that holds nothing else of the model can
+    drop it between the two steps, as `wanloc chern` does, so that on the
+    mirror path the complex H is freed before `eigh` allocates its buffers.
+    """
+    A, mirror = projector_operand(model)
+    return eigh_projector(A, mirror, model.grid, fermi_energy)
+
+
+def projector_operand(model: TightBindingModel):
+    """The matrix that `eigh_projector` diagonalizes, and the mirror
+    permutation s of `xy_mirror` (or None) that maps its eigenvectors back
+    to those of H.
 
     A Hamiltonian with identically zero imaginary part is diagonalized as a
-    real symmetric matrix, so V, and everything later built from it, is
-    float64; otherwise V is complex128.  A complex H on a sheet that obeys
-    the x <-> y mirror S H S = conj(H) bitwise (S the permutation matrix of
-    `xy_mirror`, as for `build_haldane`) is diagonalized in real form too:
-    U = a I + conj(a) S with a = (1 + i)/2 is unitary and U^H H U = M =
-    Re H - S Im H, which is real symmetric, so `eigh(M)` at real-arithmetic
-    cost gives the eigenvalues of H, and its occupied eigenvectors R give
-    those of H as V = U R.  The Projector keeps R with the mirror and forms
+    real symmetric matrix: the operand is the view H.real, so V, and
+    everything later built from it, is float64.  A complex H on a sheet
+    that obeys the x <-> y mirror S H S = conj(H) bitwise (S the
+    permutation matrix of `xy_mirror`, as for `build_haldane`) is
+    diagonalized in real form too: U = a I + conj(a) S with a = (1 + i)/2
+    is unitary and U^H H U = M = Re H - S Im H, which is real symmetric, so
+    `eigh(M)` at real-arithmetic cost gives the eigenvalues of H, and its
+    occupied eigenvectors R give those of H as V = U R.  Any other complex
+    H is its own operand, and V is complex128.
+
+    Only on the mirror path is the operand a new array: M holds no
+    reference to H, so a caller that drops the model frees H, and the peak
+    of the eigensolve is M plus `eigh`'s buffers.  The other operands share
+    H's memory, and no copy is made to change that.
+    """
+    H = model.H
+    if not np.any(H.imag):
+        return H.real, None
+    s = _conjugating_mirror(H, model.grid)
+    if s is None:
+        return H, None
+    M = H.imag[s]
+    return np.subtract(H.real, M, out=M), s
+
+
+def eigh_projector(A, mirror, grid: SiteGrid, fermi_energy: float) -> Projector:
+    """The Projector of the operand A and mirror from `projector_operand`:
+    one `eigh(A)`, whose eigenvectors below the Fermi energy become the
+    Projector's `factor`.  The Projector keeps R with the mirror and forms
     V only when a stage asks for it; `chern_marker` works on R itself.
     """
-    H, s = model.H, None
-    if not np.any(H.imag):
-        H = H.real
-    elif (s := _conjugating_mirror(H, model.grid)) is not None:
-        M = H.imag[s]
-        H = np.subtract(H.real, M, out=M)
-    evals, evecs = np.linalg.eigh(H)
+    evals, evecs = np.linalg.eigh(A)
     dist = np.abs(evals - fermi_energy)
     nearest = int(np.argmin(dist))
     if dist[nearest] < 1e-6:
@@ -151,10 +179,11 @@ def fermi_projector(model: TightBindingModel, fermi_energy: float) -> Projector:
         raise NoGapError(
             f"E_F={fermi_energy} within 1e-6 of spectrum "
             f"(bracketing eigenvalues {lo}, {hi})")
+    # a gather, not the view evecs[:, :n]: a view would keep all N columns
+    # alive for as long as the Projector lives
     return Projector(factor=evecs[:, evals < fermi_energy],
                      fermi_energy=fermi_energy,
-                     gap=2.0 * float(dist[nearest]), grid=model.grid,
-                     mirror=s)
+                     gap=2.0 * float(dist[nearest]), grid=grid, mirror=mirror)
 
 
 def _conjugating_mirror(H, grid):

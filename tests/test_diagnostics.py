@@ -9,7 +9,7 @@ from wanloc.errors import (ChernResidualError, GaplessModelError,
                            OutsideGapSetError, UnsupportedGeometryError,
                            WindowTooLargeError)
 from wanloc.lattice import make_grid, xy_mirror
-from wanloc.spectral import Projector, bracket, decay_floor, fermi_projector
+from wanloc.spectral import Projector, bracket, decay_floor, eigh_projector
 from wanloc.xhat import build_xtilde
 
 from suite_common import TOPO_PARAMS, gauge_twin
@@ -368,10 +368,10 @@ def test_chern_marker_never_forms_the_projector_matrix(tmp_path, monkeypatch):
     made = []
 
     def recording_projector(*args):
-        made.append(fermi_projector(*args))
+        made.append(eigh_projector(*args))
         return made[-1]
 
-    monkeypatch.setattr(cli, "fermi_projector", recording_projector)
+    monkeypatch.setattr(cli, "eigh_projector", recording_projector)
     cfg = PipelineConfig(model_type="haldane", L=8, model_params=TOPO_PARAMS,
                          seed=0, output_dir=str(tmp_path))
     cli.run_chern(cfg)

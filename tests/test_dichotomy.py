@@ -15,7 +15,7 @@ from wanloc import dichotomy
 from wanloc.cli import _delta_step
 from wanloc.dichotomy import attach_moments, density_centroids, fix_phases
 from wanloc.errors import LapackError, NumericalDegeneracyError
-from wanloc.lattice import make_grid
+from wanloc.lattice import ROW_SLAB, make_grid
 from wanloc.spectral import Projector, bracket, range_basis, tilt_operator
 
 from suite_common import DIS_PARAMS, DIS_SEED, TOPO_PARAMS, centroid
@@ -413,6 +413,30 @@ def test_initial_basis_orthonormal_complete_with_bounded_moments(dis_projectors)
     assert basis.completeness_defect(P.P) <= 1e-8
     # uniform moment bound across functions (pilot value 1.04)
     assert basis.moments[3.0].max() <= 2.0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_completeness_defect_matches_the_dense_formula(dtype):
+    """Summed a row slab at a time, the defect is the Frobenius norm of the
+    dense Psi Psi^H - P, for a P that spans more than two slabs."""
+    rng = np.random.default_rng(11)
+    grid = make_grid(12, 2)
+    N, n = grid.dimension, 100
+    assert N > 2 * ROW_SLAB
+    A = rng.standard_normal((N, n)).astype(dtype)
+    E = rng.standard_normal((N, N)).astype(dtype)
+    if dtype is np.complex128:
+        A += 1j * rng.standard_normal((N, n))
+        E += 1j * rng.standard_normal((N, N))
+    psi = np.linalg.qr(A)[0]
+    P = psi @ psi.conj().T + 1e-6 * (E + E.conj().T)
+    basis = wl.GeneralizedWannierBasis(psi=psi, centers=np.zeros((n, 2)),
+                                       grid=grid)
+    dense = np.linalg.norm(psi @ psi.conj().T - P)
+    # two sums of N^2 squares in different orders: over 150 seeds they
+    # differ by up to 2.7e-15 relative, while a lost slab moves the norm
+    # by O(1)
+    assert basis.completeness_defect(P) == pytest.approx(dense, rel=1e-14)
 
 
 def test_initial_basis_pxp_mode_matches_projected_spectrum_1d(ssh24):

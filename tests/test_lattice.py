@@ -179,18 +179,23 @@ def test_model_rejects_non_hermitian_hamiltonian():
 @pytest.mark.parametrize("eps, hermitian", [(1e-14, True), (1e-9, False)])
 def test_hermiticity_defect_spans_every_row_slab(eps, hermitian):
     """The defect is the Frobenius norm of H - H^H over all rows, also for a
-    defect past the first ROW_SLAB rows (N = 200 here)."""
+    defect past the first ROW_SLAB rows (N = 200 here): in the lower and the
+    upper triangle of the off-diagonal slab pair, and in the diagonal block
+    of the ragged last slab."""
     model = wl.build_haldane(10, 1.0, 1.0 / 3.0, np.pi / 2.0, 0.2)
-    H = model.H.copy()
-    assert len(H) > ROW_SLAB
-    H[len(H) - 1, 3] += eps
-    assert (np.linalg.norm(H - H.conj().T) <= HERMITICITY_RTOL
-            * np.linalg.norm(H)) == hermitian
-    if hermitian:
-        TightBindingModel(grid=model.grid, H=H, params={})
-        return
-    with pytest.raises(NotHermitianError, match=f"{np.sqrt(2.0) * eps:.3e}"):
-        TightBindingModel(grid=model.grid, H=H, params={})
+    N = len(model.H)
+    assert N > ROW_SLAB
+    for row, col in ((N - 1, 3), (3, N - 1), (N - 1, 130)):
+        H = model.H.copy()
+        H[row, col] += eps
+        assert (np.linalg.norm(H - H.conj().T) <= HERMITICITY_RTOL
+                * np.linalg.norm(H)) == hermitian
+        if hermitian:
+            TightBindingModel(grid=model.grid, H=H, params={})
+            continue
+        with pytest.raises(NotHermitianError,
+                           match=f"{np.sqrt(2.0) * eps:.3e}"):
+            TightBindingModel(grid=model.grid, H=H, params={})
 
 
 def reference_haldane(L, t1, t2, phi, m):

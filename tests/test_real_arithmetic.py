@@ -6,6 +6,7 @@ diagonalized in real form and gives the physics of the complex eigensolve."""
 
 import csv
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ import wanloc as wl
 from wanloc import cli
 from wanloc.cli import PipelineConfig, run_pipeline
 from wanloc.lattice import xy_mirror
-from wanloc.spectral import Projector
+from wanloc.spectral import Projector, eigh_projector, projector_operand
 
 from suite_common import (DIS_PARAMS, DIS_SEED, TOPO_PARAMS, gauge_phases,
                           gauge_twin)
@@ -197,3 +198,47 @@ def test_models_without_the_mirror_take_the_complex_path(monkeypatch):
     twin_P = wl.fermi_projector(twin, 0.0)
     assert np.max(np.abs(twin_P.P - d[:, None] * P.P * d.conj()[None, :])) \
         < REAL_FORM_TOL
+
+
+def test_chern_frees_the_hamiltonian_before_its_eigensolve(tmp_path,
+                                                           monkeypatch):
+    """`run_chern` drops the model once the real operand M exists, so the
+    complex H is gone when the one N x N eigh allocates its buffers."""
+    refs, dense = [], []
+    build, eigh = cli.build_model, np.linalg.eigh
+
+    def recording_build(cfg):
+        model = build(cfg)
+        refs.append(weakref.ref(model.H))
+        return model
+
+    def recorder(A, *args, **kwargs):
+        if A.ndim == 2:     # not the k-space oracle's stack of 2 x 2 blocks
+            dense.append((A.dtype, refs[-1]() is None))
+        return eigh(A, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_model", recording_build)
+    monkeypatch.setattr(np.linalg, "eigh", recorder)
+    cfg = PipelineConfig(model_type="haldane", L=8, model_params=TOPO_PARAMS,
+                         seed=0, output_dir=str(tmp_path))
+    cli.run_chern(cfg)
+    assert dense == [(np.float64, True)]
+
+
+@pytest.mark.parametrize("kind", ["real", "mirror", "twin"])
+def test_eigensolve_step_is_the_fermi_projector(kind):
+    """`fermi_projector` is the operand step followed by the eigensolve
+    step, bit for bit, on each of the three operands."""
+    topo = topological(8)
+    model = {"real": wl.build_haldane(8, 1.0, 0.0, 0.0, 3.0), "mirror": topo,
+             "twin": gauge_twin(topo)}[kind]
+    A, mirror = projector_operand(model)
+    assert A.dtype == (np.complex128 if kind == "twin" else np.float64)
+    assert (mirror is not None) == (kind == "mirror")
+    got = eigh_projector(A, mirror, model.grid, 0.0)
+    want = wl.fermi_projector(model, 0.0)
+    assert got.factor.dtype == want.factor.dtype
+    assert got.factor.shape == want.factor.shape
+    assert got.factor.tobytes() == want.factor.tobytes()
+    assert got.gap == want.gap and got.grid is want.grid
+    assert np.array_equal(got.mirror, want.mirror)
