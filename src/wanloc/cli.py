@@ -237,16 +237,18 @@ def _delta_step(xt, delta, lambdas, keep_vectors=True):
     fix_phases(W U), formed only at the width the run keeps.  The
     certificate norms come first: U is computed only when every certificate
     passes, the one case in which a run can keep the width, and when
-    `keep_vectors` asks for it; it is None otherwise."""
-    xh = build_xhat(xt, FilterSpec(delta))
-    K = certificate_coupling(xt, xh)
+    `keep_vectors` asks for it; it is None otherwise.  K is taken from the
+    filter defect before X-hat is formed, so the step holds one new N x N
+    array, X-hat itself."""
+    spec = FilterSpec(delta)
+    K = certificate_coupling(xt, spec)
     m1 = xt.basis.m1
     certs = [gap_certificate(K, m1, None, lam, delta) for lam in lambdas]
     spectrum, U = hermitian_eigh(
         np.diag(m1) + K, vectors=keep_vectors and all(c.passed for c in certs))
     certs = [replace(c, min_gap_distance=gap_distance(spectrum, c.lam))
              for c in certs]
-    return xh, spectrum, U, certs
+    return build_xhat(xt, spec), spectrum, U, certs
 
 
 def _fit_passes(fit):
@@ -290,6 +292,8 @@ def construct(cfg: PipelineConfig) -> RunReport:
         grid, xt = report.model.grid, report.xtilde
         lambdas = gap_midpoints(0.0, grid.width - 1.0)
         for delta in cfg.delta_list:
+            # the last width's X-hat goes before this one's is formed
+            xh = None
             xh, spectrum, U, certs = _delta_step(xt, delta, lambdas)
             report.certificates.extend(certs)
             gaps = detect_uniform_gaps(spectrum, cfg.d_min, cfg.d_max)
@@ -327,7 +331,7 @@ def construct(cfg: PipelineConfig) -> RunReport:
                                         centers=np.vstack(ctr_blocks), grid=grid)
         report.basis_final = final
         ortho = final.orthonormality_defect()
-        complete = final.completeness_defect(report.projector.P)
+        complete = final.completeness_defect(report.projector)
         stages["wannierize"] = f"ok ortho={ortho:.3e} complete={complete:.3e}"
 
         all_fits_ok = all(_fit_passes(f) for f in report.final_fits)

@@ -4,8 +4,8 @@ per-band wannierization.
 The pipeline here turns an algebraically localized orthonormal basis of
 range(P) into per-band position eigenfunctions: cluster the spectrum of a
 projected position operator P A P, split its eigenvectors into one block
-V_j per cluster (the band projector P_j = V_j V_j^H), then diagonalize the
-transverse position inside each band.
+V_j per cluster (the band projector P_j = V_j V_j^H, read through V_j and
+never formed), then diagonalize the transverse position inside each band.
 """
 
 import ctypes
@@ -22,12 +22,14 @@ from .errors import (IllConditionedSelectionError, IncompleteBasisError,
                      LapackError, NumericalDegeneracyError)
 from .lattice import SiteGrid, row_slabs
 from .spectral import (InsufficientRangeError, Projector, bracket,
-                       matrix_decay_fit, operator_norm, tilt_weights)
+                       envelope_decay_fit, factor_envelope, operator_norm,
+                       tilt_weights)
 # unused here; perfbench/tracing.py TRACED binds these names in this module
-from .spectral import range_basis, tilt_operator  # noqa: F401
+from .spectral import matrix_decay_fit, range_basis, tilt_operator  # noqa: F401
 
 BAND_TOL = 1e-8
 SELECTION_COND_MAX = 1e8
+PIVOT_TILT = 1e-10
 DENSITY_BLOCK_PAIRS = 1 << 18
 
 
@@ -85,11 +87,18 @@ class GeneralizedWannierBasis:
 
     def completeness_defect(self, P):
         """Frobenius norm of Psi Psi^H - P, summed a row slab at a time, so
-        that no N x N Psi Psi^H is formed."""
-        psi, P = self.psi, np.asarray(P)
+        that no N x N matrix is formed.  P is a `Projector`, whose rows are
+        taken as V[r] V^H from its factor, or a dense N x N matrix."""
+        psi = self.psi
         psi_h = psi.conj().T
-        return math.sqrt(sum(np.linalg.norm(psi[r] @ psi_h - P[r]) ** 2
-                             for r in row_slabs(len(P))))
+        slabs = row_slabs(len(psi))
+        if isinstance(P, Projector):
+            V_h = P.V.conj().T
+            rows = (P.V[r] @ V_h for r in slabs)
+        else:
+            rows = (np.asarray(P)[r] for r in slabs)
+        return math.sqrt(sum(np.linalg.norm(psi[r] @ psi_h - p) ** 2
+                             for r, p in zip(slabs, rows)))
 
 
 def density_centroids(W, grid: SiteGrid):
@@ -206,7 +215,8 @@ def band_projectors(vecs, gaps: GapStructure, grid: SiteGrid) -> BandDecompositi
     profiles = []
     for V in blocks:
         try:
-            profiles.append(matrix_decay_fit(V @ V.conj().T, grid))
+            profiles.append(envelope_decay_fit(*factor_envelope(V, grid),
+                                               grid))
         except InsufficientRangeError:
             profiles.append(None)
     return BandDecomposition(vectors=blocks, decay_profiles=profiles)
@@ -371,7 +381,12 @@ def initial_basis(P: Projector, mode="columns") -> GeneralizedWannierBasis:
     of P, then symmetric orthonormalization.  The selected columns are
     A = V C with the n x n C = V[cols]^H, and A^H A = C^H C, so for
     C = U S Z^H the orthonormalized columns are V U Z^H (the polar factor of
-    C carried by V) and cond(A) = cond(C).  mode "pxp-eigen": eigenfunctions
+    C carried by V) and cond(A) = cond(C).  The pivots are taken on the
+    rows of V scaled by 1 + PIVOT_TILT * i / N: columns of P whose norms tie
+    exactly (mirror images under a symmetry of H) then break by index, by a
+    margin far above the rounding that the BLAS thread count moves, so the
+    selection does not depend on it.  The SVD and W use V unscaled.
+    mode "pxp-eigen": eigenfunctions
     of P X P (the 1-D construction; in 2-D it is kept as the deliberately
     failure-prone route).
     """
@@ -380,7 +395,8 @@ def initial_basis(P: Projector, mode="columns") -> GeneralizedWannierBasis:
     grid = P.grid
     if mode == "columns":
         V = P.V
-        cols = np.sort(_qr_pivots(V.conj().T)[:P.rank])
+        tilt = 1.0 + PIVOT_TILT * np.arange(len(V)) / len(V)
+        cols = np.sort(_qr_pivots(V.conj().T * tilt)[:P.rank])
         U, sv, Zh = np.linalg.svd(V[cols].conj().T)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
         if cond > SELECTION_COND_MAX:

@@ -6,15 +6,19 @@ row-major complex128 entries as (re, im) float64 pairs.
 
 import os
 import struct
+from itertools import chain
 
 import numpy as np
+
+from .lattice import row_slabs
 
 WDMX_MAGIC = b"WDMX"
 
 
-def _write_atomic(path, *chunks):
-    """Write the byte `chunks` to a temp file beside `path`, then rename it
-    into place; the directory is made on the first write into it."""
+def _write_atomic(path, chunks):
+    """Write the byte `chunks`, an iterable consumed as it is written, to a
+    temp file beside `path`, then rename it into place; the directory is
+    made on the first write into it."""
     os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
@@ -24,11 +28,16 @@ def _write_atomic(path, *chunks):
 
 
 def write_matrix(path, matrix):
-    """Dump a matrix to WDMX, atomically (write temp, then rename)."""
-    m = np.ascontiguousarray(matrix, dtype="<c16")
+    """Dump a matrix to WDMX, atomically (write temp, then rename).  The
+    entries are converted to complex128 and written a row slab at a time,
+    so a real matrix gets no complex copy of its whole."""
+    m = np.asarray(matrix)
     if m.ndim != 2:
         raise ValueError("WDMX stores 2-D matrices only")
-    _write_atomic(path, WDMX_MAGIC, struct.pack("<QQ", *m.shape), m.data)
+    rows = (np.ascontiguousarray(m[r], dtype="<c16").data
+            for r in row_slabs(len(m)))
+    _write_atomic(path, chain((WDMX_MAGIC, struct.pack("<QQ", *m.shape)),
+                              rows))
 
 
 def read_matrix(path):
@@ -69,4 +78,4 @@ def write_csv(path, header, rows, meta=None):
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
-    _write_atomic(path, ("\n".join(lines) + "\n").encode())
+    _write_atomic(path, [("\n".join(lines) + "\n").encode()])

@@ -79,11 +79,11 @@ def xy_mirror(grid):
     return index.transpose(1, 0, 2).ravel()
 
 
-def row_slabs(n):
-    """Slices of at most ROW_SLAB consecutive rows that cover range(n), so
-    that a check of an n x n matrix, taken a slab at a time, makes no n x n
+def row_slabs(n, size=ROW_SLAB):
+    """Slices of at most `size` consecutive rows that cover range(n), so
+    that work on an n x n matrix, taken a slab at a time, makes no n x n
     temporary."""
-    return [slice(i, i + ROW_SLAB) for i in range(0, n, ROW_SLAB)]
+    return [slice(i, i + size) for i in range(0, n, size)]
 
 
 def make_grid(width, orbitals_per_site, ndim=2):

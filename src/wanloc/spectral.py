@@ -8,7 +8,8 @@ import numpy as np
 
 from .errors import (InsufficientRangeError, NoGapError, NotOrthonormalError,
                      TiltTooLargeError)
-from .lattice import SiteGrid, TightBindingModel, row_slabs, xy_mirror
+from .lattice import (ROW_SLAB, SiteGrid, TightBindingModel, row_slabs,
+                      xy_mirror)
 
 IDEMPOTENCY_TOL = 1e-10
 DECAY_FLOOR_FACTOR = 2000.0
@@ -78,9 +79,14 @@ class Projector:
     `mirror` None it is V itself: float64 for a real H, complex128 for a
     complex H.  With `mirror` the permutation s of `xy_mirror`, H obeys
     S H S = conj(H) and `factor` is the float64 R of its real form, so that
-    V = U R for the unitary U = a I + conj(a) S, a = (1 + i)/2.  V and the
-    N x N matrix P are formed on first use and kept.  U is unitary, so
-    V^H V = R^T R and the orthonormality check and the rank read `factor`.
+    V = U R for the unitary U = a I + conj(a) S, a = (1 + i)/2.  V is
+    formed on first use and kept.  U is unitary, so V^H V = R^T R and the
+    orthonormality check and the rank read `factor`.
+
+    Every stage reads range(P) through V alone.  The N x N matrices P and
+    Q = I - P are formed anew on each read and kept by nothing: they serve
+    the tests, the test-only `sqrt_resolvent` and the completeness gate of
+    perfbench, and no stage of `construct`, `verify` or `chern` reads them.
     """
 
     factor: np.ndarray = field(repr=False)
@@ -110,7 +116,7 @@ class Projector:
         a = 0.5 + 0.5j
         return a * R + a.conjugate() * R[s]
 
-    @cached_property
+    @property
     def P(self):
         P = self.V @ self.V.conj().T
         return 0.5 * (P + P.conj().T)
@@ -278,10 +284,33 @@ def kernel_envelope(matrix, grid: SiteGrid):
     distances realised on the integer lattice (`SiteGrid.site_pair_bins`).
     Returns (dist, mags) sorted by distance.
     """
-    A = np.asarray(matrix)
+    return _binned_envelope(
+        _site_maxima(np.asarray(matrix), grid.orbitals_per_site), grid)
+
+
+def factor_envelope(V, grid: SiteGrid):
+    """`kernel_envelope` of V V^H, for an N x r factor V (the basis of
+    range(P), or a band block V_j), with no N x N array: V V^H is formed
+    for one slab of sites at a time and reduced at once into the site x
+    site magnitudes that are binned.  A real V keeps every slab float64.
+    """
     o = grid.orbitals_per_site
-    mags = reduce(np.maximum, (np.abs(A[a::o, b::o])
+    n_sites = len(V) // o
+    Vh = V.conj().T
+    mags = np.empty((n_sites, n_sites))
+    for s in row_slabs(n_sites, max(ROW_SLAB // o, 1)):
+        mags[s] = _site_maxima(V[s.start * o:s.stop * o] @ Vh, o)
+    return _binned_envelope(mags, grid)
+
+
+def _site_maxima(A, o):
+    """Max of |A_ij| over the o x o orbital pairs of each site pair, for
+    the rows of A of whole sites."""
+    return reduce(np.maximum, (np.abs(A[a::o, b::o])
                                for a in range(o) for b in range(o)))
+
+
+def _binned_envelope(mags, grid):
     order, starts, dist = grid.site_pair_bins
     return dist, np.maximum.reduceat(mags.ravel()[order], starts)
 
@@ -303,12 +332,21 @@ def decay_floor(scale, size):
 
 
 def kernel_decay_fit(P: Projector) -> DecayProfile:
-    """Fit the exponential envelope of a projector kernel."""
-    return matrix_decay_fit(P.P, P.grid)
+    """Fit the exponential envelope of a projector kernel, from V."""
+    return envelope_decay_fit(*factor_envelope(P.V, P.grid), P.grid)
 
 
 def matrix_decay_fit(matrix, grid: SiteGrid) -> DecayProfile:
-    dist, mags = kernel_envelope(matrix, grid)
+    """The fit of a dense kernel.  The library fits kernels from their
+    factors; this stays for the tests and for the perfbench/tracing.py
+    bindings wanloc.spectral:matrix_decay_fit and
+    wanloc.dichotomy:matrix_decay_fit."""
+    return envelope_decay_fit(*kernel_envelope(matrix, grid), grid)
+
+
+def envelope_decay_fit(dist, mags, grid: SiteGrid) -> DecayProfile:
+    """Fit C exp(-gamma dist) to the binned kernel envelope (dist, mags)
+    of an operand on `grid`, over the bins above its `decay_floor`."""
     off = dist > 0
     if off.any() and not np.any(mags[off]):
         # off-diagonal kernel identically zero: compactly supported

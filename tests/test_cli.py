@@ -1,4 +1,5 @@
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from wanloc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERDICT,
                         _default_anchors, main, parse_config,
                         run_pipeline)
 from wanloc.errors import ConfigError, WindowTooLargeError
-from wanloc.lattice import TightBindingModel, make_grid
+from wanloc.lattice import ROW_SLAB, TightBindingModel, make_grid
 
 from suite_common import DIS_PARAMS, DIS_SEED, TOPO_PARAMS
 
@@ -184,6 +185,24 @@ def test_wdmx_round_trip(tmp_path):
             assert fh.read(4) == b"WDMX"
             assert fh.read(16) == np.array(A.shape, dtype="<u8").tobytes()
             assert fh.read() == np.array(A, dtype="<c16", order="C").tobytes()
+
+
+def test_wdmx_slabbed_write_matches_the_one_shot_bytes(tmp_path):
+    """Written a row slab at a time, a real, a complex and a 1 x N operand,
+    over more than two slabs where they have rows, give the bytes of one
+    complex128 conversion of the whole matrix."""
+    rng = np.random.default_rng(4)
+    rows = 2 * ROW_SLAB + 17
+    inputs = (rng.standard_normal((rows, 9)),
+              rng.standard_normal((rows, 6)) + 1j * rng.standard_normal((rows, 6)),
+              rng.standard_normal((1, rows)),
+              rng.standard_normal((2 * rows, 5))[::2])
+    path = tmp_path / "m.wdmx"
+    for A in inputs:
+        io.write_matrix(str(path), A)
+        one_shot = (b"WDMX" + struct.pack("<QQ", *A.shape)
+                    + np.ascontiguousarray(A, dtype="<c16").tobytes())
+        assert path.read_bytes() == one_shot
 
 
 def test_wdmx_rejects_bad_magic(tmp_path):

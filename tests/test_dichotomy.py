@@ -1,6 +1,9 @@
 import ctypes
 import functools
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -657,24 +660,63 @@ def test_qr_pivots_match_scipy_single_thread(L):
 def test_pinned_qr_pivots_do_not_depend_on_the_pool_size(monkeypatch,
                                                          numpy_pool_of_two):
     """On Haldane L=16 m=0.2 a geqp3 on two threads orders near-equal column
-    norms differently; the pin gives the one-thread pivots on a pool of two."""
+    norms differently; the pin gives the operand's one-thread pivots on a
+    pool of two."""
     lapack = numpy_lapack()
     P = wl.fermi_projector(wl.build_haldane(
         16, TOPO_PARAMS["t1"], TOPO_PARAMS["t2"], TOPO_PARAMS["phi"],
         TOPO_PARAMS["m"]), 0.0)
-    lapack.set_threads(1)
-    ref = dichotomy._qr_pivots(P.V.conj().T)
-    lapack.set_threads(2)
     seen, real_pivots = [], dichotomy._qr_pivots
 
     def spy(A):
-        seen.append(real_pivots(A))
-        return seen[-1]
+        seen.append((A, real_pivots(A)))
+        return seen[-1][1]
 
     monkeypatch.setattr(dichotomy, "_qr_pivots", spy)
     wl.initial_basis(P)
     assert numpy_pool_of_two() == 2
-    assert len(seen) == 1 and np.array_equal(seen[0], ref)
+    (A, pivots), = seen
+    lapack.set_threads(1)
+    assert np.array_equal(pivots, real_pivots(A))
+
+
+# a fresh process that runs `construct` on Haldane m=0.2 at L=16 and prints
+# the initial basis's pivots, the verdict and the certificate norms
+THREAD_PROBE = """
+import json, sys
+from wanloc import cli, dichotomy
+pivots, qr_pivots = [], dichotomy._qr_pivots
+def spy(A):
+    pivots.append(qr_pivots(A))
+    return pivots[-1]
+dichotomy._qr_pivots = spy
+cfg = cli.PipelineConfig(model_type="haldane", L=16,
+                         model_params=json.loads(sys.argv[1]), seed=0)
+report = cli.construct(cfg)
+print(json.dumps({"pivots": pivots[0][:report.projector.rank].tolist(),
+                  "verdict": report.verdict,
+                  "snorm": [c.snorm for c in report.certificates]}))
+"""
+
+
+def test_initial_basis_does_not_depend_on_the_blas_thread_count():
+    """Mirror-image columns of P tie exactly in norm on the Haldane sheet;
+    the pivot tilt breaks the ties by index, so one and two BLAS threads
+    select the same basis, with the same verdict and certificate norms."""
+    src = str(Path(wl.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE, json.dumps(TOPO_PARAMS)],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        runs.append(json.loads(done.stdout))
+    one, two = runs
+    assert one["pivots"] == two["pivots"]
+    assert one["verdict"] == two["verdict"] == "certificate-failed"
+    assert np.allclose(one["snorm"], two["snorm"], rtol=1e-12, atol=0.0)
 
 
 def attach_moments_reference(basis, s_grid):

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import wanloc as wl
-from wanloc import cli
+from wanloc import cli, spectral
 from wanloc.cli import PipelineConfig, run_pipeline
 from wanloc.lattice import xy_mirror
 from wanloc.spectral import Projector, eigh_projector, projector_operand
+from wanloc.xhat import certificate_coupling
 
 from suite_common import (DIS_PARAMS, DIS_SEED, TOPO_PARAMS, gauge_phases,
                           gauge_twin)
@@ -34,6 +35,27 @@ def test_dtype_follows_hamiltonian(dis8_stack, topo8_stack, dis12_report):
     _, P, basis, xt = topo8_stack
     for arr in (P.V, basis.psi, xt.matrix):
         assert arr.dtype == np.complex128
+
+
+def test_range_factor_stages_stay_real(dis8_stack, dis12_report,
+                                       monkeypatch):
+    """On a real H the surrogate, the coupling K (and so its N x n slab
+    products, whose complex part K would inherit) and every slab of the
+    kernel envelopes stay float64."""
+    _, P, _, xt = dis8_stack
+    assert xt.matrix.dtype == np.float64
+    assert certificate_coupling(xt, wl.FilterSpec(4.0)).dtype == np.float64
+    seen, site_maxima = [], spectral._site_maxima
+
+    def spy(A, o):
+        seen.append(A.dtype)
+        return site_maxima(A, o)
+
+    monkeypatch.setattr(spectral, "_site_maxima", spy)
+    wl.kernel_decay_fit(P)
+    spectral.factor_envelope(dis12_report.bands.vectors[0],
+                             dis12_report.model.grid)
+    assert seen and set(seen) == {np.dtype(np.float64)}
 
 
 def _pipeline(tmp_path, monkeypatch, twin):

@@ -332,9 +332,12 @@ def test_sqrt_resolvent_rejects_basis_outside_range_p(dis8_stack):
 
 def test_gap_certificate_unfiltered_surrogate_is_exact(dis8_stack):
     _, P, basis, xt = dis8_stack
-    ident = xt.matrix.copy()
+    # so wide that fhat is exactly 1 at every lattice offset: Xhat = Xtilde
+    spec = FilterSpec(1e200)
+    ident = build_xhat(xt, spec)
+    assert np.array_equal(ident, xt.matrix)
     spectrum, _ = wl.projected_spectrum(P, ident)
-    cert = gap_certificate(certificate_coupling(xt, ident), basis.m1, spectrum,
+    cert = gap_certificate(certificate_coupling(xt, spec), basis.m1, spectrum,
                            0.5, 8.0)
     assert cert.snorm <= 1e-9
     assert cert.min_gap_distance >= 0.25
@@ -384,7 +387,7 @@ def test_delta_step_eigenvectors_only_when_every_certificate_passes(
         xh, spectrum, U, certs = _delta_step(xt, delta, lambdas)
         passed = all(c.passed for c in certs)
         assert (U is not None) == passed
-        M = np.diag(xt.basis.m1) + certificate_coupling(xt, xh)
+        M = np.diag(xt.basis.m1) + certificate_coupling(xt, FilterSpec(delta))
         ref, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
         assert np.max(np.abs(spectrum - ref)) <= 1e-12
         if passed:
