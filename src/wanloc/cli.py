@@ -31,7 +31,7 @@ from .spectral import (InsufficientRangeError, eigh_projector, fermi_projector,
                        kernel_decay_fit, projector_operand)
 from .xhat import (FilterSpec, build_xhat, build_xtilde, certificate_coupling,
                    closeness_norm, gap_certificate, gap_distance,
-                   gap_midpoints, tilt_lipschitz)
+                   gap_midpoints, tilt_lipschitz, xhat_slabs)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -195,7 +195,6 @@ class RunReport:
     bounded_density: int | None = None
     xtilde: object = None
     certificates: list = field(default_factory=list)
-    xhat: object = None
     gaps: object = None
     bands: object = None
     strips: list = field(default_factory=list)
@@ -229,26 +228,26 @@ def _chern_reports(cfg, P):
 
 
 def _delta_step(xt, delta, lambdas, keep_vectors=True):
-    """X-hat at one width, the spectrum of P X-hat P with its n x n
-    eigenvectors U in W coordinates, and the certificates at `lambdas`, all
-    from one K = W^H (X-hat - X-tilde) W.  `build_xtilde` checked that the
+    """The spectrum of P X-hat P at one width, with its n x n eigenvectors
+    U in W coordinates, and the certificates at `lambdas`, all from one
+    K = W^H (X-hat - X-tilde) W.  `build_xtilde` checked that the
     surrogate's basis W spans range(P), so W^H X-tilde W = diag(m1) and
     diag(m1) + K is P X-hat P in W coordinates; the band vectors are
     fix_phases(W U), formed only at the width the run keeps.  The
     certificate norms come first: U is computed only when every certificate
     passes, the one case in which a run can keep the width, and when
     `keep_vectors` asks for it; it is None otherwise.  K is taken from the
-    filter defect before X-hat is formed, so the step holds one new N x N
-    array, X-hat itself."""
-    spec = FilterSpec(delta)
-    K = certificate_coupling(xt, spec)
+    filter defect, so the step forms no N x N array: X-hat itself is left
+    to the callers that read it (`write_run` a row slab at a time,
+    `run_verify` whole)."""
+    K = certificate_coupling(xt, FilterSpec(delta))
     m1 = xt.basis.m1
     certs = [gap_certificate(K, m1, None, lam, delta) for lam in lambdas]
     spectrum, U = hermitian_eigh(
         np.diag(m1) + K, vectors=keep_vectors and all(c.passed for c in certs))
     certs = [replace(c, min_gap_distance=gap_distance(spectrum, c.lam))
              for c in certs]
-    return build_xhat(xt, spec), spectrum, U, certs
+    return spectrum, U, certs
 
 
 def _fit_passes(fit):
@@ -292,9 +291,7 @@ def construct(cfg: PipelineConfig) -> RunReport:
         grid, xt = report.model.grid, report.xtilde
         lambdas = gap_midpoints(0.0, grid.width - 1.0)
         for delta in cfg.delta_list:
-            # the last width's X-hat goes before this one's is formed
-            xh = None
-            xh, spectrum, U, certs = _delta_step(xt, delta, lambdas)
+            spectrum, U, certs = _delta_step(xt, delta, lambdas)
             report.certificates.extend(certs)
             gaps = detect_uniform_gaps(spectrum, cfg.d_min, cfg.d_max)
             cert_ok = all(c.passed for c in certs)
@@ -307,7 +304,7 @@ def construct(cfg: PipelineConfig) -> RunReport:
         else:
             report.verdict = VERDICT_GAPS if cert_ok else VERDICT_CERT
             return report
-        report.chosen_delta, report.xhat, report.gaps = delta, xh, gaps
+        report.chosen_delta, report.gaps = delta, gaps
 
         report.bands = bands = band_projectors(fix_phases(xt.basis.psi @ U),
                                                gaps, grid)
@@ -399,10 +396,13 @@ def write_run(report: RunReport, cfg: PipelineConfig, out_dir=None):
         csv("certificates.csv",
             ("lambda", "delta", "snorm", "min_gap_distance", "pass"),
             [c.as_csv_row() for c in report.certificates])
-    # the files from the chosen width on carry its Delta
+    # the files from the chosen width on carry its Delta; X-hat at that
+    # width is written from X-tilde a row slab at a time, never formed whole
     if report.chosen_delta is not None:
         meta["Delta"] = report.chosen_delta
-        io.write_matrix(os.path.join(out, "xhat.wdmx"), report.xhat)
+        xt = report.xtilde
+        io.write_rows(os.path.join(out, "xhat.wdmx"), xt.matrix.shape,
+                      xhat_slabs(xt, FilterSpec(report.chosen_delta)))
     if "bands" in report.stages:
         gaps, bands = report.gaps, report.bands
         rows = [(j, lo, hi, float(gaps.xi[j]), V.shape[1],
@@ -543,7 +543,8 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
 
     cert_rows, close_rows, tilt_rows = [], [], []
     for delta in cfg.delta_list:
-        xh, _, _, certs = _delta_step(xt, delta, lambdas, keep_vectors=False)
+        _, _, certs = _delta_step(xt, delta, lambdas, keep_vectors=False)
+        xh = build_xhat(xt, FilterSpec(delta))
         cert_rows.extend(c.as_csv_row() for c in certs)
         close_rows.append((delta, closeness_norm(xh, grid_m.x)))
         sup, rows = tilt_lipschitz(xh, cfg.gamma_list, anchors, grid_m)

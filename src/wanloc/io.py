@@ -27,17 +27,22 @@ def _write_atomic(path, chunks):
     os.replace(tmp, path)
 
 
+def write_rows(path, shape, slabs):
+    """Dump to WDMX, atomically (write temp, then rename), the matrix of
+    `shape` whose row slabs, in order, the iterable `slabs` yields.  Each
+    slab is converted to complex128 as it is written, so neither the whole
+    matrix nor a complex copy of it need exist."""
+    rows = (np.ascontiguousarray(s, dtype="<c16").data for s in slabs)
+    _write_atomic(path, chain((WDMX_MAGIC, struct.pack("<QQ", *shape)), rows))
+
+
 def write_matrix(path, matrix):
-    """Dump a matrix to WDMX, atomically (write temp, then rename).  The
-    entries are converted to complex128 and written a row slab at a time,
+    """Dump a 2-D matrix to WDMX with `write_rows`, a row slab at a time,
     so a real matrix gets no complex copy of its whole."""
     m = np.asarray(matrix)
     if m.ndim != 2:
         raise ValueError("WDMX stores 2-D matrices only")
-    rows = (np.ascontiguousarray(m[r], dtype="<c16").data
-            for r in row_slabs(len(m)))
-    _write_atomic(path, chain((WDMX_MAGIC, struct.pack("<QQ", *m.shape)),
-                              rows))
+    write_rows(path, m.shape, (m[r] for r in row_slabs(len(m))))
 
 
 def read_matrix(path):

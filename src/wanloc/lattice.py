@@ -97,6 +97,11 @@ def make_grid(width, orbitals_per_site, ndim=2):
 
 @dataclass(frozen=True)
 class TightBindingModel:
+    """A Hermitian Hamiltonian H on `grid`, with the parameters it was built
+    from.  H is float64 when every entry is real (the disordered insulator,
+    the SSH chain) and complex128 otherwise (`build_haldane`, also at
+    t2 = 0), and the stages follow its dtype (`projector_operand`)."""
+
     grid: SiteGrid
     H: np.ndarray = field(repr=False)
     params: dict
@@ -189,7 +194,7 @@ def build_disordered_insulator(L, gap, w, seed):
     rng = np.random.default_rng(seed)
     onsite = np.where(np.arange(N) % 2 == 0, -gap / 2.0, +gap / 2.0)
     onsite = onsite + rng.uniform(-w / 2.0, w / 2.0, size=N)
-    H = np.diag(onsite.astype(complex))
+    H = np.diag(onsite)
     for v in ((1, 0), (0, 1)):
         _hop(H, grid, gap / 32.0, 0, 1, v)
         _hop(H, grid, gap / 32.0, 1, 0, v)
@@ -204,7 +209,7 @@ def build_ssh_chain(L, t1, t2):
         raise GaplessModelError(f"|t1| == |t2| == {abs(t1)} is gapless")
     grid = make_grid(L, orbitals_per_site=2, ndim=1)
     N = grid.dimension
-    H = np.zeros((N, N), dtype=complex)
+    H = np.zeros((N, N))
     _hop(H, grid, t1, 0, 1, (0, 0))
     _hop(H, grid, t2, 1, 0, (1, 0))
     params = {"type": "ssh", "L": L, "t1": t1, "t2": t2}

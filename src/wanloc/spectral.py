@@ -142,9 +142,11 @@ def projector_operand(model: TightBindingModel):
     permutation s of `xy_mirror` (or None) that maps its eigenvectors back
     to those of H.
 
-    A Hamiltonian with identically zero imaginary part is diagonalized as a
-    real symmetric matrix: the operand is the view H.real, so V, and
-    everything later built from it, is float64.  A complex H on a sheet
+    A real Hamiltonian is diagonalized as a real symmetric matrix: a float64
+    H is its own operand, and a complex H with identically zero imaginary
+    part gives the view H.real, so V, and everything later built from it,
+    is float64.  A float64 H is never asked for H.imag, which would
+    allocate an N x N array of zeros.  A complex H on a sheet
     that obeys the x <-> y mirror S H S = conj(H) bitwise (S the
     permutation matrix of `xy_mirror`, as for `build_haldane`) is
     diagonalized in real form too: U = a I + conj(a) S with a = (1 + i)/2
@@ -159,7 +161,7 @@ def projector_operand(model: TightBindingModel):
     H's memory, and no copy is made to change that.
     """
     H = model.H
-    if not np.any(H.imag):
+    if not np.iscomplexobj(H) or not np.any(H.imag):
         return H.real, None
     s = _conjugating_mirror(H, model.grid)
     if s is None:

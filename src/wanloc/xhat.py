@@ -83,10 +83,12 @@ def build_xtilde(basis: GeneralizedWannierBasis, P: Projector) -> XtildeOperator
     Q X Q + W diag(m1) W^H = diag(x) + W Z + (W Z)^H for
     Z = (C + diag(m1)) W^H / 2 - B.  The one N x N array is W Z, turned
     into its Hermitian sum in place a pair of row-slab blocks at a time; a
-    real W keeps it float64.  W rather than V carries the sum because its
-    columns are localized: far from the diagonal the products stay small,
-    and so do their rounding errors (rms 1e-16 against an extended-precision
-    X-tilde on the shipped configs, where V gives 9e-16).
+    real W keeps it float64.  B and W^H (for a complex W a conjugate copy)
+    are freed before W Z is formed.  W rather than V carries the sum
+    because its columns are localized: far from the diagonal the products
+    stay small, and so do their rounding errors (rms 1e-16 against an
+    extended-precision X-tilde on the shipped configs, where V gives
+    9e-16).
 
     Its projected spectrum is that of W^H Xt W = diag(m1), the integer set
     {m1}.
@@ -98,7 +100,7 @@ def build_xtilde(basis: GeneralizedWannierBasis, P: Projector) -> XtildeOperator
     B = W_h * x
     Z = (0.5 * (B @ W + np.diag(basis.m1))) @ W_h
     Z -= B
-    del B
+    del B, W_h
     M = W @ Z
     del Z
     slabs = row_slabs(len(M))
@@ -138,15 +140,23 @@ def _filter_rows(grid, spec: FilterSpec):
     return rows
 
 
-def build_xhat(xtilde: XtildeOperator, spec: FilterSpec) -> np.ndarray:
-    """Entrywise filter smoothing of the surrogate: the N x N matrix
-    X-hat = Xtilde o F (`_filter_rows`), filled a row slab at a time.  F is
-    real and even, so Hermiticity is preserved."""
+def xhat_slabs(xtilde: XtildeOperator, spec: FilterSpec):
+    """The rows of X-hat = Xtilde o F (`_filter_rows`) as an iterator over
+    `row_slabs`: the products Xt[r] * F[r], one slab at a time, so that no
+    N x N X-hat is formed.  `build_xhat` fills its matrix from them, and
+    `wanloc pipeline` writes xhat.wdmx from them."""
     mask = _filter_rows(xtilde.grid, spec)
     Xt = xtilde.matrix
-    xh = np.empty_like(Xt)
-    for r in row_slabs(len(Xt)):
-        np.multiply(Xt[r], mask(r), out=xh[r])
+    return (Xt[r] * mask(r) for r in row_slabs(len(Xt)))
+
+
+def build_xhat(xtilde: XtildeOperator, spec: FilterSpec) -> np.ndarray:
+    """Entrywise filter smoothing of the surrogate: the N x N matrix
+    X-hat = Xtilde o F, filled from `xhat_slabs`.  F is real and even, so
+    Hermiticity is preserved."""
+    xh = np.empty_like(xtilde.matrix)
+    for r, slab in zip(row_slabs(len(xh)), xhat_slabs(xtilde, spec)):
+        xh[r] = slab
     return xh
 
 
@@ -248,7 +258,11 @@ def certificate_coupling(xtilde: XtildeOperator, spec: FilterSpec):
     difference is needed.  W^H Xhat W - diag(m1) would cancel entries of
     size ~L down to a norm of ~1e-3 and lose about 1e-10 of relative
     accuracy.  DW = (Xhat - Xtilde) W is filled a row slab at a time, and
-    K = W^H DW; on a real Xtilde and W both stay float64.
+    K = W^H DW; on a real Xtilde and W both stay float64, and K = W^T DW.
+    A complex W gets no conjugate copy: DW is conjugated in place and
+    K = conj(W^T conj(DW)).  That is W^H DW bit for bit, because w conj(d)
+    and conj(w) d have the same real part and exactly opposite imaginary
+    parts in every rounding step of the product and the sum.
     """
     W = xtilde.basis.psi
     Xt = xtilde.matrix
@@ -258,7 +272,11 @@ def certificate_coupling(xtilde: XtildeOperator, spec: FilterSpec):
         defect = mask(r)
         defect -= 1.0
         np.matmul(Xt[r] * defect, W, out=DW[r])
-    return W.conj().T @ DW
+    if not np.iscomplexobj(W):
+        return W.T @ DW
+    np.conjugate(DW, out=DW)
+    K = W.T @ DW
+    return np.conjugate(K, out=K)
 
 
 def gap_certificate(coupling, m1, spectrum, lam, delta) -> GapCertificate:

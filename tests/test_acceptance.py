@@ -144,7 +144,7 @@ def test_criterion_08_certificate_norm_scaling(dis12_report):
     lambdas = wl.gap_midpoints(0.0, P.grid.width - 1.0)
     peak, spectra, all_pass = [], {}, {}
     for delta in deltas:
-        _, spectrum, _, certs = _delta_step(xt, delta, lambdas)
+        spectrum, _, certs = _delta_step(xt, delta, lambdas)
         peak.append(max(c.snorm for c in certs))
         spectra[delta] = spectrum
         all_pass[delta] = all(c.passed for c in certs)

@@ -8,11 +8,12 @@ import pytest
 import wanloc.io as io
 from wanloc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERDICT,
                         MODELS, VERDICT_CERT, VERDICT_ERROR, VERDICT_FIT,
-                        VERDICT_OK, PipelineConfig, build_model, construct,
-                        _default_anchors, main, parse_config,
-                        run_pipeline)
+                        VERDICT_OK, PipelineConfig, RunReport, build_model,
+                        construct, _default_anchors, main, parse_config,
+                        run_pipeline, write_run)
 from wanloc.errors import ConfigError, WindowTooLargeError
 from wanloc.lattice import ROW_SLAB, TightBindingModel, make_grid
+from wanloc.xhat import FilterSpec, build_xhat
 
 from suite_common import DIS_PARAMS, DIS_SEED, TOPO_PARAMS
 
@@ -187,10 +188,13 @@ def test_wdmx_round_trip(tmp_path):
             assert fh.read() == np.array(A, dtype="<c16", order="C").tobytes()
 
 
-def test_wdmx_slabbed_write_matches_the_one_shot_bytes(tmp_path):
+def test_wdmx_slabbed_write_matches_the_one_shot_bytes(tmp_path, dis12_report,
+                                                      topological12_report):
     """Written a row slab at a time, a real, a complex and a 1 x N operand,
     over more than two slabs where they have rows, give the bytes of one
-    complex128 conversion of the whole matrix."""
+    complex128 conversion of the whole matrix.  The xhat.wdmx that
+    `write_run` writes from the row slabs of a real and a complex X-tilde
+    (N = 288, three slabs) has the bytes of `write_matrix` of `build_xhat`."""
     rng = np.random.default_rng(4)
     rows = 2 * ROW_SLAB + 17
     inputs = (rng.standard_normal((rows, 9)),
@@ -203,6 +207,17 @@ def test_wdmx_slabbed_write_matches_the_one_shot_bytes(tmp_path):
         one_shot = (b"WDMX" + struct.pack("<QQ", *A.shape)
                     + np.ascontiguousarray(A, dtype="<c16").tobytes())
         assert path.read_bytes() == one_shot
+    for report, dtype in ((dis12_report, np.float64),
+                          (topological12_report, np.complex128)):
+        xt = report.xtilde
+        assert xt.matrix.dtype == dtype and len(xt.matrix) > 2 * ROW_SLAB
+        cfg = PipelineConfig(model_type="disordered", L=12,
+                             model_params=DIS_PARAMS, seed=DIS_SEED)
+        for delta in (4.0, 16.0):
+            out = tmp_path / f"{dtype.__name__}-{delta:g}"
+            write_run(RunReport(xtilde=xt, chosen_delta=delta), cfg, str(out))
+            io.write_matrix(str(path), build_xhat(xt, FilterSpec(delta)))
+            assert (out / "xhat.wdmx").read_bytes() == path.read_bytes()
 
 
 def test_wdmx_rejects_bad_magic(tmp_path):

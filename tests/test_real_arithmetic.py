@@ -28,7 +28,7 @@ REAL_FORM_TOL = 1e-12
 
 def test_dtype_follows_hamiltonian(dis8_stack, topo8_stack, dis12_report):
     model, P, basis, xt = dis8_stack
-    assert not np.any(model.H.imag) and model.H.dtype == np.complex128
+    assert model.H.dtype == np.float64
     for arr in (P.V, P.P, basis.psi, xt.matrix, dis12_report.basis_final.psi,
                 *dis12_report.bands.vectors):
         assert arr.dtype == np.float64

@@ -350,7 +350,8 @@ def test_gap_certificate_matches_full_sandwich(stack, all_pass, request):
     """The basis-coordinate norm equals ||S P (Xh - Xt) P S|| built N x N."""
     _, P, basis, xt = request.getfixturevalue(stack)
     lambdas = wl.gap_midpoints(0.0, 7.0)
-    xh, _, _, certs = _delta_step(xt, 4.0, lambdas)
+    _, _, certs = _delta_step(xt, 4.0, lambdas)
+    xh = build_xhat(xt, FilterSpec(4.0))
     D = P.P @ (xh - xt.matrix) @ P.P
     for lam, cert in zip(lambdas, certs, strict=True):
         S = wl.sqrt_resolvent(lam, basis, P).matrix
@@ -367,8 +368,8 @@ def test_delta_step_spectrum_matches_projected_spectrum(stack, request):
     _, P, _, xt = request.getfixturevalue(stack)
     lambdas = wl.gap_midpoints(0.0, 7.0)
     for delta in (4.0, 8.0):
-        xh, spectrum, _, certs = _delta_step(xt, delta, lambdas)
-        ref, _ = wl.projected_spectrum(P, xh)
+        spectrum, _, certs = _delta_step(xt, delta, lambdas)
+        ref, _ = wl.projected_spectrum(P, build_xhat(xt, FilterSpec(delta)))
         assert np.max(np.abs(spectrum - ref)) <= 1e-12
         for lam, cert in zip(lambdas, certs, strict=True):
             assert cert.min_gap_distance == pytest.approx(
@@ -384,7 +385,7 @@ def test_delta_step_eigenvectors_only_when_every_certificate_passes(
     _, _, _, xt = request.getfixturevalue(stack)
     lambdas = wl.gap_midpoints(0.0, 7.0)
     for delta in (4.0, 16.0):
-        xh, spectrum, U, certs = _delta_step(xt, delta, lambdas)
+        spectrum, U, certs = _delta_step(xt, delta, lambdas)
         passed = all(c.passed for c in certs)
         assert (U is not None) == passed
         M = np.diag(xt.basis.m1) + certificate_coupling(xt, FilterSpec(delta))
@@ -402,9 +403,8 @@ def test_delta_step_without_vectors_keeps_the_certificates(dis8_stack):
     and leaves the certificate norms as they are."""
     _, _, _, xt = dis8_stack
     lambdas = wl.gap_midpoints(0.0, 7.0)
-    _, spectrum, U, certs = _delta_step(xt, 4.0, lambdas)
-    _, bare, no_U, bare_certs = _delta_step(xt, 4.0, lambdas,
-                                            keep_vectors=False)
+    spectrum, U, certs = _delta_step(xt, 4.0, lambdas)
+    bare, no_U, bare_certs = _delta_step(xt, 4.0, lambdas, keep_vectors=False)
     assert U is not None and no_U is None
     assert np.max(np.abs(bare - spectrum)) <= 1e-12
     assert [c.snorm for c in bare_certs] == [c.snorm for c in certs]
@@ -416,7 +416,7 @@ def test_gap_certificate_norm_decreases_with_filter_width(dis8_stack):
     lambdas = wl.gap_midpoints(0.0, 7.0)
     norms = []
     for delta in (4.0, 8.0, 16.0):
-        _, _, _, certs = _delta_step(xt, delta, lambdas)
+        _, _, certs = _delta_step(xt, delta, lambdas)
         assert all(c.passed for c in certs)
         norms.append(max(c.snorm for c in certs))
     assert norms[0] > norms[1] > norms[2]
