@@ -143,8 +143,8 @@ def _filter_rows(grid, spec: FilterSpec):
 def xhat_slabs(xtilde: XtildeOperator, spec: FilterSpec):
     """The rows of X-hat = Xtilde o F (`_filter_rows`) as an iterator over
     `row_slabs`: the products Xt[r] * F[r], one slab at a time, so that no
-    N x N X-hat is formed.  `build_xhat` fills its matrix from them, and
-    `wanloc pipeline` writes xhat.wdmx from them."""
+    N x N X-hat is formed.  `wanloc pipeline` writes xhat.wdmx from them;
+    they are the slabs `build_xhat` fills its matrix with."""
     mask = _filter_rows(xtilde.grid, spec)
     Xt = xtilde.matrix
     return (Xt[r] * mask(r) for r in row_slabs(len(Xt)))
@@ -152,11 +152,13 @@ def xhat_slabs(xtilde: XtildeOperator, spec: FilterSpec):
 
 def build_xhat(xtilde: XtildeOperator, spec: FilterSpec) -> np.ndarray:
     """Entrywise filter smoothing of the surrogate: the N x N matrix
-    X-hat = Xtilde o F, filled from `xhat_slabs`.  F is real and even, so
-    Hermiticity is preserved."""
-    xh = np.empty_like(xtilde.matrix)
-    for r, slab in zip(row_slabs(len(xh)), xhat_slabs(xtilde, spec)):
-        xh[r] = slab
+    X-hat = Xtilde o F, filled a row slab at a time with the products of
+    `xhat_slabs`.  F is real and even, so Hermiticity is preserved."""
+    mask = _filter_rows(xtilde.grid, spec)
+    Xt = xtilde.matrix
+    xh = np.empty_like(Xt)
+    for r in row_slabs(len(Xt)):
+        np.multiply(Xt[r], mask(r), out=xh[r])
     return xh
 
 
@@ -258,11 +260,11 @@ def certificate_coupling(xtilde: XtildeOperator, spec: FilterSpec):
     difference is needed.  W^H Xhat W - diag(m1) would cancel entries of
     size ~L down to a norm of ~1e-3 and lose about 1e-10 of relative
     accuracy.  DW = (Xhat - Xtilde) W is filled a row slab at a time, and
-    K = W^H DW; on a real Xtilde and W both stay float64, and K = W^T DW.
-    A complex W gets no conjugate copy: DW is conjugated in place and
-    K = conj(W^T conj(DW)).  That is W^H DW bit for bit, because w conj(d)
-    and conj(w) d have the same real part and exactly opposite imaginary
-    parts in every rounding step of the product and the sum.
+    K = W^H DW; on a real Xtilde and W both stay float64.  W gets no
+    conjugate copy: DW is conjugated in place and K = conj(W^T conj(DW)).
+    That is W^H DW bit for bit, because w conj(d) and conj(w) d have the
+    same real part and exactly opposite imaginary parts in every rounding
+    step of the product and the sum.
     """
     W = xtilde.basis.psi
     Xt = xtilde.matrix
@@ -272,8 +274,6 @@ def certificate_coupling(xtilde: XtildeOperator, spec: FilterSpec):
         defect = mask(r)
         defect -= 1.0
         np.matmul(Xt[r] * defect, W, out=DW[r])
-    if not np.iscomplexobj(W):
-        return W.T @ DW
     np.conjugate(DW, out=DW)
     K = W.T @ DW
     return np.conjugate(K, out=K)
