@@ -203,6 +203,10 @@ class RunReport:
     chern: list = field(default_factory=list)
 
 
+# the columns of certificates.csv and verify_certificates.csv, one row per
+# `GapCertificate.as_csv_row`
+CERTIFICATE_COLUMNS = ("lambda", "delta", "snorm", "min_gap_distance", "pass")
+
 # every file `write_run` may write, in the order it writes them
 PIPELINE_FILES = ("hamiltonian.wdmx", "decay.csv", "basis_initial.csv",
                   "basis_initial.wdmx", "certificates.csv", "xhat.wdmx",
@@ -242,7 +246,7 @@ def _delta_step(xt, delta, lambdas, keep_vectors=True):
     `run_verify` whole)."""
     K = certificate_coupling(xt, FilterSpec(delta))
     m1 = xt.basis.m1
-    certs = [gap_certificate(K, m1, None, lam, delta) for lam in lambdas]
+    certs = [gap_certificate(K, m1, lam, delta) for lam in lambdas]
     spectrum, U = hermitian_eigh(
         np.diag(m1) + K, vectors=keep_vectors and all(c.passed for c in certs))
     certs = [replace(c, min_gap_distance=gap_distance(spectrum, c.lam))
@@ -393,8 +397,7 @@ def write_run(report: RunReport, cfg: PipelineConfig, out_dir=None):
     # the Delta loop ran to its end: it chose a width or every width failed
     if report.chosen_delta is not None or report.verdict in (VERDICT_CERT,
                                                              VERDICT_GAPS):
-        csv("certificates.csv",
-            ("lambda", "delta", "snorm", "min_gap_distance", "pass"),
+        csv("certificates.csv", CERTIFICATE_COLUMNS,
             [c.as_csv_row() for c in report.certificates])
     # the files from the chosen width on carry its Delta; X-hat at that
     # width is written from X-tilde a row slab at a time, never formed whole
@@ -536,8 +539,8 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
 
     core = RunReport()
     _surrogate_stages(cfg, core)
-    P, basis, xt = core.projector, core.basis_initial, core.xtilde
-    grid_m = core.model.grid
+    xt = core.xtilde
+    grid_m = xt.grid
     anchors = _default_anchors(grid_m)
     lambdas = gap_midpoints(0.0, grid_m.width - 1.0)
 
@@ -550,8 +553,7 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
         sup, rows = tilt_lipschitz(xh, cfg.gamma_list, anchors, grid_m)
         tilt_rows.extend((delta,) + r for r in rows)
     io.write_csv(os.path.join(out, "verify_certificates.csv"),
-                 ("lambda", "delta", "snorm", "min_gap_distance", "pass"),
-                 cert_rows, meta)
+                 CERTIFICATE_COLUMNS, cert_rows, meta)
     io.write_csv(os.path.join(out, "verify_closeness.csv"),
                  ("delta", "norm"), close_rows, meta)
     io.write_csv(os.path.join(out, "verify_tilt.csv"),
@@ -561,7 +563,7 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
     io.write_csv(os.path.join(out, "verify_sqrt_bounds.csv"),
                  ("lambda", "s_p_bplus", "bplus_p_s", "sinv_p_bminus",
                   "bminus_p_sinv", "sqrt_diff"),
-                 diagnostics.sqrt_bound_survey(P, basis, lambdas), meta)
+                 diagnostics.sqrt_bound_survey(xt, lambdas), meta)
     io.write_csv(os.path.join(out, "verify_comm_bounds.csv"),
                  ("lambda", "comm_x", "comm_y", "weighted_sum_sup"),
                  diagnostics.tilted_comm_survey(xt, lambdas), meta)

@@ -6,20 +6,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dichotomy import GeneralizedWannierBasis
 from .errors import (ChernResidualError, GaplessModelError,
                      InsufficientRangeError, OutsideGapSetError,
                      UnsupportedGeometryError, WindowTooLargeError)
 from .lattice import SiteGrid, haldane_bonds
 from .spectral import (DecayProfile, Projector, _log_linear_fit, bracket,
                        decay_floor, hermitian_norm, operator_norm)
-from .xhat import XtildeOperator, check_spans_range, in_gap_set
+from .xhat import XtildeOperator, in_gap_set
 # unused here; perfbench/tracing.py binds wanloc.diagnostics:sqrt_resolvent
 from .xhat import sqrt_resolvent  # noqa: F401
 
 MIN_SHELLS = 10
 SHELL_WIDTH = 0.5
+POINTWISE_CEILING = 10.0
 CHERN_IMAG_TOL = 1e-8
+N_K = 24
 
 
 def s_moment(psi, mu, grid: SiteGrid, s):
@@ -37,10 +38,10 @@ def exp_moment(psi, mu, grid: SiteGrid, gamma):
     return float(np.sum(np.exp(2.0 * gamma * br) * np.abs(np.asarray(psi)) ** 2))
 
 
-def fit_exponential(psi, mu, grid: SiteGrid, shell_width=SHELL_WIDTH) -> DecayProfile:
+def fit_exponential(psi, mu, grid: SiteGrid) -> DecayProfile:
     """Tail fit of the shell-RMS magnitude of psi against <r - mu>.
 
-    Shells of the given width partition the bracket distance; each nonempty
+    Shells of width SHELL_WIDTH partition the bracket distance; each nonempty
     shell contributes the RMS of |psi| over its sites, placed at the shell's
     mean distance.  Shells beyond the axis reach of the sample are excluded
     (past that radius only the fast, diagonally truncated directions remain
@@ -51,14 +52,14 @@ def fit_exponential(psi, mu, grid: SiteGrid, shell_width=SHELL_WIDTH) -> DecayPr
     usable shells raises InsufficientRangeError.  The one-column case of
     `fit_exponentials`.
     """
-    fit, = fit_exponentials(np.asarray(psi)[:, None], [mu], grid, shell_width)
+    fit, = fit_exponentials(np.asarray(psi)[:, None], [mu], grid)
     if fit is None:
         raise InsufficientRangeError(
             f"fewer than {MIN_SHELLS} usable shells")
     return fit
 
 
-def fit_exponentials(psi, centers, grid: SiteGrid, shell_width=SHELL_WIDTH):
+def fit_exponentials(psi, centers, grid: SiteGrid):
     """`fit_exponential` of every column psi[:, k] about centers[k], in one
     array pass: a DecayProfile per column, or None for a column with too
     few usable shells.
@@ -76,8 +77,8 @@ def fit_exponentials(psi, centers, grid: SiteGrid, shell_width=SHELL_WIDTH):
     # the largest distance to an edge of the box, over both axes
     reach = np.maximum(mu, np.subtract(grid.shape, 1) - mu).max(axis=1)
     r_cap = np.maximum(np.sqrt(1.0 + reach * reach),
-                       1.0 + (MIN_SHELLS + 1) * shell_width) + 1e-9
-    shell = np.floor((r - 1.0) / shell_width).astype(int)
+                       1.0 + (MIN_SHELLS + 1) * SHELL_WIDTH) + 1e-9
+    shell = np.floor((r - 1.0) / SHELL_WIDTH).astype(int)
     n_bins = int(shell.max()) + 1
     # row k of each binned array holds the shells of column k
     flat = (shell + n_bins * np.arange(cols)).ravel()
@@ -113,11 +114,12 @@ def fit_exponentials(psi, centers, grid: SiteGrid, shell_width=SHELL_WIDTH):
     return fits
 
 
-def pointwise_bound_fit(psi, mu, grid: SiteGrid, s, ceiling=10.0):
-    """Smallest C with |psi| <= C <r - mu>^{-s} pointwise, and a pass flag."""
+def pointwise_bound_fit(psi, mu, grid: SiteGrid, s):
+    """Smallest C with |psi| <= C <r - mu>^{-s} pointwise, and whether it
+    is at most POINTWISE_CEILING."""
     br = bracket(grid.x - mu[0], grid.y - mu[1])
     c_pt = float(np.max(np.abs(np.asarray(psi)) * br ** s))
-    return c_pt, bool(c_pt <= ceiling)
+    return c_pt, bool(c_pt <= POINTWISE_CEILING)
 
 
 @dataclass
@@ -202,16 +204,16 @@ def _haldane_bloch(k1, k2, t1, t2, phi, m):
     return h
 
 
-def chern_number_kspace(t1, t2, phi, m, n_k=24):
+def chern_number_kspace(t1, t2, phi, m):
     """Plaquette (field-strength) Chern number of the occupied Bloch band.
 
     Berry curvature is accumulated from link variables of the lowest-band
-    eigenvector on an n_k x n_k grid of the periodic bulk model; the result
+    eigenvector on an N_K x N_K grid of the periodic bulk model; the result
     rounds to an exact integer.  Orientation convention: plaquettes are
     traversed counter-clockwise in (k1, k2), matching the coordinate
     orientation of the real-space embedding.
     """
-    ks = 2.0 * math.pi * np.arange(n_k) / n_k
+    ks = 2.0 * math.pi * np.arange(N_K) / N_K
     k1, k2 = np.meshgrid(ks, ks, indexing="ij")
     evals, evecs = np.linalg.eigh(_haldane_bloch(k1, k2, t1, t2, phi, m))
     gap = float(np.min(evals[..., 1] - evals[..., 0]))
@@ -319,22 +321,22 @@ def schur_row_sums(psi, m1, grid: SiteGrid) -> SchurReport:
     return SchurReport(*out)
 
 
-def sqrt_bound_survey(P: Projector, basis: GeneralizedWannierBasis, lambdas):
+def sqrt_bound_survey(xtilde: XtildeOperator, lambdas):
     """Per mid-gap lambda, the four square-root resolvent norms plus the
     sandwiched square-root difference norm.  Rows:
     (lambda, s_p_bplus, bplus_p_s, sinv_p_bminus, bminus_p_sinv, sqrt_diff).
 
-    With the basis W spanning range(P), S P = W R W^H and S^-1 P = W R^-1 W^H
-    for R = diag|lambda - m1|^{-1/2}, so every norm is that of an n x n
-    Hermitian matrix: ||S P b+||^2 = lambda_max(R W^H <x - lambda> W R), and
-    ||b+ P S|| is the norm of its adjoint; likewise for S^-1 and b-; and
-    ||P S^-1 P - P b+ P|| = ||R^-1 - W^H <x - lambda>^{1/2} W||.  That W
-    spans range(P) is checked once, as two Gram defects.
+    The surrogate's basis W spans range(P), as `build_xtilde` checked, so
+    S P = W R W^H and S^-1 P = W R^-1 W^H for R = diag|lambda - m1|^{-1/2},
+    and every norm is that of an n x n Hermitian matrix:
+    ||S P b+||^2 = lambda_max(R W^H <x - lambda> W R), and ||b+ P S|| is
+    the norm of its adjoint; likewise for S^-1 and b-; and
+    ||P S^-1 P - P b+ P|| = ||R^-1 - W^H <x - lambda>^{1/2} W||.
     """
+    basis = xtilde.basis
     x = basis.grid.x.astype(float)
     W = basis.psi
     m1 = basis.m1
-    check_spans_range(W, P)
     rows = []
     for lam in lambdas:
         if not in_gap_set(lam):
@@ -356,14 +358,14 @@ def sqrt_bound_survey(P: Projector, basis: GeneralizedWannierBasis, lambdas):
 def tilted_comm_survey(xtilde: XtildeOperator, lambdas):
     """Bracket-sandwiched commutators of the surrogate with X and Y, plus the
     discrete-kernel Schur sum of the gap-weighted position coefficients.
-    Rows: (lambda, comm_x, comm_y, weighted_sum_sup)."""
+    Rows: (lambda, comm_x, comm_y, weighted_sum_sup).  [x, Xtilde] and
+    [y, Xtilde] are formed anew for each lambda, one at a time, and
+    sandwiched at once: no commutator is kept across lambdas."""
     basis = xtilde.basis
     grid = basis.grid
     x = grid.x.astype(float)
     y = grid.y.astype(float)
     Xt = xtilde.matrix
-    CX = x[:, None] * Xt - Xt * x[None, :]
-    CY = y[:, None] * Xt - Xt * y[None, :]
     W = basis.psi
     m1 = basis.m1
     jidx = basis.degeneracy
@@ -373,7 +375,8 @@ def tilted_comm_survey(xtilde: XtildeOperator, lambdas):
         if not in_gap_set(lam):
             raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
         bminus = 1.0 / bracket(x - lam) ** 0.5
-        sandwiches = (bminus[:, None] * C * bminus[None, :] for C in (CX, CY))
+        sandwiches = (bminus[:, None] * (c[:, None] * Xt - Xt * c[None, :])
+                      * bminus[None, :] for c in (x, y))
         # [x, Xtilde] is anti-Hermitian.  1j times a complex sandwich is
         # Hermitian, and its one eigvalsh beats a complex Gram matrix; a
         # real sandwich keeps the real Gram matrix of operator_norm

@@ -248,11 +248,12 @@ def wannierize_band(V_j, y, xi_j):
     return vecs, centers
 
 
-def check_bounded_density(centers, grid: SiteGrid | None = None, radius=1.0):
-    """Largest number of centres within distance `radius` of any query point.
+def check_bounded_density(centers, grid: SiteGrid | None = None):
+    """Largest number of centres in the closed unit ball about any query
+    point: the bound M of the bounded-density condition.
 
     Queries every centre and every integer grid point; the count function's
-    maxima occur within `radius` of some centre, so this grid suffices.
+    maxima occur within distance 1 of some centre, so this grid suffices.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if centers.size == 0:
@@ -268,7 +269,7 @@ def check_bounded_density(centers, grid: SiteGrid | None = None, radius=1.0):
     for start in range(0, len(q), step):
         diff = q[start:start + step, None, :] - centers[None, :, :]
         d2 = (diff ** 2).sum(axis=2)
-        best = max(best, int((d2 <= radius * radius + 1e-12).sum(axis=1).max()))
+        best = max(best, int((d2 <= 1.0 + 1e-12).sum(axis=1).max()))
     return best
 
 
@@ -347,10 +348,10 @@ _BLAS_LOCK = threading.Lock()
 def _qr_pivots(A):
     """Column pivots of the pivoted QR of A (LAPACK ?geqp3: R and pivots
     only, Q is not formed), run in numpy's OpenBLAS with its pool pinned to
-    one thread and the previous count restored afterwards.  The pin keeps
-    the pivots independent of the thread count: a threaded geqp3 can order
-    near-equal column norms differently.  Without that library the QR
-    falls back to scipy's, on scipy's pool as it is."""
+    one thread and the previous count restored afterwards.  The pin is
+    for speed at small n (README "Threads"); `initial_basis`'s PIVOT_TILT
+    is what keeps the pivots independent of the thread count.  Without
+    that library the QR falls back to scipy's, on scipy's pool as it is."""
     lapack = _numpy_lapack()
     if lapack is None:
         from scipy.linalg import qr

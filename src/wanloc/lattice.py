@@ -21,25 +21,40 @@ ROW_SLAB = 128
 
 @dataclass(frozen=True)
 class SiteGrid:
-    """Maps matrix indices to integer lattice coordinates.
+    """The box of sites `shape` and the map from matrix indices to integer
+    lattice coordinates.
 
-    The sites fill the box `shape` in row-major order, site s = x * shape[1]
-    + y, and matrix index i = s * orbitals_per_site + orbital.
+    A sheet is a width x width box, and a chain a width x 1 box along x at
+    y = 0.  The sites fill the box in row-major order, site s = x * shape[1]
+    + y, and matrix index i = s * orbitals_per_site + orbital: the box
+    defines the layout, so grids with equal fields are one grid.
     """
 
     width: int
     orbitals_per_site: int
     ndim: int
-    x: np.ndarray = field(repr=False)   # per matrix index
-    y: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if self.ndim not in (1, 2):
+            raise ValueError(f"ndim must be 1 or 2, got {self.ndim}")
 
     @property
     def shape(self):
-        return _box(self.width, self.ndim)
+        return (self.width, self.width if self.ndim == 2 else 1)
 
     @property
     def dimension(self):
-        return self.x.size
+        return self.width * self.shape[1] * self.orbitals_per_site
+
+    @cached_property
+    def x(self):
+        """x coordinate per matrix index (int64)."""
+        return np.arange(self.dimension) // self.orbitals_per_site // self.shape[1]
+
+    @cached_property
+    def y(self):
+        """y coordinate per matrix index (int64)."""
+        return np.arange(self.dimension) // self.orbitals_per_site % self.shape[1]
 
     def site_coords(self):
         """Coordinates per site (one row per site, orbitals collapsed)."""
@@ -63,12 +78,6 @@ class SiteGrid:
         return order, starts, np.sqrt(uniq.astype(float))
 
 
-def _box(width, ndim):
-    """The box of sites: width x width for a sheet, and width x 1 for a
-    chain, which lies along x at y = 0."""
-    return (width, width if ndim == 2 else 1)
-
-
 def xy_mirror(grid):
     """Index permutation s of the x <-> y mirror of a sheet, which takes
     matrix index (x, y, orbital) to (y, x, orbital); None for a chain, whose
@@ -87,12 +96,7 @@ def row_slabs(n, size=ROW_SLAB):
 
 
 def make_grid(width, orbitals_per_site, ndim=2):
-    if ndim not in (1, 2):
-        raise ValueError(f"ndim must be 1 or 2, got {ndim}")
-    cells = np.indices(_box(width, ndim)).reshape(2, -1)
-    x, y = np.repeat(cells, orbitals_per_site, axis=1)
-    return SiteGrid(width=width, orbitals_per_site=orbitals_per_site,
-                    ndim=ndim, x=x, y=y)
+    return SiteGrid(width=width, orbitals_per_site=orbitals_per_site, ndim=ndim)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,8 @@ import numpy as np
 # projected_spectrum is unused here: it stays for the perfbench/tracing.py
 # binding wanloc.xhat:projected_spectrum
 from .dichotomy import GeneralizedWannierBasis, projected_spectrum
-from .errors import (IncompleteBasisError, OutsideGapSetError,
-                     SqrtResolventError, UnsupportedGeometryError)
-from .lattice import make_grid, row_slabs
+from .errors import IncompleteBasisError, OutsideGapSetError, SqrtResolventError
+from .lattice import row_slabs
 from .spectral import Projector, hermitian_norm, operator_norm, tilt_operator
 
 SQRT_SIGN_TOL = 1e-8
@@ -120,16 +119,13 @@ def _filter_rows(grid, spec: FilterSpec):
     On the integer lattice the filter is exact: entry (i, j) is
     fhat(dx / delta) * fhat(dy / delta), so everything beyond distance
     delta in either coordinate is exactly zero, and F is real and
-    symmetric.  In the `make_grid` layout F is kron(T_x, T_y), repeated
-    over orbital pairs, with the Toeplitz T[i, j] = fhat(|i - j| / delta)
-    of the offsets along each axis of the box `grid.shape`; a chain's
-    one-site axis gives T = [[1.0]].  Row i of F is the kron of row x_i
-    of T_x and row y_i of T_y, each entry repeated over the orbitals: the
-    same products as the full kron's.
+    symmetric.  A `SiteGrid` fills its box `grid.shape` in row-major
+    order, so F is kron(T_x, T_y), repeated over orbital pairs, with the
+    Toeplitz T[i, j] = fhat(|i - j| / delta) of the offsets along each
+    axis of the box; a chain's one-site axis gives T = [[1.0]].  Row i of
+    F is the kron of row x_i of T_x and row y_i of T_y, each entry
+    repeated over the orbitals: the same products as the full kron's.
     """
-    layout = make_grid(grid.width, grid.orbitals_per_site, grid.ndim)
-    if not (np.array_equal(grid.x, layout.x) and np.array_equal(grid.y, layout.y)):
-        raise UnsupportedGeometryError("filter smoothing needs the make_grid layout")
     T_x, T_y = (filter_fourier(a / spec.delta)[np.abs(a[:, None] - a)]
                 for a in map(np.arange, grid.shape))
     x, y, o = grid.x, grid.y, grid.orbitals_per_site
@@ -143,8 +139,8 @@ def _filter_rows(grid, spec: FilterSpec):
 def xhat_slabs(xtilde: XtildeOperator, spec: FilterSpec):
     """The rows of X-hat = Xtilde o F (`_filter_rows`) as an iterator over
     `row_slabs`: the products Xt[r] * F[r], one slab at a time, so that no
-    N x N X-hat is formed.  `wanloc pipeline` writes xhat.wdmx from them;
-    they are the slabs `build_xhat` fills its matrix with."""
+    N x N X-hat is formed.  `wanloc pipeline` writes xhat.wdmx from them,
+    and `build_xhat` fills its matrix with them."""
     mask = _filter_rows(xtilde.grid, spec)
     Xt = xtilde.matrix
     return (Xt[r] * mask(r) for r in row_slabs(len(Xt)))
@@ -152,13 +148,11 @@ def xhat_slabs(xtilde: XtildeOperator, spec: FilterSpec):
 
 def build_xhat(xtilde: XtildeOperator, spec: FilterSpec) -> np.ndarray:
     """Entrywise filter smoothing of the surrogate: the N x N matrix
-    X-hat = Xtilde o F, filled a row slab at a time with the products of
-    `xhat_slabs`.  F is real and even, so Hermiticity is preserved."""
-    mask = _filter_rows(xtilde.grid, spec)
-    Xt = xtilde.matrix
-    xh = np.empty_like(Xt)
-    for r in row_slabs(len(Xt)):
-        np.multiply(Xt[r], mask(r), out=xh[r])
+    X-hat = Xtilde o F, filled a row slab at a time from `xhat_slabs`.  F
+    is real and even, so Hermiticity is preserved."""
+    xh = np.empty_like(xtilde.matrix)
+    for r, slab in zip(row_slabs(len(xh)), xhat_slabs(xtilde, spec)):
+        xh[r] = slab
     return xh
 
 
@@ -239,6 +233,12 @@ def sqrt_resolvent(lam, basis: GeneralizedWannierBasis, P: Projector) -> SqrtRes
 
 @dataclass
 class GapCertificate:
+    """The certificate of one mid-gap lam at width delta: the norm `snorm`
+    and its pass flag, and the distance from lam to the spectrum of
+    P Xhat P.  `gap_certificate` leaves that distance nan, because the
+    spectrum is solved for only once the pass flags are known;
+    `cli._delta_step` then fills it in with `gap_distance`."""
+
     lam: float
     delta: float
     snorm: float
@@ -279,12 +279,11 @@ def certificate_coupling(xtilde: XtildeOperator, spec: FilterSpec):
     return np.conjugate(K, out=K)
 
 
-def gap_certificate(coupling, m1, spectrum, lam, delta) -> GapCertificate:
+def gap_certificate(coupling, m1, lam, delta) -> GapCertificate:
     """Certify that lam stays in the resolvent set of P Xhat P.
 
-    Reports the distance from lam to `spectrum`, the spectrum of P Xhat P,
-    and the symmetrized difference norm ||S (PXhatP - PXtildeP) S||; the
-    certificate passes when that norm is below 1/2, the contraction
+    Reports the symmetrized difference norm ||S (PXhatP - PXtildeP) S||;
+    the certificate passes when that norm is below 1/2, the contraction
     threshold of the mid-gap Neumann series.  In the surrogate's basis W of
     range(P), S P = W diag(|lam - m1|^{-1/2}) W^H, so the norm is that of
     the n x n Hermitian r K r with K the `coupling`
@@ -298,17 +297,14 @@ def gap_certificate(coupling, m1, spectrum, lam, delta) -> GapCertificate:
     R = diag(|lam - m1|^{-1/2}); the certified 1/delta rate is only an
     upper bound it must beat.
 
-    A `spectrum` of None leaves the distance nan, for a caller that solves
-    for the spectrum only once the pass flags are known and then fills the
-    distance in with `gap_distance`.
+    The distance to the spectrum is left nan (see `GapCertificate`).
     """
     if not in_gap_set(lam):
         raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
     r = np.abs(lam - m1) ** -0.5
     snorm = hermitian_norm(r[:, None] * coupling * r[None, :])
-    dist = math.nan if spectrum is None else gap_distance(spectrum, lam)
     return GapCertificate(lam=float(lam), delta=delta, snorm=snorm,
-                          min_gap_distance=dist, passed=bool(snorm < 0.5))
+                          min_gap_distance=math.nan, passed=bool(snorm < 0.5))
 
 
 def gap_distance(spectrum, lam):

@@ -1,5 +1,6 @@
 import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,24 @@ def test_verify_exit_code_on_inequality_failure(tmp_path, monkeypatch):
                         lambda *a, **k: (1.0, 0.0, False))
     cfg_path = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\nm = 1.0\n")
     assert main(["verify", cfg_path, "--out", str(tmp_path / "v")]) == 3
+
+
+def test_verify_checks_the_span_of_the_basis_once(tmp_path, monkeypatch):
+    """`build_xtilde` checks that the basis spans range(P); the surveys of
+    `verify` read the surrogate and do not repeat the check."""
+    import wanloc.xhat as xhat
+    check, calls = xhat.check_spans_range, []
+
+    def spy(*args):
+        calls.append(args)
+        return check(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wanloc") and hasattr(module, "check_spans_range"):
+            monkeypatch.setattr(module, "check_spans_range", spy)
+    cfg_path = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\nm = 1.0\n")
+    assert main(["verify", cfg_path, "--out", str(tmp_path / "v")]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_pipeline_atomic_verdict_with_sentinels(tmp_path):

@@ -5,9 +5,8 @@ import wanloc as wl
 from wanloc import cli, diagnostics
 from wanloc.cli import PipelineConfig
 from wanloc.errors import (ChernResidualError, GaplessModelError,
-                           IncompleteBasisError, InsufficientRangeError,
-                           OutsideGapSetError, UnsupportedGeometryError,
-                           WindowTooLargeError)
+                           InsufficientRangeError, OutsideGapSetError,
+                           UnsupportedGeometryError, WindowTooLargeError)
 from wanloc.lattice import make_grid, xy_mirror
 from wanloc.spectral import Projector, bracket, decay_floor, eigh_projector
 from wanloc.xhat import build_xtilde
@@ -567,7 +566,7 @@ def test_sqrt_bound_survey_atomic_closed_form():
     basis = wl.GeneralizedWannierBasis(psi=V.copy(),
                                        centers=np.zeros((1, 2)), grid=grid,
                                        degeneracy=np.ones(1, dtype=int))
-    rows = wl.sqrt_bound_survey(proj, basis, [0.5])
+    rows = wl.sqrt_bound_survey(build_xtilde(basis, proj), [0.5])
     sqrt_diff = rows[0][5]
     assert sqrt_diff == pytest.approx(abs(0.5 ** 0.5 - 1.25 ** 0.25), abs=1e-10)
 
@@ -580,14 +579,14 @@ def test_sqrt_bound_survey_empty_projector():
     basis = wl.GeneralizedWannierBasis(psi=np.zeros((N, 0), dtype=complex),
                                        centers=np.zeros((0, 2)), grid=grid,
                                        degeneracy=np.ones(0, dtype=int))
-    rows = wl.sqrt_bound_survey(proj, basis, [0.5])
+    rows = wl.sqrt_bound_survey(build_xtilde(basis, proj), [0.5])
     assert all(v <= 1e-12 for v in rows[0][1:])
 
 
 def test_sqrt_bound_survey_stable_across_midgap_values(dis12_report):
     rep = dis12_report
     lambdas = [0.5, 2.5, 4.5, 6.5, 8.5, 10.5]
-    rows = wl.sqrt_bound_survey(rep.projector, rep.basis_initial, lambdas)
+    rows = wl.sqrt_bound_survey(rep.xtilde, lambdas)
     for col in range(1, 6):
         vals = [r[col] for r in rows]
         assert max(vals) < 2.0 * min(vals) + 1e-9
@@ -597,11 +596,11 @@ def test_sqrt_bound_survey_stable_across_midgap_values(dis12_report):
 def test_sqrt_bound_survey_matches_full_definitions(stack, request):
     """The range-coordinate norms equal the N x N definitions built from
     S = sqrt_resolvent(lambda) and P."""
-    _, P, basis, _ = request.getfixturevalue(stack)
+    _, P, basis, xt = request.getfixturevalue(stack)
     x = basis.grid.x.astype(float)
     Pm = P.P
     lambdas = wl.gap_midpoints(0.0, 7.0)
-    rows = wl.sqrt_bound_survey(P, basis, lambdas)
+    rows = wl.sqrt_bound_survey(xt, lambdas)
     for lam, row in zip(lambdas, rows, strict=True):
         S = wl.sqrt_resolvent(lam, basis, P)
         bplus = bracket(x - lam) ** 0.5
@@ -616,28 +615,10 @@ def test_sqrt_bound_survey_matches_full_definitions(stack, request):
         assert row[1:] == pytest.approx(full, rel=1e-10)
 
 
-def test_sqrt_bound_survey_rejects_basis_missing_a_direction(dis8_stack):
-    _, P, basis, _ = dis8_stack
-    short = wl.GeneralizedWannierBasis(
-        psi=basis.psi[:, :-1], centers=basis.centers[:-1], grid=basis.grid,
-        degeneracy=basis.degeneracy[:-1])
-    with pytest.raises(IncompleteBasisError):
-        wl.sqrt_bound_survey(P, short, [0.5])
-    # same width as range(P), but one column swapped out of it
-    swapped = basis.psi.copy()
-    swapped[:, -1] = P.Q @ swapped[:, -1]
-    swapped[:, -1] /= np.linalg.norm(swapped[:, -1])
-    off = wl.GeneralizedWannierBasis(psi=swapped, centers=basis.centers,
-                                     grid=basis.grid,
-                                     degeneracy=basis.degeneracy)
-    with pytest.raises(IncompleteBasisError):
-        wl.sqrt_bound_survey(P, off, [0.5])
-
-
 def test_sqrt_bound_survey_rejects_outside_gap(dis8_stack):
-    _, P, basis, _ = dis8_stack
+    _, _, _, xt = dis8_stack
     with pytest.raises(OutsideGapSetError):
-        wl.sqrt_bound_survey(P, basis, [0.5, 1.0])
+        wl.sqrt_bound_survey(xt, [0.5, 1.0])
 
 
 @pytest.mark.parametrize("stack", ["dis8_stack", "topo8_stack"])

@@ -170,6 +170,16 @@ def test_make_grid_rejects_other_dimensions():
         make_grid(4, 1, ndim=3)
 
 
+def test_grids_built_alike_are_equal_and_hash_equal():
+    """The box defines the layout, so a grid is its three fields."""
+    sheet = make_grid(5, 2, ndim=2)
+    assert sheet == make_grid(5, 2, ndim=2)
+    assert hash(sheet) == hash(make_grid(5, 2, ndim=2))
+    assert sheet != make_grid(5, 2, ndim=1)
+    assert sheet != make_grid(5, 1, ndim=2)
+    assert len({sheet, make_grid(5, 2, ndim=2), make_grid(5, 2, ndim=1)}) == 2
+
+
 def test_model_rejects_non_hermitian_hamiltonian():
     H = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NotHermitianError, match="not Hermitian"):

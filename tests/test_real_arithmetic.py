@@ -76,7 +76,7 @@ def _pipeline(tmp_path, monkeypatch, twin):
     xh = wl.build_xhat(xt, wl.FilterSpec(8.0))
     _, tilt_rows = wl.tilt_lipschitz(xh, (0.05, 0.2), [(3.5, 3.5), (0.0, 7.0)],
                                      xt.grid)
-    surveys = ([v for row in wl.sqrt_bound_survey(P, basis, lambdas) for v in row]
+    surveys = ([v for row in wl.sqrt_bound_survey(xt, lambdas) for v in row]
                + [v for row in wl.tilted_comm_survey(xt, lambdas) for v in row]
                + [v for row in tilt_rows for v in row])
     return report, strips, surveys

@@ -1,17 +1,15 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
 
 import wanloc as wl
 from wanloc.errors import (IncompleteBasisError, OutsideGapSetError,
-                           SqrtResolventError, UnsupportedGeometryError)
+                           SqrtResolventError)
 from wanloc.lattice import SiteGrid, make_grid
 from wanloc.spectral import Projector
 from wanloc.cli import _delta_step
 from wanloc.xhat import (FilterSpec, XtildeOperator, build_xhat, build_xtilde,
-                         certificate_coupling, gap_certificate)
+                         certificate_coupling, gap_certificate, gap_distance)
 
 
 def atomic_setup(L=6):
@@ -49,8 +47,7 @@ def test_xtilde_atomic_equals_position():
 
 
 def test_xtilde_single_function_origin_center():
-    grid = SiteGrid(width=1, orbitals_per_site=1, ndim=2,
-                    x=np.array([0]), y=np.array([0]))
+    grid = SiteGrid(width=1, orbitals_per_site=1, ndim=2)
     P = Projector(factor=np.eye(1, dtype=complex), fermi_energy=0.0,
                   gap=1.0, grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.eye(1, dtype=complex),
@@ -173,30 +170,6 @@ def test_xhat_hermitian(dis8_stack):
         1.0, np.linalg.norm(xh))
 
 
-def with_grid(xt, grid):
-    """The surrogate `xt` with its basis carried on another grid."""
-    return XtildeOperator(matrix=xt.matrix, basis=replace(xt.basis, grid=grid))
-
-
-def test_xhat_requires_integer_coordinates(dis8_stack):
-    _, _, _, xt = dis8_stack
-    g = xt.grid
-    crooked = SiteGrid(width=g.width, orbitals_per_site=g.orbitals_per_site,
-                       ndim=g.ndim, x=g.x + 0.25, y=g.y)
-    with pytest.raises(UnsupportedGeometryError):
-        build_xhat(with_grid(xt, crooked), FilterSpec(4.0))
-
-
-def test_xhat_requires_the_make_grid_layout(dis8_stack):
-    # integer coordinates in another index order: s = y * width + x
-    _, _, _, xt = dis8_stack
-    g = xt.grid
-    permuted = SiteGrid(width=g.width, orbitals_per_site=g.orbitals_per_site,
-                        ndim=g.ndim, x=g.y, y=g.x)
-    with pytest.raises(UnsupportedGeometryError):
-        build_xhat(with_grid(xt, permuted), FilterSpec(4.0))
-
-
 # --- closeness ---------------------------------------------------------------
 
 def test_closeness_zero_in_atomic_limit():
@@ -288,8 +261,7 @@ def test_gap_set_membership_and_midpoints():
 
 
 def test_sqrt_resolvent_single_function():
-    grid = SiteGrid(width=1, orbitals_per_site=1, ndim=2,
-                    x=np.array([0]), y=np.array([0]))
+    grid = SiteGrid(width=1, orbitals_per_site=1, ndim=2)
     P = Projector(factor=np.eye(1, dtype=complex), fermi_energy=0.0,
                   gap=1.0, grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.eye(1, dtype=complex),
@@ -337,10 +309,9 @@ def test_gap_certificate_unfiltered_surrogate_is_exact(dis8_stack):
     ident = build_xhat(xt, spec)
     assert np.array_equal(ident, xt.matrix)
     spectrum, _ = wl.projected_spectrum(P, ident)
-    cert = gap_certificate(certificate_coupling(xt, spec), basis.m1, spectrum,
-                           0.5, 8.0)
+    cert = gap_certificate(certificate_coupling(xt, spec), basis.m1, 0.5, 8.0)
     assert cert.snorm <= 1e-9
-    assert cert.min_gap_distance >= 0.25
+    assert gap_distance(spectrum, cert.lam) >= 0.25
     assert cert.passed
 
 
