@@ -5,7 +5,7 @@ position operators."""
 from .lattice import (SiteGrid, TightBindingModel, build_atomic,
                       build_disordered_insulator, build_haldane,
                       build_ssh_chain, make_grid, position_operators)
-from .spectral import (DecayProfile, Projector, commutator, fermi_projector,
+from .spectral import (DecayProfile, Projector, fermi_projector,
                        hermitian_norm, kernel_decay_fit, operator_norm,
                        tilt_operator)
 from .dichotomy import (BandDecomposition, GapDetectionFailure, GapStructure,
@@ -18,9 +18,9 @@ from .xhat import (FilterSpec, GapCertificate, SqrtResolvent, XtildeOperator,
                    gap_certificate, gap_midpoints, in_gap_set, sqrt_resolvent,
                    tilt_lipschitz)
 from .diagnostics import (ChernReport, SchurReport, chern_marker,
-                          chern_number_kspace, exp_moment, fit_exponential,
+                          chern_number_kspace, fit_exponential,
                           lemma_decay_check, lemma_prod_sum_check,
-                          pointwise_bound_fit, s_moment, schur_row_sums,
-                          sqrt_bound_survey, tilted_comm_survey)
+                          schur_row_sums, sqrt_bound_survey,
+                          tilted_comm_survey)
 
 __version__ = "0.1.0"

@@ -75,6 +75,9 @@ MODELS = {
 
 @dataclass
 class PipelineConfig:
+    """The settings of one run, checked when the config is built
+    (`dataclasses.replace` included): a bad value raises ConfigError."""
+
     model_type: str
     L: int
     model_params: dict
@@ -89,7 +92,7 @@ class PipelineConfig:
     chern_windows: tuple = ()
     output_dir: str = "out"
 
-    def validate(self):
+    def __post_init__(self):
         if self.model_type not in MODELS:
             raise ConfigError(f"unknown model type {self.model_type!r}")
         unread = sorted(set(self.model_params)
@@ -127,7 +130,6 @@ class PipelineConfig:
             raise WindowTooLargeError(
                 f"Chern window {max(self.chern_windows)} leaves margin < L/4 "
                 f"on an L={self.L} sample")
-        return self
 
 
 def _floats(text):
@@ -149,7 +151,7 @@ PIPELINE_PARSERS = {"fermi_energy": float, "basis_mode": str, "s_grid": _floats,
 
 
 def parse_config(path) -> PipelineConfig:
-    """The validated config of an INI file.  Text that does not parse (a
+    """The config of an INI file.  Text that does not parse (a
     duplicate option or section, no section header, a line without `=`, a
     bare `%`, bytes that are not UTF-8), a missing key and a bad value are
     all a ConfigError."""
@@ -173,12 +175,10 @@ def parse_config(path) -> PipelineConfig:
     except (configparser.Error, KeyError, ValueError) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
     return PipelineConfig(model_type=model_type, L=L, model_params=params,
-                          seed=seed, **options).validate()
+                          seed=seed, **options)
 
 
 def build_model(cfg: PipelineConfig):
-    if cfg.model_type not in MODELS:
-        raise ConfigError(f"unknown model type {cfg.model_type!r}")
     defaults, build = MODELS[cfg.model_type]
     return build(cfg.L, cfg.seed, {**defaults, **cfg.model_params})
 
@@ -619,7 +619,7 @@ def main(argv=None):
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed).validate()
+            cfg = replace(cfg, seed=args.seed)
         if args.command == "pipeline":
             report = run_pipeline(cfg, out_dir=args.out)
             print(f"verdict: {report.verdict}")

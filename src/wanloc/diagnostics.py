@@ -18,24 +18,8 @@ from .xhat import sqrt_resolvent  # noqa: F401
 
 MIN_SHELLS = 10
 SHELL_WIDTH = 0.5
-POINTWISE_CEILING = 10.0
 CHERN_IMAG_TOL = 1e-8
 N_K = 24
-
-
-def s_moment(psi, mu, grid: SiteGrid, s):
-    """Discrete 2s-th moment of |psi|^2 about mu, in Japanese brackets."""
-    psi = np.asarray(psi)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-        raise ValueError("psi must be normalized")
-    br = bracket(grid.x - mu[0], grid.y - mu[1])
-    return float(np.sum(br ** (2.0 * s) * np.abs(psi) ** 2))
-
-
-def exp_moment(psi, mu, grid: SiteGrid, gamma):
-    """Finite-sum exponential moment sum exp(2 gamma <r - mu>) |psi|^2."""
-    br = bracket(grid.x - mu[0], grid.y - mu[1])
-    return float(np.sum(np.exp(2.0 * gamma * br) * np.abs(np.asarray(psi)) ** 2))
 
 
 def fit_exponential(psi, mu, grid: SiteGrid) -> DecayProfile:
@@ -112,14 +96,6 @@ def fit_exponentials(psi, centers, grid: SiteGrid):
         fits[k] = DecayProfile(C=float(peak[k]), gamma=math.inf, r_squared=1.0,
                                samples=int(n_points[k]), flag="compact-support")
     return fits
-
-
-def pointwise_bound_fit(psi, mu, grid: SiteGrid, s):
-    """Smallest C with |psi| <= C <r - mu>^{-s} pointwise, and whether it
-    is at most POINTWISE_CEILING."""
-    br = bracket(grid.x - mu[0], grid.y - mu[1])
-    c_pt = float(np.max(np.abs(np.asarray(psi)) * br ** s))
-    return c_pt, bool(c_pt <= POINTWISE_CEILING)
 
 
 @dataclass

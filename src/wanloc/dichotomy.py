@@ -23,7 +23,7 @@ from .errors import (IllConditionedSelectionError, IncompleteBasisError,
 from .lattice import SiteGrid, row_slabs
 from .spectral import (InsufficientRangeError, Projector, bracket,
                        envelope_decay_fit, factor_envelope, operator_norm,
-                       tilt_weights)
+                       orthonormality_defect, tilt_weights)
 # unused here; perfbench/tracing.py TRACED binds these names in this module
 from .spectral import matrix_decay_fit, range_basis, tilt_operator  # noqa: F401
 
@@ -82,8 +82,7 @@ class GeneralizedWannierBasis:
         return int(self.degeneracy.max())
 
     def orthonormality_defect(self):
-        G = self.psi.conj().T @ self.psi
-        return float(np.linalg.norm(G - np.eye(self.n_functions)))
+        return orthonormality_defect(self.psi)
 
     def completeness_defect(self, P):
         """Frobenius norm of Psi Psi^H - P, summed a row slab at a time, so
@@ -139,10 +138,6 @@ class GapStructure:
     d: float                     # min inter-cluster distance
     D: float                     # max cluster diameter
     xi: np.ndarray               # cluster centroids
-
-    @property
-    def n_clusters(self):
-        return len(self.intervals)
 
 
 @dataclass
@@ -200,7 +195,7 @@ def band_projectors(vecs, gaps: GapStructure, grid: SiteGrid) -> BandDecompositi
     `vecs` split into one block per cluster of `gaps`."""
     n = vecs.shape[1]
     # bounds every ||P_j P_k||, j != k, and the orthonormality inside a band
-    gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(n))
+    gram = orthonormality_defect(vecs)
     if gram > BAND_TOL:
         raise NumericalDegeneracyError(
             f"band vectors not orthonormal: defect {gram:.3e}")

@@ -23,11 +23,10 @@ def bracket(dx, dy=0.0):
     return np.sqrt(1.0 + np.square(dx) + np.square(dy))
 
 
-def commutator(A, B):
-    A, B = np.asarray(A), np.asarray(B)
-    if A.shape != B.shape or A.ndim != 2:
-        raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")
-    return A @ B - B @ A
+def orthonormality_defect(A):
+    """Frobenius norm of A^H A - I: zero when the columns of A are
+    orthonormal."""
+    return float(np.linalg.norm(A.conj().T @ A - np.eye(A.shape[1])))
 
 
 def operator_norm(A):
@@ -64,8 +63,6 @@ def hermitian_norm(A):
     accurate than the Gram route, which would first form A A^H.
     """
     A = np.atleast_2d(np.asarray(A))
-    if not np.any(A):
-        return 0.0 if A.ndim == 2 else np.zeros(A.shape[:-2])
     norms = np.max(np.abs(np.linalg.eigvalsh(A)), axis=-1, initial=0.0)
     return float(norms) if A.ndim == 2 else norms
 
@@ -83,10 +80,11 @@ class Projector:
     formed on first use and kept.  U is unitary, so V^H V = R^T R and the
     orthonormality check and the rank read `factor`.
 
-    Every stage reads range(P) through V alone.  The N x N matrices P and
-    Q = I - P are formed anew on each read and kept by nothing: they serve
-    the tests, the test-only `sqrt_resolvent` and the completeness gate of
-    perfbench, and no stage of `construct`, `verify` or `chern` reads them.
+    Every stage reads range(P) through V alone.  The N x N matrix P is
+    formed anew on each read and kept by nothing: it serves the tests, the
+    test-only `sqrt_resolvent` (which forms Q = I - P from it) and the
+    completeness gate of perfbench, and no stage of `construct`, `verify`
+    or `chern` reads it.
     """
 
     factor: np.ndarray = field(repr=False)
@@ -96,8 +94,7 @@ class Projector:
     mirror: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        F = self.factor
-        defect = np.linalg.norm(F.conj().T @ F - np.eye(self.rank))
+        defect = orthonormality_defect(self.factor)
         if defect > IDEMPOTENCY_TOL:
             raise NotOrthonormalError(
                 f"projector basis not orthonormal: {defect:.3e}")
@@ -120,10 +117,6 @@ class Projector:
     def P(self):
         P = self.V @ self.V.conj().T
         return 0.5 * (P + P.conj().T)
-
-    @property
-    def Q(self):
-        return np.eye(self.factor.shape[0]) - self.P
 
 
 def fermi_projector(model: TightBindingModel, fermi_energy: float) -> Projector:
@@ -230,10 +223,9 @@ def tilt_operator(A, gamma, anchor, grid: SiteGrid):
     inverts the conjugation.
 
     Computed entrywise as exp(w_i - w_j) * A_ij, which is exact and avoids
-    forming large/small diagonal factors separately.
+    forming large/small diagonal factors separately; at gamma = 0 every
+    factor is exp(0) = 1.0 and the result equals A.
     """
-    if gamma == 0.0:
-        return np.asarray(A).copy()
     w = tilt_weights(grid, gamma, anchor)
     return np.asarray(A) * np.exp(w[:, None] - w[None, :])
 

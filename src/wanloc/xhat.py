@@ -19,7 +19,8 @@ import numpy as np
 from .dichotomy import GeneralizedWannierBasis, projected_spectrum
 from .errors import IncompleteBasisError, OutsideGapSetError, SqrtResolventError
 from .lattice import row_slabs
-from .spectral import Projector, hermitian_norm, operator_norm, tilt_operator
+from .spectral import (Projector, hermitian_norm, operator_norm,
+                       orthonormality_defect, tilt_operator)
 
 SQRT_SIGN_TOL = 1e-8
 COMMUTE_TOL = 1e-9
@@ -62,11 +63,9 @@ def check_spans_range(W, P: Projector):
     """Raise `IncompleteBasisError` unless the columns of W are an
     orthonormal basis of range(P): as many as rank P, with Gram defects
     ||W^H W - I|| and ||C^H C - I||, C = V^H W, within COMPLETENESS_TOL."""
-    C = P.V.conj().T @ W
     n = W.shape[1]
-    eye = np.eye(n)
-    defect = max(np.linalg.norm(W.conj().T @ W - eye),
-                 np.linalg.norm(C.conj().T @ C - eye))
+    defect = max(orthonormality_defect(W),
+                 orthonormality_defect(P.V.conj().T @ W))
     if n != P.rank or defect > COMPLETENESS_TOL:
         raise IncompleteBasisError(
             f"basis of {n} functions does not span range(P) of rank "
@@ -212,13 +211,13 @@ def sqrt_resolvent(lam, basis: GeneralizedWannierBasis, P: Projector) -> SqrtRes
         raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
     W = basis.psi
     m1 = basis.m1
-    Q = P.Q
+    Pm = P.P
+    Q = np.eye(len(Pm)) - Pm
     wts = np.abs(lam - m1)
     S = abs(lam) ** -0.5 * Q + (W * wts ** -0.5) @ W.conj().T
     S_inv = abs(lam) ** 0.5 * Q + (W * wts ** 0.5) @ W.conj().T
     S = 0.5 * (S + S.conj().T)
     S_inv = 0.5 * (S_inv + S_inv.conj().T)
-    Pm = P.P
     comm = np.linalg.norm(S @ Pm - Pm @ S)
     if comm > COMMUTE_TOL:
         raise SqrtResolventError(f"[S, P] = {comm:.3e} exceeds {COMMUTE_TOL}")

@@ -18,6 +18,10 @@ MARKER_TRIVIAL_PARAMS = {"t1": 1.0, "t2": 1.0 / 3.0, "phi": np.pi / 2.0, "m": 3.
 SSH_PARAMS = {"t1": 1.0, "t2": 0.45}
 
 
+def commutator(A, B):
+    return A @ B - B @ A
+
+
 def centroid(psi, grid):
     dens = np.abs(psi) ** 2
     return np.array([dens @ grid.x, dens @ grid.y]) / dens.sum()

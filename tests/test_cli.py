@@ -1,6 +1,7 @@
 import os
 import struct
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +158,7 @@ def test_build_model_covers_every_type(model_type):
     assert set(GIVEN_PARAMS[model_type]) == set(defaults)
     for given in ({}, GIVEN_PARAMS[model_type]):
         cfg = PipelineConfig(model_type=model_type, L=5, model_params=given,
-                             seed=3).validate()
+                             seed=3)
         model = build_model(cfg)
         for name, value in {**defaults, **given}.items():
             assert model.params[name] == value
@@ -166,10 +167,18 @@ def test_build_model_covers_every_type(model_type):
         assert model.grid.dimension == (10 if model_type == "ssh" else 50)
 
 
-def test_build_model_rejects_an_unvalidated_unknown_type():
-    cfg = PipelineConfig(model_type="kagome", L=6, model_params={}, seed=0)
+def test_config_rejects_an_unknown_type_at_construction():
     with pytest.raises(ConfigError, match="kagome"):
-        build_model(cfg)
+        PipelineConfig(model_type="kagome", L=6, model_params={}, seed=0)
+
+
+def test_replace_checks_the_new_config():
+    cfg = PipelineConfig(model_type="disordered", L=8, model_params=DIS_PARAMS,
+                         seed=DIS_SEED)
+    with pytest.raises(ConfigError, match="L must be >= 4"):
+        replace(cfg, L=3)
+    with pytest.raises(ConfigError, match="every Delta must be >= 2"):
+        replace(cfg, delta_list=(1.0,))
 
 
 def test_wdmx_round_trip(tmp_path):

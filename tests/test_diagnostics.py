@@ -8,10 +8,11 @@ from wanloc.errors import (ChernResidualError, GaplessModelError,
                            InsufficientRangeError, OutsideGapSetError,
                            UnsupportedGeometryError, WindowTooLargeError)
 from wanloc.lattice import make_grid, xy_mirror
+from wanloc.dichotomy import attach_moments
 from wanloc.spectral import Projector, bracket, decay_floor, eigh_projector
 from wanloc.xhat import build_xtilde
 
-from suite_common import TOPO_PARAMS, gauge_twin
+from suite_common import TOPO_PARAMS, commutator, gauge_twin
 
 RNG_SEED = 1234
 
@@ -31,18 +32,25 @@ def synthetic_profile(grid, mu, shape):
 # --- moments ------------------------------------------------------------------
 
 
+def s_moment(v, mu, grid, s):
+    """The 2s-th moment of one function about mu, from `attach_moments`."""
+    basis = wl.GeneralizedWannierBasis(psi=v[:, None], centers=np.array([mu]),
+                                       grid=grid)
+    return attach_moments(basis, (s,)).moments[float(s)][0]
+
+
 def test_s_moment_of_centred_delta():
     grid = make_grid(6, 1, ndim=2)
     i = int(np.flatnonzero((grid.x == 2) & (grid.y == 3))[0])
-    assert wl.s_moment(delta_vector(grid, i), (2.0, 3.0), grid, s=1.0) == 1.0
-    assert wl.s_moment(delta_vector(grid, i), (2.0, 3.0), grid, s=2.5) == 1.0
+    assert s_moment(delta_vector(grid, i), (2.0, 3.0), grid, s=1.0) == 1.0
+    assert s_moment(delta_vector(grid, i), (2.0, 3.0), grid, s=2.5) == 1.0
 
 
 def test_s_moment_of_displaced_delta():
     grid = make_grid(8, 1, ndim=2)
     i = int(np.flatnonzero((grid.x == 4) & (grid.y == 5))[0])
     # displacement (3, 4): bracket^2 = 1 + 25 = 26
-    val = wl.s_moment(delta_vector(grid, i), (1.0, 1.0), grid, s=1.0)
+    val = s_moment(delta_vector(grid, i), (1.0, 1.0), grid, s=1.0)
     assert val == pytest.approx(26.0, abs=1e-12)
 
 
@@ -51,13 +59,13 @@ def test_s_moment_equal_weight_pair():
     i0 = int(np.flatnonzero((grid.x == 2) & (grid.y == 2))[0])
     i1 = int(np.flatnonzero((grid.x == 3) & (grid.y == 2))[0])
     v = (delta_vector(grid, i0) + delta_vector(grid, i1)) / np.sqrt(2.0)
-    assert wl.s_moment(v, (2.0, 2.0), grid, s=1.0) == pytest.approx(1.5)
+    assert s_moment(v, (2.0, 2.0), grid, s=1.0) == pytest.approx(1.5)
 
 
 def test_s_moment_monotone_in_s():
     grid = make_grid(8, 1, ndim=2)
     v, _ = synthetic_profile(grid, (3.5, 3.5), lambda r: np.exp(-0.7 * r))
-    vals = [wl.s_moment(v, (3.5, 3.5), grid, s) for s in (0.5, 1.0, 2.0, 3.0)]
+    vals = [s_moment(v, (3.5, 3.5), grid, s) for s in (0.5, 1.0, 2.0, 3.0)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[0] >= 1.0
 
@@ -254,48 +262,6 @@ def test_block_fit_matches_shell_loop_band_by_band(dis12_report):
                    for o in outcomes)
         start = cols.stop
     assert start == final.n_functions
-
-
-def test_exp_moment_finite_below_fitted_rate():
-    grid = make_grid(40, 1, ndim=2)
-    mu = (19.5, 19.5)
-    v, _ = synthetic_profile(grid, mu, lambda r: np.exp(-0.5 * r))
-    fit = wl.fit_exponential(v, mu, grid)
-    half = wl.exp_moment(v, mu, grid, fit.gamma / 2.0)
-    # sum exp(2 * (gamma/2) <r>) |psi|^2 = sum exp(-...) stays order one
-    assert half <= 10.0 * fit.C ** 2 + 10.0
-
-
-# --- pointwise bounds -----------------------------------------------------------
-
-
-def test_pointwise_bound_of_delta():
-    grid = make_grid(8, 1, ndim=2)
-    i = int(np.flatnonzero((grid.x == 3) & (grid.y == 3))[0])
-    c_pt, ok = wl.pointwise_bound_fit(delta_vector(grid, i), (3.0, 3.0), grid,
-                                      s=2.0)
-    assert c_pt == pytest.approx(1.0, abs=1e-12)
-    assert ok
-
-
-def test_pointwise_bound_uniform_over_translates():
-    grid = make_grid(30, 1, ndim=2)
-    consts = []
-    for mu in ((14.0, 14.0), (10.0, 17.0), (12.0, 12.0)):
-        v, _ = synthetic_profile(grid, mu, lambda r: r ** -3.0)
-        c_pt, _ = wl.pointwise_bound_fit(v, mu, grid, s=3.0)
-        consts.append(c_pt)
-    assert max(consts) / min(consts) < 1.05
-
-
-def test_pointwise_bound_s_zero_is_max_amplitude():
-    grid = make_grid(8, 1, ndim=2)
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(grid.dimension)
-    v /= np.linalg.norm(v)
-    c_pt, _ = wl.pointwise_bound_fit(v, (3.5, 3.5), grid, s=0.0)
-    assert c_pt == pytest.approx(np.max(np.abs(v)), abs=1e-14)
-    assert c_pt <= 1.0
 
 
 # --- Chern marker ----------------------------------------------------------------
@@ -633,7 +599,7 @@ def test_tilted_comm_survey_matches_full_sandwich(stack, request):
     for lam, row in zip(lambdas, rows, strict=True):
         bminus = np.diag(1.0 / bracket(grid.x - lam) ** 0.5)
         for col, A in ((1, X), (2, Y)):
-            full = wl.operator_norm(bminus @ wl.commutator(A, xt.matrix) @ bminus)
+            full = wl.operator_norm(bminus @ commutator(A, xt.matrix) @ bminus)
             assert row[col] == pytest.approx(full, rel=1e-10)
 
 

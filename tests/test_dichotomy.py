@@ -81,14 +81,14 @@ def test_projected_spectrum_invariant_under_range_basis_change(dis_projectors):
 def test_detect_gaps_hand_separable():
     gaps = wl.detect_uniform_gaps([0.0, 0.1, 1.0, 1.05, 2.0], d_min=0.5)
     assert isinstance(gaps, wl.GapStructure)
-    assert gaps.n_clusters == 3
+    assert len(gaps.intervals) == 3
     assert gaps.d == pytest.approx(0.9)
     assert gaps.D == pytest.approx(0.1)
 
 
 def test_detect_gaps_integer_spectrum():
     gaps = wl.detect_uniform_gaps(np.arange(11.0), d_min=0.5)
-    assert gaps.n_clusters == 11
+    assert len(gaps.intervals) == 11
     assert gaps.d == pytest.approx(1.0)
     assert gaps.D == 0.0
     assert np.allclose(gaps.xi, np.arange(11.0))
@@ -161,7 +161,7 @@ def test_band_blocks_span_the_projected_spectrum_subspaces(stack, request):
     bands = wl.band_projectors(fix_phases(xt.basis.psi @ U), gaps, P.grid)
     _, recomputed = wl.projected_spectrum(P, xh)
     ref = wl.band_projectors(recomputed, gaps, P.grid)
-    assert len(bands.vectors) == len(ref.vectors) == gaps.n_clusters
+    assert len(bands.vectors) == len(ref.vectors) == len(gaps.intervals)
     for V, R in zip(bands.vectors, ref.vectors, strict=True):
         assert V.shape[1] == R.shape[1]
         assert np.linalg.norm(V @ V.conj().T - R @ R.conj().T) <= 1e-12

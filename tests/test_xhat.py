@@ -11,6 +11,8 @@ from wanloc.cli import _delta_step
 from wanloc.xhat import (FilterSpec, XtildeOperator, build_xhat, build_xtilde,
                          certificate_coupling, gap_certificate, gap_distance)
 
+from suite_common import commutator
+
 
 def atomic_setup(L=6):
     """Diagonal projector with a delta basis on an L x L two-orbital grid."""
@@ -60,7 +62,7 @@ def test_xtilde_single_function_origin_center():
 def basis_with_column_in_range_q(P, basis):
     """The basis with its last column replaced by a unit vector of range(Q)."""
     psi = basis.psi.astype(complex)
-    q = P.Q[:, 0]
+    q = (np.eye(len(psi)) - P.P)[:, 0]
     psi[:, -1] = q / np.linalg.norm(q)
     return wl.GeneralizedWannierBasis(psi=psi, centers=basis.centers,
                                       grid=basis.grid,
@@ -86,7 +88,7 @@ def test_xtilde_distance_to_position_respects_schur_bound(dis8_stack):
     model, P, basis, xt = dis8_stack
     X, _ = wl.position_operators(model)
     rep = wl.schur_row_sums(basis.psi, basis.m1, basis.grid)
-    comm = wl.operator_norm(wl.commutator(X, P.P))
+    comm = wl.operator_norm(commutator(X, P.P))
     direct = wl.operator_norm(xt.matrix - X)
     assert direct <= rep.bound + 2.0 * comm + 1e-9
 
