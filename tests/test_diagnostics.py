@@ -4,11 +4,11 @@ import pytest
 import wanloc as wl
 from wanloc import cli, diagnostics
 from wanloc.cli import PipelineConfig
+from wanloc.dichotomy import attach_moments
 from wanloc.errors import (ChernResidualError, GaplessModelError,
                            InsufficientRangeError, OutsideGapSetError,
                            UnsupportedGeometryError, WindowTooLargeError)
 from wanloc.lattice import make_grid, xy_mirror
-from wanloc.dichotomy import attach_moments
 from wanloc.spectral import Projector, bracket, decay_floor, eigh_projector
 from wanloc.xhat import build_xtilde
 
