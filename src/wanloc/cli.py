@@ -47,10 +47,11 @@ VERDICT_ERROR = "stage-error"
 
 FIT_R2_MIN = 0.9
 
-# each inequality suite of `verify` draws INEQUALITY_CASES cases and checks
-# them INEQUALITY_BLOCK at a time: one call per block, not per case, while
-# the stacked arrays of a block stay small (one stack of all the Schur
-# cases raises the peak RSS of a verify call by about 6%)
+# each inequality suite of `verify` draws and checks INEQUALITY_CASES cases
+# INEQUALITY_BLOCK at a time: one generator call per parameter and one
+# check call per block, not per case, while the arrays of a block stay
+# small (one stack of all the Schur cases raises the peak RSS of a verify
+# call by about 6%)
 INEQUALITY_CASES = 1000
 INEQUALITY_BLOCK = 100
 # the exponents s1, s2 each lemma case draws from
@@ -446,16 +447,15 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
 
 
 def _inequality_suite(path, header, draw, check, meta):
-    """Draw INEQUALITY_CASES cases in order, one tuple of parameter arrays
-    per `draw()`, and pass them to `check` INEQUALITY_BLOCK cases at a time,
-    each parameter stacked along a leading case axis.  `check` returns the
-    row columns of its block, the pass flags last; a scalar stands for its
-    whole block.  Writes one row per case; returns the number of failures."""
+    """Check INEQUALITY_CASES cases INEQUALITY_BLOCK at a time.  `draw(size)`
+    returns the parameters of the next `size` cases, each an array with a
+    leading case axis, and `check` the row columns of that block, the pass
+    flags last; a scalar stands for its whole block.  Writes one row per
+    case; returns the number of failures."""
     blocks = []
     for lo in range(0, INEQUALITY_CASES, INEQUALITY_BLOCK):
         size = min(INEQUALITY_BLOCK, INEQUALITY_CASES - lo)
-        params = [np.stack(p) for p in zip(*(draw() for _ in range(size)))]
-        blocks.append([np.broadcast_to(c, size) for c in check(*params)])
+        blocks.append([np.broadcast_to(c, size) for c in check(*draw(size))])
     *columns, ok = (np.concatenate(c) for c in zip(*blocks))
     rows = zip(range(INEQUALITY_CASES), *(c.tolist() for c in columns),
                ok.tolist())
@@ -476,14 +476,19 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
     grid = make_grid(min(cfg.L, 8), orbitals_per_site=1, ndim=2)
     n = grid.dimension
 
-    def draw_s(choices):
-        # the stream of rng.choice(choices, size=2), at half its cost
-        return choices[rng.integers(0, len(choices), size=2)]
+    # each draw is one generator call per parameter for a whole block, so
+    # the stream is block-major: all of a block's v, then its m, then its s
+    def normals(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    def decay_case():
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        # m then k: the stream of two size=2 draws
-        return v, rng.integers(-8, 9, size=4), draw_s(DECAY_S)
+    def draw_s(choices, size):
+        # the exponents (s1, s2) of each case, uniform over `choices`
+        return choices[rng.integers(0, len(choices), size=(size, 2))]
+
+    def decay_case(size):
+        # the columns of the integer draw are m1, m2, k1, k2
+        return (normals((size, n)), rng.integers(-8, 9, size=(size, 4)),
+                draw_s(DECAY_S, size))
 
     def decay_check(v, mk, s):
         return (*mk.T, *s.T, *diagnostics.lemma_decay_check(
@@ -494,9 +499,9 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
         ("m1", "m2", "k1", "k2", "s1", "s2", "lhs", "rhs"), decay_case,
         decay_check, meta)
 
-    def prod_sum_case():
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return v, rng.uniform(-8.0, 8.0, size=2), draw_s(PROD_SUM_S)
+    def prod_sum_case(size):
+        return (normals((size, n)), rng.uniform(-8.0, 8.0, size=(size, 2)),
+                draw_s(PROD_SUM_S, size))
 
     def prod_sum_check(v, m, s):
         return (*m.T, *s.T, *diagnostics.lemma_prod_sum_check(
@@ -510,15 +515,12 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
     small = make_grid(4, orbitals_per_site=1, ndim=2)
     r_max = 8
 
-    def schur_case():
-        # padded to rank r_max so that a block stacks; zeros past r
-        r = int(rng.integers(3, r_max + 1))
-        A = np.zeros((small.dimension, r_max), dtype=complex)
-        A[:, :r] = rng.standard_normal((small.dimension, r)) \
-            + 1j * rng.standard_normal((small.dimension, r))
-        m1 = np.zeros(r_max)
-        m1[:r] = rng.integers(0, 4, size=(r, 2))[:, 0]
-        return r, A, m1
+    def schur_case(size):
+        # drawn at rank r_max so that a block is one array; the check reads
+        # the first r columns of A and entries of m1
+        return (rng.integers(3, r_max + 1, size=size),
+                normals((size, small.dimension, r_max)),
+                rng.integers(0, 4, size=(size, r_max)))
 
     def schur_check(r, A, m1):
         # orthonormal bases from one stacked QR per rank

@@ -334,9 +334,16 @@ def sqrt_bound_survey(xtilde: XtildeOperator, lambdas):
 def tilted_comm_survey(xtilde: XtildeOperator, lambdas):
     """Bracket-sandwiched commutators of the surrogate with X and Y, plus the
     discrete-kernel Schur sum of the gap-weighted position coefficients.
-    Rows: (lambda, comm_x, comm_y, weighted_sum_sup).  [x, Xtilde] and
-    [y, Xtilde] are formed anew for each lambda, one at a time, and
-    sandwiched at once: no commutator is kept across lambdas."""
+    Rows: (lambda, comm_x, comm_y, weighted_sum_sup).
+
+    For each lambda, b- [x, Xtilde] b- and then b- [y, Xtilde] b- are each
+    built in place in one N x N array, with the products of
+    b-[:, None] * (c[:, None] * Xtilde - Xtilde * c[None, :]) * b-[None, :]
+    in that order, and passed to the norm as its only reference, so that
+    numpy's temporary elision lets a real sandwich be divided by its max in
+    place inside `operator_norm`.  The survey holds one sandwich and its
+    Gram matrix at a time; the n x n arrays of the weighted sum are freed
+    before the next sandwich is built."""
     basis = xtilde.basis
     grid = basis.grid
     x = grid.x.astype(float)
@@ -344,24 +351,36 @@ def tilted_comm_survey(xtilde: XtildeOperator, lambdas):
     Xt = xtilde.matrix
     W = basis.psi
     m1 = basis.m1
-    jidx = basis.degeneracy
     coeff = np.abs(W.conj().T @ (x[:, None] * W))
+    spread = np.abs(m1[:, None] - m1[None, :])
+    columns = [basis.degeneracy == j for j in np.unique(basis.degeneracy)]
+    # [c, Xtilde] is anti-Hermitian.  1j times a complex sandwich is
+    # Hermitian, and its one eigvalsh beats a complex Gram matrix; a real
+    # sandwich keeps the real Gram matrix of operator_norm
+    complex_xt = np.iscomplexobj(Xt)
+    norm = hermitian_norm if complex_xt else operator_norm
+
+    def sandwich(c, bminus):
+        S = c[:, None] * Xt
+        S -= Xt * c[None, :]
+        S *= bminus[:, None]
+        S *= bminus[None, :]
+        if complex_xt:
+            S *= 1j
+        return S
+
+    def weighted_sup(lam):
+        weighted = coeff * (spread / np.abs(lam - m1)[None, :])
+        sup = 0.0
+        for mask in columns:
+            sup = max(sup, float(weighted[:, mask].sum(axis=1).max()))
+        return sup
+
     rows = []
     for lam in lambdas:
         if not in_gap_set(lam):
             raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
         bminus = 1.0 / bracket(x - lam) ** 0.5
-        sandwiches = (bminus[:, None] * (c[:, None] * Xt - Xt * c[None, :])
-                      * bminus[None, :] for c in (x, y))
-        # [x, Xtilde] is anti-Hermitian.  1j times a complex sandwich is
-        # Hermitian, and its one eigvalsh beats a complex Gram matrix; a
-        # real sandwich keeps the real Gram matrix of operator_norm
-        comm_x, comm_y = (hermitian_norm(1j * S) if np.iscomplexobj(S)
-                          else operator_norm(S) for S in sandwiches)
-        wts = np.abs(m1[:, None] - m1[None, :]) / np.abs(lam - m1)[None, :]
-        weighted = coeff * wts
-        sup = 0.0
-        for j in np.unique(jidx):
-            sup = max(sup, float(weighted[:, jidx == j].sum(axis=1).max()))
-        rows.append((float(lam), comm_x, comm_y, sup))
+        rows.append((float(lam), norm(sandwich(x, bminus)),
+                     norm(sandwich(y, bminus)), weighted_sup(lam)))
     return rows

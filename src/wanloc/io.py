@@ -77,10 +77,8 @@ def write_csv(path, header, rows, meta=None):
     Output is byte-deterministic for identical inputs; files are written to a
     temp path and renamed into place.
     """
-    lines = []
     meta = meta or {}
-    lines.append("# " + " ".join(f"{k}={fmt(v)}" for k, v in meta.items()))
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    lines = ["# " + " ".join(f"{k}={fmt(v)}" for k, v in meta.items()),
+             ",".join(header)]
+    lines.extend(",".join(map(fmt, row)) for row in rows)
     _write_atomic(path, [("\n".join(lines) + "\n").encode()])

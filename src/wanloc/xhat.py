@@ -164,13 +164,20 @@ def closeness_norm(xhat, x):
 
 def tilt_lipschitz(xhat, gammas, anchors, grid):
     """Tilted-minus-plain norms of the X-hat matrix per (gamma, anchor) and
-    the sup of norm/gamma."""
+    the sup of norm/gamma.  Each difference is taken in place in its tilted
+    matrix and passed to the norm as its only reference, so that numpy's
+    temporary elision lets `operator_norm` divide it by its max in place,
+    and no tilted matrix outlives its norm."""
+
+    def difference(gamma, anchor):
+        tilted = tilt_operator(xhat, gamma, anchor, grid)
+        return np.subtract(tilted, xhat, out=tilted)
+
     rows = []
     sup_ratio = 0.0
     for gamma in gammas:
         for anchor in anchors:
-            tilted = tilt_operator(xhat, gamma, anchor, grid)
-            norm = operator_norm(tilted - xhat)
+            norm = operator_norm(difference(gamma, anchor))
             ratio = norm / gamma if gamma > 0 else 0.0
             sup_ratio = max(sup_ratio, ratio)
             rows.append((float(gamma), float(anchor[0]), float(anchor[1]),

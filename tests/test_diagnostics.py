@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,16 @@ from wanloc.lattice import make_grid, xy_mirror
 from wanloc.spectral import Projector, bracket, decay_floor, eigh_projector
 from wanloc.xhat import build_xtilde
 
-from suite_common import TOPO_PARAMS, commutator, gauge_twin
+from suite_common import (DIS_PARAMS, DIS_SEED, TOPO_PARAMS, commutator,
+                          gauge_twin)
 
 RNG_SEED = 1234
+# peak traced allocation of one `tilted_comm_survey` on the verify
+# workload's config (disordered L=10, N=200, a float64 X-tilde), in arrays
+# of X-tilde's size, after a first call: measured 2.73, one sandwich and
+# its Gram matrix at a time; it was 3.98 when the sandwich was formed from
+# expression temporaries and kept while the norm scaled a copy of it
+COMM_SURVEY_PEAK_NXN = 3.0
 
 
 def delta_vector(grid, site_index):
@@ -636,6 +645,27 @@ def test_tilted_comm_survey_rejects_outside_gap(dis12_report):
     xt = build_xtilde(rep.basis_initial, rep.projector)
     with pytest.raises(OutsideGapSetError):
         wl.tilted_comm_survey(xt, [1.0])
+
+
+def test_tilted_comm_survey_peak_allocation_budget():
+    """Each sandwich is built in place and scaled in place by the norm, so
+    the survey holds at most COMM_SURVEY_PEAK_NXN N x N arrays."""
+    cfg = PipelineConfig(model_type="disordered", L=10,
+                         model_params=DIS_PARAMS, seed=DIS_SEED)
+    core = cli.RunReport()
+    cli._surrogate_stages(cfg, core)
+    xt = core.xtilde
+    lambdas = wl.gap_midpoints(0.0, xt.grid.width - 1.0)
+    # an untraced first call loads what the survey imports lazily
+    wl.tilted_comm_survey(xt, lambdas)
+    tracemalloc.start()
+    try:
+        wl.tilted_comm_survey(xt, lambdas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert xt.matrix.dtype == np.float64 and xt.grid.dimension == 200
+    assert peak <= COMM_SURVEY_PEAK_NXN * xt.matrix.nbytes
 
 
 def test_surveys_bounded_across_sizes(survey_maxima):

@@ -9,8 +9,8 @@ import pytest
 
 import wanloc as wl
 from wanloc import diagnostics
-from wanloc.cli import (INEQUALITY_BLOCK, INEQUALITY_CASES, PipelineConfig,
-                        run_verify)
+from wanloc.cli import (DECAY_S, INEQUALITY_BLOCK, INEQUALITY_CASES,
+                        PROD_SUM_S, PipelineConfig, run_verify)
 from wanloc.dichotomy import GeneralizedWannierBasis
 from wanloc.io import fmt
 from wanloc.lattice import make_grid
@@ -59,38 +59,51 @@ def schur_reference(basis):
 
 def suites_reference(seed, L):
     """The rows of the three suite CSVs from the per-case loops, drawing
-    from the same generator in the same order."""
+    from the same generator in the same block-major order: for each block
+    of INEQUALITY_BLOCK cases, one draw per parameter."""
     rng = np.random.default_rng(seed + 1000)
     grid = make_grid(min(L, 8), orbitals_per_site=1, ndim=2)
     n = grid.dimension
+    blocks = [range(lo, min(lo + INEQUALITY_BLOCK, INEQUALITY_CASES))
+              for lo in range(0, INEQUALITY_CASES, INEQUALITY_BLOCK)]
+
+    def normals(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
     decay = []
-    for i in range(1000):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        m = rng.integers(-8, 9, size=2)
-        k = rng.integers(-8, 9, size=2)
-        s1, s2 = rng.choice((0.5, 1.0, 2.5), size=2)
-        lhs, rhs, ok = decay_reference(v, m, k, s1, s2, grid)
-        decay.append((i, m[0], m[1], k[0], k[1], s1, s2, lhs, rhs, ok))
+    for cases in blocks:
+        v = normals((len(cases), n))
+        mk = rng.integers(-8, 9, size=(len(cases), 4))
+        s = DECAY_S[rng.integers(0, len(DECAY_S), size=(len(cases), 2))]
+        for b, i in enumerate(cases):
+            m, k, (s1, s2) = mk[b, :2], mk[b, 2:], s[b]
+            lhs, rhs, ok = decay_reference(v[b], m, k, s1, s2, grid)
+            decay.append((i, m[0], m[1], k[0], k[1], s1, s2, lhs, rhs, ok))
     prod_sum = []
-    for i in range(1000):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        m = rng.uniform(-8.0, 8.0, size=2)
-        s1, s2 = rng.choice((0.0, 0.5, 1.0, 2.5), size=2)
-        lhs, rhs, ok = prod_sum_reference(v, m, s1, s2, grid)
-        prod_sum.append((i, m[0], m[1], s1, s2, lhs, rhs, ok))
+    for cases in blocks:
+        v = normals((len(cases), n))
+        m = rng.uniform(-8.0, 8.0, size=(len(cases), 2))
+        s = PROD_SUM_S[rng.integers(0, len(PROD_SUM_S),
+                                     size=(len(cases), 2))]
+        for b, i in enumerate(cases):
+            s1, s2 = s[b]
+            lhs, rhs, ok = prod_sum_reference(v[b], m[b], s1, s2, grid)
+            prod_sum.append((i, m[b, 0], m[b, 1], s1, s2, lhs, rhs, ok))
     small = make_grid(4, orbitals_per_site=1, ndim=2)
     schur = []
-    for i in range(1000):
-        r = int(rng.integers(3, 9))
-        A = rng.standard_normal((small.dimension, r)) \
-            + 1j * rng.standard_normal((small.dimension, r))
-        W, _ = np.linalg.qr(A)
-        ms = rng.integers(0, 4, size=(r, 2))
-        basis = GeneralizedWannierBasis(psi=W, centers=ms.astype(float),
-                                        grid=small,
-                                        degeneracy=np.ones(r, dtype=int))
-        values = schur_reference(basis)
-        schur.append((i, r) + values + (values[3] <= values[2] + 1e-9,))
+    for cases in blocks:
+        ranks = rng.integers(3, 9, size=len(cases))
+        A = normals((len(cases), small.dimension, 8))
+        m1 = rng.integers(0, 4, size=(len(cases), 8))
+        for b, i in enumerate(cases):
+            r = int(ranks[b])
+            W, _ = np.linalg.qr(A[b, :, :r])
+            centers = np.zeros((r, 2))
+            centers[:, 0] = m1[b, :r]
+            basis = GeneralizedWannierBasis(psi=W, centers=centers, grid=small,
+                                            degeneracy=np.ones(r, dtype=int))
+            values = schur_reference(basis)
+            schur.append((i, r) + values + (values[3] <= values[2] + 1e-9,))
     # per file: the rows and the columns that hold computed values
     return {"verify_decay_lemma.csv": (decay, (7, 8)),
             "verify_prod_sum.csv": (prod_sum, (5, 6)),
@@ -240,3 +253,60 @@ def test_verify_calls_each_check_once_per_block(tmp_path, monkeypatch):
         assert sum(sizes) == INEQUALITY_CASES
     for name in SUITE_FILES:
         assert len(read_rows(tmp_path / name)) == INEQUALITY_CASES
+
+
+# --- the drawn cases ----------------------------------------------------------
+
+
+def _atomic_verify(out_dir, seed):
+    cfg = PipelineConfig(model_type="atomic", L=6, model_params={"m": 1.0},
+                         seed=seed, output_dir=str(out_dir))
+    assert run_verify(cfg)[1] == 0
+
+
+def test_suite_cases_are_fixed_by_the_seed(tmp_path):
+    """One seed writes the same suite files byte for byte; another seed
+    draws other cases."""
+    for name, seed in (("a", 5), ("b", 5), ("c", 6)):
+        _atomic_verify(tmp_path / name, seed)
+    for suite in SUITE_FILES:
+        a, b, c = ((tmp_path / d / suite).read_bytes() for d in "abc")
+        assert a == b
+        # the rows, past the metadata line that names the seed
+        assert a.split(b"\n", 1)[1] != c.split(b"\n", 1)[1]
+
+
+def test_suite_cases_cover_their_documented_ranges(tmp_path, monkeypatch):
+    """Every drawn parameter lies in its range, and at 1000 cases every
+    value of a discrete range is drawn: decay m, k in [-8, 8] and s in
+    DECAY_S; prod-sum m in [-8, 8) and s in PROD_SUM_S; Schur rank in
+    [3, 8] with one centre row m1 in {0, ..., 3} per basis function."""
+    m1s = []    # the centre rows of every Schur case, as the check gets them
+    schur_row_sums = diagnostics.schur_row_sums
+
+    def spy(psi, m1, grid):
+        m1s.extend(m1)
+        return schur_row_sums(psi, m1, grid)
+
+    monkeypatch.setattr(diagnostics, "schur_row_sums", spy)
+    _atomic_verify(tmp_path, 0)
+
+    def columns(name, *cols):
+        with open(tmp_path / name) as fh:
+            rows = list(csv.DictReader(fh.readlines()[1:]))
+        assert len(rows) == INEQUALITY_CASES
+        return [np.array([float(r[c]) for r in rows]) for c in cols]
+
+    for col in columns("verify_decay_lemma.csv", "m1", "m2", "k1", "k2"):
+        assert set(col) == set(range(-8, 9))
+    for col in columns("verify_decay_lemma.csv", "s1", "s2"):
+        assert set(col) == set(DECAY_S)
+    for col in columns("verify_prod_sum.csv", "m1", "m2"):
+        assert np.all((col >= -8.0) & (col < 8.0))
+        assert col.min() < -7.5 and col.max() > 7.5
+    for col in columns("verify_prod_sum.csv", "s1", "s2"):
+        assert set(col) == set(PROD_SUM_S)
+    (ranks,) = columns("verify_schur.csv", "rank")
+    assert set(ranks) == set(range(3, 9))
+    assert [len(m1) for m1 in m1s] == ranks.tolist()
+    assert set(np.concatenate(m1s)) == {0, 1, 2, 3}
