@@ -11,7 +11,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -27,8 +27,9 @@ from .dichotomy import (GapStructure, check_bounded_density, detect_uniform_gaps
 from .errors import ConfigError, WanlocError, WindowTooLargeError
 from .lattice import (build_atomic, build_disordered_insulator, build_haldane,
                       build_ssh_chain, make_grid, position_operators)
-from .spectral import (InsufficientRangeError, eigh_projector, fermi_projector,
-                       kernel_decay_fit, projector_operand)
+from .spectral import (BASIS_TOL, InsufficientRangeError, eigh_projector,
+                       fermi_projector, kernel_decay_fit, projector_operand,
+                       range_defect)
 from .xhat import (FilterSpec, build_xhat, build_xtilde, certificate_coupling,
                    closeness_norm, gap_certificate, gap_distance,
                    gap_midpoints, tilt_lipschitz, xhat_slabs)
@@ -205,7 +206,7 @@ class RunReport:
 
 
 # the columns of certificates.csv and verify_certificates.csv, one row per
-# `GapCertificate.as_csv_row`
+# `GapCertificate`, its fields in order
 CERTIFICATE_COLUMNS = ("lambda", "delta", "snorm", "min_gap_distance", "pass")
 
 # every file `write_run` may write, in the order it writes them
@@ -333,7 +334,7 @@ def construct(cfg: PipelineConfig) -> RunReport:
                                         centers=np.vstack(ctr_blocks), grid=grid)
         report.basis_final = final
         ortho = final.orthonormality_defect()
-        complete = final.completeness_defect(report.projector)
+        complete = range_defect(final.psi, report.projector)
         stages["wannierize"] = f"ok ortho={ortho:.3e} complete={complete:.3e}"
 
         all_fits_ok = all(_fit_passes(f) for f in report.final_fits)
@@ -344,7 +345,7 @@ def construct(cfg: PipelineConfig) -> RunReport:
             stages["chern"] = " ".join(f"C(w={r.window})={r.value:.4f}"
                                        for r in report.chern)
 
-        if ortho <= 1e-8 and complete <= 1e-8:
+        if ortho <= BASIS_TOL and complete <= BASIS_TOL:
             report.verdict = VERDICT_OK if all_fits_ok else VERDICT_FIT
     except WanlocError as exc:
         stages["error"] = f"{type(exc).__name__}: {exc}"
@@ -399,7 +400,7 @@ def write_run(report: RunReport, cfg: PipelineConfig, out_dir=None):
     if report.chosen_delta is not None or report.verdict in (VERDICT_CERT,
                                                              VERDICT_GAPS):
         csv("certificates.csv", CERTIFICATE_COLUMNS,
-            [c.as_csv_row() for c in report.certificates])
+            [astuple(c) for c in report.certificates])
     # the files from the chosen width on carry its Delta; X-hat at that
     # width is written from X-tilde a row slab at a time, never formed whole
     if report.chosen_delta is not None:
@@ -432,7 +433,7 @@ def write_run(report: RunReport, cfg: PipelineConfig, out_dir=None):
         io.write_matrix(os.path.join(out, "basis_final.wdmx"), final.psi)
     if "chern" in report.stages:
         csv("chern.csv", ("window", "value", "imag_residual", "trace_terms"),
-            [r.as_csv_row() for r in report.chern])
+            [astuple(r) for r in report.chern])
     csv("report.csv", ("stage", "outcome"),
         list(report.stages.items()) + [("verdict", report.verdict)])
 
@@ -550,7 +551,7 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
     for delta in cfg.delta_list:
         _, _, certs = _delta_step(xt, delta, lambdas, keep_vectors=False)
         xh = build_xhat(xt, FilterSpec(delta))
-        cert_rows.extend(c.as_csv_row() for c in certs)
+        cert_rows.extend(map(astuple, certs))
         close_rows.append((delta, closeness_norm(xh, grid_m.x)))
         sup, rows = tilt_lipschitz(xh, cfg.gamma_list, anchors, grid_m)
         tilt_rows.extend((delta,) + r for r in rows)
@@ -595,7 +596,7 @@ def run_chern(cfg: PipelineConfig, out_dir=None):
         oracle = diagnostics.chern_number_kspace(p["t1"], p["t2"], p["phi"],
                                                  p["m"])
     reports = _chern_reports(cfg, P)
-    rows = [r.as_csv_row() + (oracle,) for r in reports]
+    rows = [astuple(r) + (oracle,) for r in reports]
     io.write_csv(os.path.join(out, "chern.csv"),
                  ("window", "value", "imag_residual", "trace_terms", "oracle"),
                  rows, meta)

@@ -105,9 +105,6 @@ class ChernReport:
     imag_residual: float
     trace_terms: int
 
-    def as_csv_row(self):
-        return (self.window, self.value, self.imag_residual, self.trace_terms)
-
 
 def chern_marker(P: Projector, windows) -> list[ChernReport]:
     """Window-traced real-space Chern marker, one report per half-width L_w.

@@ -21,13 +21,12 @@ import numpy as np
 from .errors import (IllConditionedSelectionError, IncompleteBasisError,
                      LapackError, NumericalDegeneracyError)
 from .lattice import SiteGrid, row_slabs
-from .spectral import (InsufficientRangeError, Projector, bracket,
+from .spectral import (BASIS_TOL, InsufficientRangeError, Projector, bracket,
                        envelope_decay_fit, factor_envelope, operator_norm,
                        orthonormality_defect, tilt_weights)
 # unused here; perfbench/tracing.py TRACED binds these names in this module
 from .spectral import matrix_decay_fit, range_basis, tilt_operator  # noqa: F401
 
-BAND_TOL = 1e-8
 SELECTION_COND_MAX = 1e8
 PIVOT_TILT = 1e-10
 DENSITY_BLOCK_PAIRS = 1 << 18
@@ -85,19 +84,15 @@ class GeneralizedWannierBasis:
         return orthonormality_defect(self.psi)
 
     def completeness_defect(self, P):
-        """Frobenius norm of Psi Psi^H - P, summed a row slab at a time, so
-        that no N x N matrix is formed.  P is a `Projector`, whose rows are
-        taken as V[r] V^H from its factor, or a dense N x N matrix."""
+        """Frobenius norm of Psi Psi^H - P for a dense N x N P, summed a row
+        slab at a time, so that no second N x N matrix is formed.  It is
+        the reference formula for the span check `range_defect`, which for
+        an orthonormal Psi of rank P columns is this norm over sqrt(2); the
+        tests and the completeness gate of perfbench read it."""
         psi = self.psi
         psi_h = psi.conj().T
-        slabs = row_slabs(len(psi))
-        if isinstance(P, Projector):
-            V_h = P.V.conj().T
-            rows = (P.V[r] @ V_h for r in slabs)
-        else:
-            rows = (np.asarray(P)[r] for r in slabs)
-        return math.sqrt(sum(np.linalg.norm(psi[r] @ psi_h - p) ** 2
-                             for r, p in zip(slabs, rows)))
+        return math.sqrt(sum(np.linalg.norm(psi[r] @ psi_h - P[r]) ** 2
+                             for r in row_slabs(len(psi))))
 
 
 def density_centroids(W, grid: SiteGrid):
@@ -196,7 +191,7 @@ def band_projectors(vecs, gaps: GapStructure, grid: SiteGrid) -> BandDecompositi
     n = vecs.shape[1]
     # bounds every ||P_j P_k||, j != k, and the orthonormality inside a band
     gram = orthonormality_defect(vecs)
-    if gram > BAND_TOL:
+    if gram > BASIS_TOL:
         raise NumericalDegeneracyError(
             f"band vectors not orthonormal: defect {gram:.3e}")
     # n orthonormal vectors in range(P), rank n: the bands sum to P exactly

@@ -102,9 +102,10 @@ def make_grid(width, orbitals_per_site, ndim=2):
 @dataclass(frozen=True)
 class TightBindingModel:
     """A Hermitian Hamiltonian H on `grid`, with the parameters it was built
-    from.  H is float64 when every entry is real (the disordered insulator,
-    the SSH chain) and complex128 otherwise (`build_haldane`, also at
-    t2 = 0), and the stages follow its dtype (`projector_operand`)."""
+    from.  H is float64 when every amplitude it is built from is real (the
+    disordered insulator, the SSH chain, `build_haldane` at t2 = 0 or
+    phi = 0 and so `build_atomic`) and complex128 otherwise, and the stages
+    follow its dtype (`projector_operand`)."""
 
     grid: SiteGrid
     H: np.ndarray = field(repr=False)
@@ -141,8 +142,15 @@ def haldane_bonds(t1, t2, phi):
     """Haldane hoppings as (a, b, v, amp) rows, orbital a (A = 0, B = 1) of
     cell c to orbital b of cell c + v: t1 from A(c) to B(c), B(c - e_x),
     B(c - e_y); t2*exp(i*phi) on A along +e_x, -e_x+e_y, -e_y and on B along
-    the reversed vectors, so no two rows hit one matrix entry."""
+    the reversed vectors, so no two rows hit one matrix entry.
+
+    The t2 amplitude is real (float64) when the imaginary part of
+    t2*exp(i*phi) is exactly 0, as at t2 = 0 or phi = 0, and complex128
+    otherwise: at phi = pi, exp(i*pi) carries an imaginary part of 1.2e-16.
+    """
     t2c = t2 * np.exp(1j * phi)
+    if t2c.imag == 0:
+        t2c = t2c.real
     nnn = ((1, 0), (-1, 1), (0, -1))
     return ([(0, 1, v, t1) for v in ((0, 0), (-1, 0), (0, -1))]
             + [(0, 0, v, t2c) for v in nnn]
@@ -161,16 +169,18 @@ def build_haldane(L, t1, t2, phi, m_stagger):
     t1 bond onto itself and each t2*exp(i*phi) hop onto its conjugate, so
     S H S = conj(H) holds bitwise: H has the antiunitary symmetry S K (K
     complex conjugation), which `fermi_projector` uses to diagonalize H as
-    a real symmetric matrix.
+    a real symmetric matrix.  H has the dtype of the amplitudes: float64
+    when every `haldane_bonds` amplitude is real, and complex128 otherwise.
     """
     if L < 4:
         raise ModelTooSmallError(f"Haldane grid needs L >= 4, got {L}")
     grid = make_grid(L, orbitals_per_site=2, ndim=2)
     N = grid.dimension
-    H = np.zeros((N, N), dtype=complex)
+    bonds = haldane_bonds(t1, t2, phi)
+    H = np.zeros((N, N), dtype=np.result_type(*(amp for *_, amp in bonds)))
     # added to zeros, so m = 0 leaves +0.0 on the B diagonal, not -0.0
     H[np.diag_indices(N)] += np.tile((m_stagger, -m_stagger), N // 2)
-    for a, b, v, amp in haldane_bonds(t1, t2, phi):
+    for a, b, v, amp in bonds:
         _hop(H, grid, amp, a, b, v)
 
     boundary = 3.0 * np.sqrt(3.0) * abs(t2 * np.sin(phi))

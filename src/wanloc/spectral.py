@@ -12,6 +12,7 @@ from .lattice import (ROW_SLAB, SiteGrid, TightBindingModel, row_slabs,
                       xy_mirror)
 
 IDEMPOTENCY_TOL = 1e-10
+BASIS_TOL = 1e-8
 DECAY_FLOOR_FACTOR = 2000.0
 MIN_DECAY_BINS = 10
 TILT_MAX_WEIGHT = 1e12
@@ -27,6 +28,19 @@ def orthonormality_defect(A):
     """Frobenius norm of A^H A - I: zero when the columns of A are
     orthonormal."""
     return float(np.linalg.norm(A.conj().T @ A - np.eye(A.shape[1])))
+
+
+def range_defect(W, P):
+    """Frobenius norm of W - V V^H W, the part of the columns of W outside
+    range(P) = span(V): first order in the angle between span(W) and
+    range(P).  For orthonormal W it is ||(I - P) W||, which is
+    ||W W^H - P|| / sqrt(2) when W also has rank P columns.  V (V^H W) is
+    formed once and W subtracted from it in place, so no temporary is
+    larger than one N x n array."""
+    V = P.V
+    D = V @ (V.conj().T @ W)
+    D -= W
+    return float(np.linalg.norm(D))
 
 
 def operator_norm(A):
@@ -83,8 +97,9 @@ class Projector:
     Every stage reads range(P) through V alone.  The N x N matrix P is
     formed anew on each read and kept by nothing: it serves the tests, the
     test-only `sqrt_resolvent` (which forms Q = I - P from it) and the
-    completeness gate of perfbench, and no stage of `construct`, `verify`
-    or `chern` reads it.
+    dense reference `GeneralizedWannierBasis.completeness_defect` that
+    perfbench gates on, and no stage of `construct`, `verify` or `chern`
+    reads it; their span checks use `range_defect`.
     """
 
     factor: np.ndarray = field(repr=False)
@@ -135,28 +150,24 @@ def projector_operand(model: TightBindingModel):
     permutation s of `xy_mirror` (or None) that maps its eigenvectors back
     to those of H.
 
-    A real Hamiltonian is diagonalized as a real symmetric matrix: a float64
-    H is its own operand, and a complex H with identically zero imaginary
-    part gives the view H.real, so V, and everything later built from it,
-    is float64.  A float64 H is never asked for H.imag, which would
-    allocate an N x N array of zeros.  A complex H on a sheet
-    that obeys the x <-> y mirror S H S = conj(H) bitwise (S the
+    A float64 H is its own operand, so V, and everything later built from
+    it, is float64; every builder makes H float64 when all its amplitudes
+    are real (`build_haldane` at t2 = 0 or phi = 0 too).  A complex H on a
+    sheet that obeys the x <-> y mirror S H S = conj(H) bitwise (S the
     permutation matrix of `xy_mirror`, as for `build_haldane`) is
-    diagonalized in real form too: U = a I + conj(a) S with a = (1 + i)/2
-    is unitary and U^H H U = M = Re H - S Im H, which is real symmetric, so
+    diagonalized in real form: U = a I + conj(a) S with a = (1 + i)/2 is
+    unitary and U^H H U = M = Re H - S Im H, which is real symmetric, so
     `eigh(M)` at real-arithmetic cost gives the eigenvalues of H, and its
     occupied eigenvectors R give those of H as V = U R.  Any other complex
     H is its own operand, and V is complex128.
 
     Only on the mirror path is the operand a new array: M holds no
     reference to H, so a caller that drops the model frees H, and the peak
-    of the eigensolve is M plus `eigh`'s buffers.  The other operands share
-    H's memory, and no copy is made to change that.
+    of the eigensolve is M plus `eigh`'s buffers.  The other operand is H
+    itself, and no copy is made to change that.
     """
     H = model.H
-    if not np.iscomplexobj(H) or not np.any(H.imag):
-        return H.real, None
-    s = _conjugating_mirror(H, model.grid)
+    s = _conjugating_mirror(H, model.grid) if np.iscomplexobj(H) else None
     if s is None:
         return H, None
     M = H.imag[s]

@@ -19,12 +19,11 @@ import numpy as np
 from .dichotomy import GeneralizedWannierBasis, projected_spectrum
 from .errors import IncompleteBasisError, OutsideGapSetError, SqrtResolventError
 from .lattice import row_slabs
-from .spectral import (Projector, hermitian_norm, operator_norm,
-                       orthonormality_defect, tilt_operator)
+from .spectral import (BASIS_TOL, Projector, hermitian_norm, operator_norm,
+                       orthonormality_defect, range_defect, tilt_operator)
 
 SQRT_SIGN_TOL = 1e-8
 COMMUTE_TOL = 1e-9
-COMPLETENESS_TOL = 1e-8
 
 
 def filter_fourier(xi):
@@ -61,15 +60,16 @@ class XtildeOperator:
 
 def check_spans_range(W, P: Projector):
     """Raise `IncompleteBasisError` unless the columns of W are an
-    orthonormal basis of range(P): as many as rank P, with Gram defects
-    ||W^H W - I|| and ||C^H C - I||, C = V^H W, within COMPLETENESS_TOL."""
+    orthonormal basis of range(P): as many as rank P, with the Gram defect
+    ||W^H W - I|| and the part ||(I - P) W|| outside range(P)
+    (`range_defect`) both within BASIS_TOL.  Both defects are first order
+    in a column's tilt out of range(P) or away from orthonormality."""
     n = W.shape[1]
-    defect = max(orthonormality_defect(W),
-                 orthonormality_defect(P.V.conj().T @ W))
-    if n != P.rank or defect > COMPLETENESS_TOL:
+    gram, outside = orthonormality_defect(W), range_defect(W, P)
+    if n != P.rank or max(gram, outside) > BASIS_TOL:
         raise IncompleteBasisError(
             f"basis of {n} functions does not span range(P) of rank "
-            f"{P.rank}: Gram defect {defect:.3e}")
+            f"{P.rank}: Gram defect {gram:.3e}, range defect {outside:.3e}")
 
 
 def build_xtilde(basis: GeneralizedWannierBasis, P: Projector) -> XtildeOperator:
@@ -250,10 +250,6 @@ class GapCertificate:
     snorm: float
     min_gap_distance: float
     passed: bool
-
-    def as_csv_row(self):
-        return (self.lam, self.delta, self.snorm, self.min_gap_distance,
-                self.passed)
 
 
 def certificate_coupling(xtilde: XtildeOperator, spec: FilterSpec):

@@ -276,14 +276,19 @@ def reference_ssh(L, t1, t2):
     (0.0, 0.3, 0.7, 1.0), (-0.7, 0.25, -1.1, -0.4), (1.0, 0.0, 0.0, 3.0),
 ])
 def test_haldane_bonds_match_the_cell_loop_bytes(L, params):
+    """H is float64 when every amplitude is real (t2 = 0 here) and complex128
+    otherwise; its complex128 conversion is the cell-loop reference."""
     H = wl.build_haldane(L, *params).H
-    assert H.tobytes() == reference_haldane(L, *params).tobytes()
+    assert H.dtype == (np.float64 if params[1] == 0.0 else np.complex128)
+    assert np.asarray(H, complex).tobytes() \
+        == reference_haldane(L, *params).tobytes()
 
 
 @pytest.mark.parametrize("L", [4, 5])
 def test_other_builders_match_the_cell_loop_bytes(L):
-    """The real models build a float64 H whose complex128 conversion, the
-    bytes `hamiltonian.wdmx` holds, is the complex cell-loop reference."""
+    """The real models, the atomic one included, build a float64 H whose
+    complex128 conversion, the bytes `hamiltonian.wdmx` holds, is the
+    complex cell-loop reference."""
     for gap, w, seed in ((2.0, 0.5, 7), (2.11, 0.0, 3)):
         H = wl.build_disordered_insulator(L, gap, w, seed).H
         assert H.dtype == np.float64
@@ -296,7 +301,9 @@ def test_other_builders_match_the_cell_loop_bytes(L):
             == reference_ssh(L, t1, t2).tobytes()
     for m in (1.0, 0.0):
         H = wl.build_atomic(L, m).H
-        assert H.tobytes() == reference_haldane(L, 0.0, 0.0, 0.0, m).tobytes()
+        assert H.dtype == np.float64
+        assert np.asarray(H, complex).tobytes() \
+            == reference_haldane(L, 0.0, 0.0, 0.0, m).tobytes()
 
 
 def reference_bloch(k1, k2, t1, t2, phi, m):

@@ -139,6 +139,24 @@ def shipped_topological():
     return cli.build_model(cli.parse_config(path))
 
 
+@pytest.mark.parametrize("params, dtype", [
+    ((1.0, 0.0, np.pi / 2, 0.5), np.float64),
+    ((1.0, 1 / 3, 0.0, 0.5), np.float64),
+    ((1.0, 1 / 3, np.pi / 2, 0.5), np.complex128),
+    ((1.0, 1 / 3, np.pi, 0.5), np.complex128),
+    (None, np.float64)])
+def test_haldane_dtype_follows_its_amplitudes(params, dtype):
+    """Real amplitudes (t2 = 0, phi = 0, the atomic model) build a float64
+    H, which is its own operand; exp(i pi) has an imaginary part, so
+    phi = pi stays complex."""
+    model = (wl.build_atomic(6) if params is None
+             else wl.build_haldane(6, *params))
+    assert model.H.dtype == dtype
+    if dtype is np.float64:
+        A, mirror = projector_operand(model)
+        assert A is model.H and mirror is None
+
+
 def test_xy_mirror_swaps_the_coordinates():
     grid = wl.make_grid(5, 2, ndim=2)
     s = xy_mirror(grid)

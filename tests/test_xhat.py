@@ -6,10 +6,11 @@ import wanloc as wl
 from wanloc.errors import (IncompleteBasisError, OutsideGapSetError,
                            SqrtResolventError)
 from wanloc.lattice import SiteGrid, make_grid
-from wanloc.spectral import Projector
+from wanloc.spectral import Projector, range_defect
 from wanloc.cli import _delta_step
 from wanloc.xhat import (FilterSpec, XtildeOperator, build_xhat, build_xtilde,
-                         certificate_coupling, gap_certificate, gap_distance)
+                         certificate_coupling, check_spans_range,
+                         gap_certificate, gap_distance)
 
 from suite_common import commutator
 
@@ -72,10 +73,53 @@ def basis_with_column_in_range_q(P, basis):
 def test_xtilde_rejects_basis_with_a_column_in_range_q(dis8_stack, topo8_stack):
     for _, P, basis, _ in (dis8_stack, topo8_stack):
         off = basis_with_column_in_range_q(P, basis)
-        # still orthonormal, so only the Gram check against V can see it
+        # still orthonormal, so only the range check can see it
         assert off.orthonormality_defect() <= 1e-12
-        with pytest.raises(IncompleteBasisError, match="Gram defect 1.0"):
+        with pytest.raises(IncompleteBasisError, match="range defect 1.0"):
             build_xtilde(off, P)
+
+
+def basis_with_column_tilted(P, basis, eps):
+    """The basis with its last column turned by the angle eps towards a unit
+    vector of range(Q): still orthonormal, and a real W stays real."""
+    psi = basis.psi.copy()
+    q = (np.eye(len(psi)) - P.P)[:, 0]
+    psi[:, -1] = np.cos(eps) * psi[:, -1] + np.sin(eps) * q / np.linalg.norm(q)
+    return wl.GeneralizedWannierBasis(psi=psi, centers=basis.centers,
+                                      grid=basis.grid,
+                                      degeneracy=basis.degeneracy)
+
+
+@pytest.mark.parametrize("eps, rejected", [(1e-5, True), (1e-6, True),
+                                           (1e-10, False)])
+def test_span_check_is_first_order_in_the_tilt(dis8_stack, topo8_stack, eps,
+                                               rejected):
+    """A column tilted by eps out of range(P) leaves ||(I - P) W|| = eps,
+    seen at eps = 1e-6 against a 1e-8 tolerance, while the Gram defect of
+    V^H W moves only by eps^2."""
+    for _, P, basis, _ in (dis8_stack, topo8_stack):
+        W = basis_with_column_tilted(P, basis, eps).psi
+        assert W.dtype == basis.psi.dtype
+        if rejected:
+            with pytest.raises(IncompleteBasisError, match="range defect"):
+                check_spans_range(W, P)
+        else:
+            check_spans_range(W, P)
+    assert dis8_stack[2].psi.dtype == np.float64
+    assert topo8_stack[2].psi.dtype == np.complex128
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-3])
+def test_range_defect_is_the_completeness_defect_over_sqrt2(dis8_stack,
+                                                            topo8_stack, eps):
+    """For an orthonormal basis of rank P columns, ||(I - P) W|| is
+    ||W W^H - P|| / sqrt(2): the dense reference formula."""
+    for _, P, basis, _ in (dis8_stack, topo8_stack):
+        tilted = basis_with_column_tilted(P, basis, eps)
+        outside = range_defect(tilted.psi, P)
+        assert outside == pytest.approx(eps, rel=1e-6)
+        assert np.sqrt(2.0) * outside == pytest.approx(
+            tilted.completeness_defect(P.P), rel=1e-6)
 
 
 def test_xtilde_integer_projected_spectrum(dis8_stack):
