@@ -27,12 +27,11 @@ from .dichotomy import (GapStructure, check_bounded_density, detect_uniform_gaps
 from .errors import ConfigError, WanlocError, WindowTooLargeError
 from .lattice import (build_atomic, build_disordered_insulator, build_haldane,
                       build_ssh_chain, make_grid, position_operators)
-from .spectral import (BASIS_TOL, InsufficientRangeError, eigh_projector,
-                       fermi_projector, kernel_decay_fit, projector_operand,
-                       range_defect)
+from .spectral import (InsufficientRangeError, eigh_projector,
+                       fermi_projector, kernel_decay_fit, projector_operand)
 from .xhat import (FilterSpec, build_xhat, build_xtilde, certificate_coupling,
-                   closeness_norm, gap_certificate, gap_distance,
-                   gap_midpoints, tilt_lipschitz, xhat_slabs)
+                   check_spans_range, closeness_norm, gap_certificate,
+                   gap_distance, gap_midpoints, tilt_lipschitz, xhat_slabs)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -289,7 +288,11 @@ def _surrogate_stages(cfg, report):
 
 def construct(cfg: PipelineConfig) -> RunReport:
     """Model -> P -> basis -> surrogate -> certificates -> bands -> fits, in
-    memory: writes nothing.  A WanlocError ends the run as `stage-error`."""
+    memory: writes nothing.  The final basis is checked by
+    `check_spans_range`, whose two defects its `wannierize` stage records.
+    A failed check raises a WanlocError, which ends the run as `stage-error`
+    with an `error` stage that names it; what the run built stays on the
+    report, a rejected final basis included."""
     report = RunReport()
     stages = report.stages
     try:
@@ -330,11 +333,9 @@ def construct(cfg: PipelineConfig) -> RunReport:
             report.final_fits.extend(
                 diagnostics.fit_exponentials(vecs, ctrs, grid))
         stages["strips"] = "ok"
-        final = GeneralizedWannierBasis(psi=np.hstack(vec_blocks),
-                                        centers=np.vstack(ctr_blocks), grid=grid)
-        report.basis_final = final
-        ortho = final.orthonormality_defect()
-        complete = range_defect(final.psi, report.projector)
+        report.basis_final = final = GeneralizedWannierBasis(
+            psi=np.hstack(vec_blocks), centers=np.vstack(ctr_blocks), grid=grid)
+        ortho, complete = check_spans_range(final.psi, report.projector)
         stages["wannierize"] = f"ok ortho={ortho:.3e} complete={complete:.3e}"
 
         all_fits_ok = all(_fit_passes(f) for f in report.final_fits)
@@ -345,8 +346,7 @@ def construct(cfg: PipelineConfig) -> RunReport:
             stages["chern"] = " ".join(f"C(w={r.window})={r.value:.4f}"
                                        for r in report.chern)
 
-        if ortho <= BASIS_TOL and complete <= BASIS_TOL:
-            report.verdict = VERDICT_OK if all_fits_ok else VERDICT_FIT
+        report.verdict = VERDICT_OK if all_fits_ok else VERDICT_FIT
     except WanlocError as exc:
         stages["error"] = f"{type(exc).__name__}: {exc}"
     return report
@@ -386,8 +386,9 @@ def write_run(report: RunReport, cfg: PipelineConfig, out_dir=None):
     if "model" in report.stages:
         io.write_matrix(os.path.join(out, "hamiltonian.wdmx"), report.model.H)
     if "decay" in report.stages:
+        d = report.decay
         csv("decay.csv", ("model_id", "C", "gamma", "r_squared", "samples"),
-            [report.decay.as_csv_row(cfg.model_type)] if report.decay else [])
+            [(cfg.model_type, d.C, d.gamma, d.r_squared, d.samples)] if d else [])
     if "basis" in report.stages:
         basis = report.basis_initial
         rows = [[k, *m, j] + [basis.moments[float(s)][k] for s in cfg.s_grid]
@@ -447,16 +448,16 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
     return report
 
 
-def _inequality_suite(path, header, draw, check, meta):
-    """Check INEQUALITY_CASES cases INEQUALITY_BLOCK at a time.  `draw(size)`
-    returns the parameters of the next `size` cases, each an array with a
-    leading case axis, and `check` the row columns of that block, the pass
-    flags last; a scalar stands for its whole block.  Writes one row per
-    case; returns the number of failures."""
+def _inequality_suite(path, header, block, meta):
+    """Check INEQUALITY_CASES cases INEQUALITY_BLOCK at a time.  `block(size)`
+    draws the next `size` cases, checks them and returns the row columns of
+    that block, each an array with a leading case axis, the pass flags last;
+    a scalar stands for its whole block.  Writes one row per case; returns
+    the number of failures."""
     blocks = []
     for lo in range(0, INEQUALITY_CASES, INEQUALITY_BLOCK):
         size = min(INEQUALITY_BLOCK, INEQUALITY_CASES - lo)
-        blocks.append([np.broadcast_to(c, size) for c in check(*draw(size))])
+        blocks.append([np.broadcast_to(c, size) for c in block(size)])
     *columns, ok = (np.concatenate(c) for c in zip(*blocks))
     rows = zip(range(INEQUALITY_CASES), *(c.tolist() for c in columns),
                ok.tolist())
@@ -486,44 +487,38 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
         # the exponents (s1, s2) of each case, uniform over `choices`
         return choices[rng.integers(0, len(choices), size=(size, 2))]
 
-    def decay_case(size):
+    def decay_block(size):
+        v = normals((size, n))
         # the columns of the integer draw are m1, m2, k1, k2
-        return (normals((size, n)), rng.integers(-8, 9, size=(size, 4)),
-                draw_s(DECAY_S, size))
-
-    def decay_check(v, mk, s):
+        mk = rng.integers(-8, 9, size=(size, 4))
+        s = draw_s(DECAY_S, size)
         return (*mk.T, *s.T, *diagnostics.lemma_decay_check(
             v, mk[:, :2], mk[:, 2:], s[:, 0], s[:, 1], grid))
 
     summary["decay_lemma"] = _inequality_suite(
         os.path.join(out, "verify_decay_lemma.csv"),
-        ("m1", "m2", "k1", "k2", "s1", "s2", "lhs", "rhs"), decay_case,
-        decay_check, meta)
+        ("m1", "m2", "k1", "k2", "s1", "s2", "lhs", "rhs"), decay_block, meta)
 
-    def prod_sum_case(size):
-        return (normals((size, n)), rng.uniform(-8.0, 8.0, size=(size, 2)),
-                draw_s(PROD_SUM_S, size))
-
-    def prod_sum_check(v, m, s):
+    def prod_sum_block(size):
+        v = normals((size, n))
+        m = rng.uniform(-8.0, 8.0, size=(size, 2))
+        s = draw_s(PROD_SUM_S, size)
         return (*m.T, *s.T, *diagnostics.lemma_prod_sum_check(
             v, m, s[:, 0], s[:, 1], grid))
 
     summary["prod_sum_lemma"] = _inequality_suite(
         os.path.join(out, "verify_prod_sum.csv"),
-        ("m1", "m2", "s1", "s2", "lhs", "rhs"), prod_sum_case,
-        prod_sum_check, meta)
+        ("m1", "m2", "s1", "s2", "lhs", "rhs"), prod_sum_block, meta)
 
     small = make_grid(4, orbitals_per_site=1, ndim=2)
     r_max = 8
 
-    def schur_case(size):
+    def schur_block(size):
         # drawn at rank r_max so that a block is one array; the check reads
         # the first r columns of A and entries of m1
-        return (rng.integers(3, r_max + 1, size=size),
-                normals((size, small.dimension, r_max)),
-                rng.integers(0, 4, size=(size, r_max)))
-
-    def schur_check(r, A, m1):
+        r = rng.integers(3, r_max + 1, size=size)
+        A = normals((size, small.dimension, r_max))
+        m1 = rng.integers(0, 4, size=(size, r_max))
         # orthonormal bases from one stacked QR per rank
         W = [None] * len(r)
         for rank in np.unique(r):
@@ -537,8 +532,8 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
 
     summary["schur_bound"] = _inequality_suite(
         os.path.join(out, "verify_schur.csv"),
-        ("rank", "sup_row", "sup_col", "bound", "direct_norm"), schur_case,
-        schur_check, meta)
+        ("rank", "sup_row", "sup_col", "bound", "direct_norm"), schur_block,
+        meta)
 
     core = RunReport()
     _surrogate_stages(cfg, core)

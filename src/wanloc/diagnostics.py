@@ -7,8 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ChernResidualError, GaplessModelError,
-                     InsufficientRangeError, OutsideGapSetError,
-                     UnsupportedGeometryError, WindowTooLargeError)
+                     InsufficientRangeError, NotOrthonormalError,
+                     OutsideGapSetError, UnsupportedGeometryError,
+                     WindowTooLargeError)
 from .lattice import SiteGrid, haldane_bonds
 from .spectral import (DecayProfile, Projector, _log_linear_fit, bracket,
                        decay_floor, hermitian_norm, operator_norm)
@@ -50,11 +51,12 @@ def fit_exponentials(psi, centers, grid: SiteGrid):
 
     One bincount over shell indices offset by column bins every column's
     shells, and every fitted column's line comes from one closed-form
-    `_log_linear_fit` call.
+    `_log_linear_fit` call.  A column whose norm is off 1 by more than
+    1e-8 raises NotOrthonormalError.
     """
     psi = np.abs(np.asarray(psi))
     if np.any(np.abs(np.linalg.norm(psi, axis=0) - 1.0) > 1e-8):
-        raise ValueError("psi must be normalized")
+        raise NotOrthonormalError("psi must be normalized")
     mu = np.asarray(centers, dtype=float)
     size, cols = psi.shape
     r = bracket(grid.x[:, None] - mu[:, 0], grid.y[:, None] - mu[:, 1])

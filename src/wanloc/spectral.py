@@ -251,9 +251,6 @@ class DecayProfile:
     samples: int
     flag: str | None = None
 
-    def as_csv_row(self, model_id):
-        return (model_id, self.C, self.gamma, self.r_squared, self.samples)
-
 
 def _log_linear_fit(dist, vals, where=True):
     """Least squares of log(vals) against dist along the last axis, over the

@@ -59,17 +59,19 @@ class XtildeOperator:
 
 
 def check_spans_range(W, P: Projector):
-    """Raise `IncompleteBasisError` unless the columns of W are an
-    orthonormal basis of range(P): as many as rank P, with the Gram defect
-    ||W^H W - I|| and the part ||(I - P) W|| outside range(P)
-    (`range_defect`) both within BASIS_TOL.  Both defects are first order
-    in a column's tilt out of range(P) or away from orthonormality."""
+    """The Gram defect ||W^H W - I|| and the part ||(I - P) W|| of the
+    columns of W outside range(P) (`range_defect`), as (gram, outside).
+    Raises `IncompleteBasisError` unless the columns are an orthonormal
+    basis of range(P): as many as rank P, with both defects within
+    BASIS_TOL.  Both defects are first order in a column's tilt out of
+    range(P) or away from orthonormality."""
     n = W.shape[1]
     gram, outside = orthonormality_defect(W), range_defect(W, P)
     if n != P.rank or max(gram, outside) > BASIS_TOL:
         raise IncompleteBasisError(
             f"basis of {n} functions does not span range(P) of rank "
             f"{P.rank}: Gram defect {gram:.3e}, range defect {outside:.3e}")
+    return gram, outside
 
 
 def build_xtilde(basis: GeneralizedWannierBasis, P: Projector) -> XtildeOperator:

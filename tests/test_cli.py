@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 import sys
@@ -7,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wanloc.cli as cli
 import wanloc.io as io
+from wanloc import dichotomy
 from wanloc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERDICT,
                         MODELS, VERDICT_CERT, VERDICT_ERROR, VERDICT_FIT,
                         VERDICT_OK, PipelineConfig, RunReport, build_model,
@@ -416,7 +419,6 @@ def test_negative_seed_flag_is_a_config_error(tmp_path):
 
 
 def test_verify_exit_code_on_inequality_failure(tmp_path, monkeypatch):
-    import wanloc.cli as cli
     monkeypatch.setattr(cli.diagnostics, "lemma_decay_check",
                         lambda *a, **k: (1.0, 0.0, False))
     cfg_path = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\nm = 1.0\n")
@@ -492,7 +494,6 @@ def _non_hermitian_model(cfg):
 
 
 def test_invariant_errors_end_in_documented_exit_codes(tmp_path, monkeypatch):
-    import wanloc.cli as cli
     monkeypatch.setattr(cli, "build_model", _non_hermitian_model)
     cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\nm = 1.0\n")
     out = tmp_path / "p"
@@ -504,8 +505,69 @@ def test_invariant_errors_end_in_documented_exit_codes(tmp_path, monkeypatch):
         assert main([command, cfg, "--out", str(tmp_path / command)]) == EXIT_RUNTIME
 
 
+def _wannierize_then(change):
+    """`wannierize_band` with `change` applied to the vectors of each band."""
+    wannierize = cli.wannierize_band
+
+    def patched(*args):
+        vecs, centers = wannierize(*args)
+        return change(vecs), centers
+    return patched
+
+
+def _tilt(vecs, eps=1e-6):
+    # column 0 turned by eps towards column 1: still of unit norm
+    out = vecs.copy()
+    out[:, 0] = math.cos(eps) * vecs[:, 0] + math.sin(eps) * vecs[:, 1]
+    return out
+
+
+def test_final_basis_off_orthonormal_is_a_typed_stage_error(tmp_path,
+                                                           monkeypatch):
+    """A final basis that `check_spans_range` rejects ends the run with the
+    IncompleteBasisError row: no `wannierize` row and no final basis files,
+    while the rejected basis stays on the report."""
+    monkeypatch.setattr(cli, "wannierize_band", _wannierize_then(_tilt))
+    cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\nm = 1.0\n")
+    out = tmp_path / "p"
+    assert main(["pipeline", cfg, "--out", str(out)]) == EXIT_VERDICT
+    text = (out / "report.csv").read_text()
+    *_, error, verdict = text.splitlines()
+    assert error.startswith("error,IncompleteBasisError: basis of 36 functions "
+                            "does not span range(P) of rank 36: Gram defect ")
+    assert verdict == "verdict,stage-error"
+    assert "wannierize," not in text
+    assert not {"basis_final.csv", "basis_final.wdmx"} & set(os.listdir(out))
+    report = construct(parse_config(cfg))
+    assert report.verdict == VERDICT_ERROR
+    assert report.basis_final.psi.shape == (72, 36)
+
+
+def test_unnormalized_band_vectors_are_a_typed_stage_error(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(cli, "wannierize_band",
+                        _wannierize_then(lambda vecs: vecs * (1.0 + 1e-6)))
+    cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\nm = 1.0\n")
+    out = tmp_path / "p"
+    assert main(["pipeline", cfg, "--out", str(out)]) == EXIT_VERDICT
+    *_, error, verdict = (out / "report.csv").read_text().splitlines()
+    assert error == "error,NotOrthonormalError: psi must be normalized"
+    assert verdict == "verdict,stage-error"
+
+
+def test_ill_conditioned_selection_is_a_typed_stage_error(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(dichotomy, "SELECTION_COND_MAX", 1.0)
+    out = tmp_path / "p"
+    assert main(["pipeline", _config_file("disordered.cfg"), "--out",
+                 str(out)]) == EXIT_VERDICT
+    *_, error, verdict = (out / "report.csv").read_text().splitlines()
+    assert error.startswith("error,IllConditionedSelectionError: selected "
+                            "columns have condition number 1.008e+00; ")
+    assert verdict == "verdict,stage-error"
+
+
 def test_chern_residual_exits_with_runtime_code(tmp_path, monkeypatch):
-    import wanloc.cli as cli
     monkeypatch.setattr(cli.diagnostics, "CHERN_IMAG_TOL", -1.0)
     cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 8\nm = 1.0\n")
     assert main(["chern", cfg, "--out", str(tmp_path / "c")]) == EXIT_RUNTIME

@@ -2,7 +2,8 @@
 parameters, `model`, `pipeline`, `chern` and `verify` return a documented
 exit code and never raise; a config error writes nothing, and a finished or
 failed pipeline leaves its report beside exactly the files of the stages it
-reached.  Config text that does not parse and an output path under a file
+reached, and its verdict is `stage-error` exactly when the report has an
+`error` row.  Config text that does not parse and an output path under a file
 are config errors in every subcommand."""
 
 import os
@@ -24,14 +25,18 @@ STAGE_FILES = {"model": {"hamiltonian.wdmx"}, "decay": {"decay.csv"},
                "chern": {"chern.csv"}}
 
 
+def report_rows(report_path):
+    """The (stage, outcome) rows of a pipeline report.csv."""
+    with open(report_path) as fh:
+        return [tuple(line.rstrip("\n").split(",", 1)) for line in fh][2:]
+
+
 def expected_files(report_path):
     """The files of the stages a pipeline report.csv lists.  A width whose
     certificates and gaps pass leaves X-hat and the certificates; a run that
     fails at every width leaves the certificates."""
-    with open(report_path) as fh:
-        rows = [line.rstrip("\n").split(",", 1) for line in fh][2:]
     files = {"report.csv"}
-    for stage, outcome in rows:
+    for stage, outcome in report_rows(report_path):
         files |= STAGE_FILES.get(stage, set())
         if stage.startswith("delta=") and outcome == "certificates=ok gaps=ok":
             files |= {"certificates.csv", "xhat.wdmx"}
@@ -96,6 +101,9 @@ def test_cli_always_returns_a_documented_exit_code(text):
                 report = os.path.join(out, "report.csv")
                 assert os.path.exists(report)
                 assert set(os.listdir(out)) == expected_files(report)
+                stages = dict(report_rows(report))
+                assert ((stages["verdict"] == "stage-error")
+                        == ("error" in stages)), stages
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=12)

@@ -148,6 +148,18 @@ def test_band_projectors_reject_clusters_missing_a_band():
         wl.band_projectors(vecs, gaps, model.grid)
 
 
+def test_band_projectors_reject_band_vectors_that_are_not_orthonormal():
+    model = wl.build_ssh_chain(8, t1=1.0, t2=0.0)
+    P = wl.fermi_projector(model, 0.0)
+    X = np.diag(model.grid.x.astype(float))
+    evals, vecs = wl.projected_spectrum(P, X)
+    gaps = wl.detect_uniform_gaps(evals, d_min=0.5)
+    # a Gram defect of 2e-6 * sqrt(8), far above BASIS_TOL
+    with pytest.raises(NumericalDegeneracyError,
+                       match="band vectors not orthonormal"):
+        wl.band_projectors(vecs * (1.0 + 1e-6), gaps, model.grid)
+
+
 @pytest.mark.parametrize("stack", ["dis8_stack", "topo8_stack"])
 def test_band_blocks_span_the_projected_spectrum_subspaces(stack, request):
     """The Delta step's vectors, from diag(m1) + K in the surrogate's basis,

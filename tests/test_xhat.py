@@ -6,7 +6,7 @@ import wanloc as wl
 from wanloc.errors import (IncompleteBasisError, OutsideGapSetError,
                            SqrtResolventError)
 from wanloc.lattice import SiteGrid, make_grid
-from wanloc.spectral import Projector, range_defect
+from wanloc.spectral import Projector, orthonormality_defect, range_defect
 from wanloc.cli import _delta_step
 from wanloc.xhat import (FilterSpec, XtildeOperator, build_xhat, build_xtilde,
                          certificate_coupling, check_spans_range,
@@ -104,7 +104,8 @@ def test_span_check_is_first_order_in_the_tilt(dis8_stack, topo8_stack, eps,
             with pytest.raises(IncompleteBasisError, match="range defect"):
                 check_spans_range(W, P)
         else:
-            check_spans_range(W, P)
+            assert check_spans_range(W, P) == (orthonormality_defect(W),
+                                               range_defect(W, P))
     assert dis8_stack[2].psi.dtype == np.float64
     assert topo8_stack[2].psi.dtype == np.complex128
 
