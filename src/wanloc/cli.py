@@ -514,19 +514,17 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
     r_max = 8
 
     def schur_block(size):
-        # drawn at rank r_max so that a block is one array; the check reads
-        # the first r columns of A and entries of m1
+        # drawn at rank r_max so that a block is one array; a case of rank
+        # r reads the first r columns of Q and entries of m1.  Householder
+        # QR builds column k of Q from columns <= k of A, so those are the
+        # Q of A[:, :r]
         r = rng.integers(3, r_max + 1, size=size)
         A = normals((size, small.dimension, r_max))
         m1 = rng.integers(0, 4, size=(size, r_max))
-        # orthonormal bases from one stacked QR per rank
-        W = [None] * len(r)
-        for rank in np.unique(r):
-            idx = np.flatnonzero(r == rank)
-            for i, Q in zip(idx, np.linalg.qr(A[idx, :, :rank])[0]):
-                W[i] = Q
+        Q = np.linalg.qr(A)[0]
         rep = diagnostics.schur_row_sums(
-            W, [c[:q] for c, q in zip(m1, r)], small)
+            [q[:, :k] for q, k in zip(Q, r)], [c[:k] for c, k in zip(m1, r)],
+            small)
         return (r, rep.sup_row, rep.sup_col, rep.bound, rep.direct_norm,
                 rep.direct_norm <= rep.bound + 1e-9)
 
@@ -548,7 +546,7 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
         xh = build_xhat(xt, FilterSpec(delta))
         cert_rows.extend(map(astuple, certs))
         close_rows.append((delta, closeness_norm(xh, grid_m.x)))
-        sup, rows = tilt_lipschitz(xh, cfg.gamma_list, anchors, grid_m)
+        _, rows = tilt_lipschitz(xh, cfg.gamma_list, anchors, grid_m)
         tilt_rows.extend((delta,) + r for r in rows)
     io.write_csv(os.path.join(out, "verify_certificates.csv"),
                  CERTIFICATE_COLUMNS, cert_rows, meta)

@@ -7,13 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ChernResidualError, GaplessModelError,
-                     InsufficientRangeError, NotOrthonormalError,
-                     OutsideGapSetError, UnsupportedGeometryError,
+                     InsufficientRangeError, UnsupportedGeometryError,
                      WindowTooLargeError)
 from .lattice import SiteGrid, haldane_bonds
 from .spectral import (DecayProfile, Projector, _log_linear_fit, bracket,
                        decay_floor, hermitian_norm, operator_norm)
-from .xhat import XtildeOperator, in_gap_set
+from .xhat import XtildeOperator, gap_weights
 # unused here; perfbench/tracing.py binds wanloc.diagnostics:sqrt_resolvent
 from .xhat import sqrt_resolvent  # noqa: F401
 
@@ -51,12 +50,13 @@ def fit_exponentials(psi, centers, grid: SiteGrid):
 
     One bincount over shell indices offset by column bins every column's
     shells, and every fitted column's line comes from one closed-form
-    `_log_linear_fit` call.  A column whose norm is off 1 by more than
-    1e-8 raises NotOrthonormalError.
+    `_log_linear_fit` call.  The fit is scale-free and needs no unit
+    columns: the floor scales with each column's peak, so a column c psi
+    has the same usable shells, rate, r^2, samples and flag as psi, and C
+    scaled by |c|.  A column's norm raises nothing here; `construct`
+    checks the final basis with `check_spans_range`.
     """
     psi = np.abs(np.asarray(psi))
-    if np.any(np.abs(np.linalg.norm(psi, axis=0) - 1.0) > 1e-8):
-        raise NotOrthonormalError("psi must be normalized")
     mu = np.asarray(centers, dtype=float)
     size, cols = psi.shape
     r = bracket(grid.x[:, None] - mu[:, 0], grid.y[:, None] - mu[:, 1])
@@ -306,7 +306,8 @@ def sqrt_bound_survey(xtilde: XtildeOperator, lambdas):
     and every norm is that of an n x n Hermitian matrix:
     ||S P b+||^2 = lambda_max(R W^H <x - lambda> W R), and ||b+ P S|| is
     the norm of its adjoint; likewise for S^-1 and b-; and
-    ||P S^-1 P - P b+ P|| = ||R^-1 - W^H <x - lambda>^{1/2} W||.
+    ||P S^-1 P - P b+ P|| = ||R^-1 - W^H <x - lambda>^{1/2} W||.  A
+    lambda outside the gap set raises OutsideGapSetError (`gap_weights`).
     """
     basis = xtilde.basis
     x = basis.grid.x.astype(float)
@@ -314,9 +315,7 @@ def sqrt_bound_survey(xtilde: XtildeOperator, lambdas):
     m1 = basis.m1
     rows = []
     for lam in lambdas:
-        if not in_gap_set(lam):
-            raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
-        wts = np.abs(lam - m1)
+        wts = gap_weights(lam, m1)
         r, r_inv = wts ** -0.5, wts ** 0.5
         br = bracket(x - lam)[:, None]
         G_plus = W.conj().T @ (br * W)
@@ -342,7 +341,8 @@ def tilted_comm_survey(xtilde: XtildeOperator, lambdas):
     numpy's temporary elision lets a real sandwich be divided by its max in
     place inside `operator_norm`.  The survey holds one sandwich and its
     Gram matrix at a time; the n x n arrays of the weighted sum are freed
-    before the next sandwich is built."""
+    before the next sandwich is built.  A lambda outside the gap set raises
+    OutsideGapSetError (`gap_weights`) before its sandwiches are built."""
     basis = xtilde.basis
     grid = basis.grid
     x = grid.x.astype(float)
@@ -368,8 +368,8 @@ def tilted_comm_survey(xtilde: XtildeOperator, lambdas):
             S *= 1j
         return S
 
-    def weighted_sup(lam):
-        weighted = coeff * (spread / np.abs(lam - m1)[None, :])
+    def weighted_sup(wts):
+        weighted = coeff * (spread / wts[None, :])
         sup = 0.0
         for mask in columns:
             sup = max(sup, float(weighted[:, mask].sum(axis=1).max()))
@@ -377,9 +377,8 @@ def tilted_comm_survey(xtilde: XtildeOperator, lambdas):
 
     rows = []
     for lam in lambdas:
-        if not in_gap_set(lam):
-            raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
+        wts = gap_weights(lam, m1)
         bminus = 1.0 / bracket(x - lam) ** 0.5
         rows.append((float(lam), norm(sandwich(x, bminus)),
-                     norm(sandwich(y, bminus)), weighted_sup(lam)))
+                     norm(sandwich(y, bminus)), weighted_sup(wts)))
     return rows

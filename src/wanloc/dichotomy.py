@@ -138,7 +138,6 @@ class GapStructure:
 @dataclass
 class GapDetectionFailure:
     reason: str
-    n_clusters: int
     d: float
     D: float
 
@@ -166,12 +165,11 @@ def detect_uniform_gaps(eigenvalues, d_min, d_max=None):
         d = math.inf
     span = float(evals[-1] - evals[0])
     if len(intervals) == 1 and D > 0.5 * span:
-        return GapDetectionFailure(reason="no uniform gaps",
-                                   n_clusters=1, d=d, D=D)
+        return GapDetectionFailure(reason="no uniform gaps", d=d, D=D)
     if d_max is not None and D > d_max:
         return GapDetectionFailure(
             reason=f"cluster diameter {D:.6g} exceeds ceiling {d_max:.6g}",
-            n_clusters=len(intervals), d=d, D=D)
+            d=d, D=D)
     xi = np.array([evals[idx].mean() for idx in members])
     return GapStructure(intervals=intervals, members=members, d=d, D=D, xi=xi)
 

@@ -193,6 +193,14 @@ def in_gap_set(lam):
     return 0.25 < frac < 0.75
 
 
+def gap_weights(lam, m1):
+    """The gap weights |lam - m1| of a mid-gap lam; raises
+    OutsideGapSetError unless `in_gap_set(lam)`."""
+    if not in_gap_set(lam):
+        raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
+    return np.abs(lam - m1)
+
+
 def gap_midpoints(x_min, x_max):
     """Midpoints m + 1/2 of every gap interval intersecting [x_min, x_max]."""
     lo = math.floor(x_min - 0.75) + 1
@@ -214,15 +222,14 @@ def sqrt_resolvent(lam, basis: GeneralizedWannierBasis, P: Projector) -> SqrtRes
     it commutes with P, and conjugating (lam - P Xtilde P) by S yields an
     operator with spectrum {-1, +1}, which is verified here.  The survey in
     `diagnostics.sqrt_bound_survey` works in basis coordinates instead; this
-    N x N form is the reference its tests compare against.
+    N x N form is the reference its tests compare against.  A lam outside
+    the gap set raises OutsideGapSetError (`gap_weights`).
     """
-    if not in_gap_set(lam):
-        raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
     W = basis.psi
     m1 = basis.m1
+    wts = gap_weights(lam, m1)
     Pm = P.P
     Q = np.eye(len(Pm)) - Pm
-    wts = np.abs(lam - m1)
     S = abs(lam) ** -0.5 * Q + (W * wts ** -0.5) @ W.conj().T
     S_inv = abs(lam) ** 0.5 * Q + (W * wts ** 0.5) @ W.conj().T
     S = 0.5 * (S + S.conj().T)
@@ -301,11 +308,10 @@ def gap_certificate(coupling, m1, lam, delta) -> GapCertificate:
     R = diag(|lam - m1|^{-1/2}); the certified 1/delta rate is only an
     upper bound it must beat.
 
-    The distance to the spectrum is left nan (see `GapCertificate`).
+    The distance to the spectrum is left nan (see `GapCertificate`).  A
+    lam outside the gap set raises OutsideGapSetError (`gap_weights`).
     """
-    if not in_gap_set(lam):
-        raise OutsideGapSetError(f"lambda={lam} outside the mid-integer gap set")
-    r = np.abs(lam - m1) ** -0.5
+    r = gap_weights(lam, m1) ** -0.5
     snorm = hermitian_norm(r[:, None] * coupling * r[None, :])
     return GapCertificate(lam=float(lam), delta=delta, snorm=snorm,
                           min_gap_distance=math.nan, passed=bool(snorm < 0.5))

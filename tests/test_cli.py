@@ -522,12 +522,16 @@ def _tilt(vecs, eps=1e-6):
     return out
 
 
+@pytest.mark.parametrize("change", [_tilt, lambda vecs: vecs * (1.0 + 1e-6)],
+                         ids=["tilt", "scale"])
 def test_final_basis_off_orthonormal_is_a_typed_stage_error(tmp_path,
-                                                           monkeypatch):
-    """A final basis that `check_spans_range` rejects ends the run with the
+                                                           monkeypatch, change):
+    """A final basis that `check_spans_range` rejects, its columns turned
+    off orthonormal or scaled off unit norm, ends the run with the
     IncompleteBasisError row: no `wannierize` row and no final basis files,
-    while the rejected basis stays on the report."""
-    monkeypatch.setattr(cli, "wannierize_band", _wannierize_then(_tilt))
+    while the strips are written and the rejected basis stays on the
+    report."""
+    monkeypatch.setattr(cli, "wannierize_band", _wannierize_then(change))
     cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\nm = 1.0\n")
     out = tmp_path / "p"
     assert main(["pipeline", cfg, "--out", str(out)]) == EXIT_VERDICT
@@ -537,22 +541,12 @@ def test_final_basis_off_orthonormal_is_a_typed_stage_error(tmp_path,
                             "does not span range(P) of rank 36: Gram defect ")
     assert verdict == "verdict,stage-error"
     assert "wannierize," not in text
-    assert not {"basis_final.csv", "basis_final.wdmx"} & set(os.listdir(out))
+    written = set(os.listdir(out))
+    assert "strips.csv" in written
+    assert not {"basis_final.csv", "basis_final.wdmx"} & written
     report = construct(parse_config(cfg))
     assert report.verdict == VERDICT_ERROR
     assert report.basis_final.psi.shape == (72, 36)
-
-
-def test_unnormalized_band_vectors_are_a_typed_stage_error(tmp_path,
-                                                          monkeypatch):
-    monkeypatch.setattr(cli, "wannierize_band",
-                        _wannierize_then(lambda vecs: vecs * (1.0 + 1e-6)))
-    cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\nm = 1.0\n")
-    out = tmp_path / "p"
-    assert main(["pipeline", cfg, "--out", str(out)]) == EXIT_VERDICT
-    *_, error, verdict = (out / "report.csv").read_text().splitlines()
-    assert error == "error,NotOrthonormalError: psi must be normalized"
-    assert verdict == "verdict,stage-error"
 
 
 def test_ill_conditioned_selection_is_a_typed_stage_error(tmp_path,

@@ -250,6 +250,26 @@ def _assert_block_matches(psi, centers, grid):
     return outcomes
 
 
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_block_fit_is_scale_free_on_a_final_basis(dis12_report, c):
+    """c psi fits as psi does: the same rate, r^2, samples and flag, with C
+    scaled by c.  Unit columns are not needed; `construct` checks the
+    final basis's norms with `check_spans_range`."""
+    final = dis12_report.basis_final
+    grid = final.grid
+    fits = diagnostics.fit_exponentials(final.psi, final.centers, grid)
+    scaled = diagnostics.fit_exponentials(c * final.psi, final.centers, grid)
+    assert any(f is not None and f.flag is None for f in fits)
+    for fit, got in zip(fits, scaled, strict=True):
+        assert (fit is None) == (got is None)
+        if fit is None:
+            continue
+        assert (got.samples, got.flag) == (fit.samples, fit.flag)
+        assert got.gamma == pytest.approx(fit.gamma, rel=1e-12, abs=0)
+        assert got.r_squared == pytest.approx(fit.r_squared, rel=1e-12, abs=0)
+        assert got.C == pytest.approx(c * fit.C, rel=1e-12, abs=0)
+
+
 def test_block_fit_mixes_compact_short_and_fitted_columns():
     """The edge-case vectors as the columns of one block: compact,
     too-short and fitted columns share one bincount and one line fit."""

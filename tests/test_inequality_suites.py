@@ -194,6 +194,18 @@ def test_schur_block_stacks_by_rank(monkeypatch):
                                    rtol=1e-14, atol=0)
 
 
+def test_qr_prefix_is_the_qr_of_the_leading_columns():
+    """`run_verify`'s Schur block takes one QR of its 16 x 8 draws and reads
+    the first r columns of Q: Householder QR builds column k of Q from the
+    columns <= k of A only, so those are the Q of A[:, :r], bit for bit."""
+    rng = np.random.default_rng(12)
+    shape = (1000, 16, 8)
+    A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    Q = np.linalg.qr(A)[0]
+    for r in range(3, 9):
+        assert np.array_equal(np.linalg.qr(A[:, :, :r])[0], Q[:, :, :r])
+
+
 # --- calling conventions ------------------------------------------------------
 
 

@@ -349,6 +349,13 @@ def test_sqrt_resolvent_rejects_basis_outside_range_p(dis8_stack):
         wl.sqrt_resolvent(0.5, basis_with_column_in_range_q(P, basis), P)
 
 
+def test_gap_certificate_rejects_values_outside_gap_set(dis8_stack):
+    _, _, basis, xt = dis8_stack
+    K = certificate_coupling(xt, FilterSpec(4.0))
+    with pytest.raises(OutsideGapSetError, match="lambda=1.0 outside"):
+        gap_certificate(K, basis.m1, 1.0, 4.0)
+
+
 def test_gap_certificate_unfiltered_surrogate_is_exact(dis8_stack):
     _, P, basis, xt = dis8_stack
     # so wide that fhat is exactly 1 at every lattice offset: Xhat = Xtilde
