@@ -13,8 +13,8 @@ from .dichotomy import (BandDecomposition, GapDetectionFailure, GapStructure,
                         check_bounded_density, detect_uniform_gaps,
                         initial_basis, projected_spectrum, relabel_to_lattice,
                         strip_localization_check, wannierize_band)
-from .xhat import (FilterSpec, GapCertificate, SqrtResolvent, XtildeOperator,
-                   build_xhat, build_xtilde, closeness_norm, filter_fourier,
+from .xhat import (GapCertificate, SqrtResolvent, XtildeOperator, build_xhat,
+                   build_xtilde, closeness_norm, filter_fourier,
                    gap_certificate, gap_midpoints, in_gap_set, sqrt_resolvent,
                    tilt_lipschitz)
 from .diagnostics import (ChernReport, SchurReport, chern_marker,

@@ -29,7 +29,7 @@ from .lattice import (build_atomic, build_disordered_insulator, build_haldane,
                       build_ssh_chain, make_grid, position_operators)
 from .spectral import (InsufficientRangeError, eigh_projector,
                        fermi_projector, kernel_decay_fit, projector_operand)
-from .xhat import (FilterSpec, build_xhat, build_xtilde, certificate_coupling,
+from .xhat import (build_xhat, build_xtilde, certificate_coupling,
                    check_spans_range, closeness_norm, gap_certificate,
                    gap_distance, gap_midpoints, tilt_lipschitz, xhat_slabs)
 
@@ -245,7 +245,7 @@ def _delta_step(xt, delta, lambdas, keep_vectors=True):
     filter defect, so the step forms no N x N array: X-hat itself is left
     to the callers that read it (`write_run` a row slab at a time,
     `run_verify` whole)."""
-    K = certificate_coupling(xt, FilterSpec(delta))
+    K = certificate_coupling(xt, delta)
     m1 = xt.basis.m1
     certs = [gap_certificate(K, m1, lam, delta) for lam in lambdas]
     spectrum, U = hermitian_eigh(
@@ -291,8 +291,9 @@ def construct(cfg: PipelineConfig) -> RunReport:
     memory: writes nothing.  The final basis is checked by
     `check_spans_range`, whose two defects its `wannierize` stage records.
     A failed check raises a WanlocError, which ends the run as `stage-error`
-    with an `error` stage that names it; what the run built stays on the
-    report, a rejected final basis included."""
+    with an `error` stage that names it, and so does a MemoryError, an
+    array too large to allocate; what the run built stays on the report, a
+    rejected final basis included."""
     report = RunReport()
     stages = report.stages
     try:
@@ -347,7 +348,7 @@ def construct(cfg: PipelineConfig) -> RunReport:
                                        for r in report.chern)
 
         report.verdict = VERDICT_OK if all_fits_ok else VERDICT_FIT
-    except WanlocError as exc:
+    except (WanlocError, MemoryError) as exc:
         stages["error"] = f"{type(exc).__name__}: {exc}"
     return report
 
@@ -408,7 +409,7 @@ def write_run(report: RunReport, cfg: PipelineConfig, out_dir=None):
         meta["Delta"] = report.chosen_delta
         xt = report.xtilde
         io.write_rows(os.path.join(out, "xhat.wdmx"), xt.matrix.shape,
-                      xhat_slabs(xt, FilterSpec(report.chosen_delta)))
+                      xhat_slabs(xt, report.chosen_delta))
     if "bands" in report.stages:
         gaps, bands = report.gaps, report.bands
         rows = [(j, lo, hi, float(gaps.xi[j]), V.shape[1],
@@ -451,13 +452,12 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> RunReport:
 def _inequality_suite(path, header, block, meta):
     """Check INEQUALITY_CASES cases INEQUALITY_BLOCK at a time.  `block(size)`
     draws the next `size` cases, checks them and returns the row columns of
-    that block, each an array with a leading case axis, the pass flags last;
-    a scalar stands for its whole block.  Writes one row per case; returns
-    the number of failures."""
+    that block, each a (size,) array, the pass flags last.  Writes one row
+    per case; returns the number of failures."""
     blocks = []
     for lo in range(0, INEQUALITY_CASES, INEQUALITY_BLOCK):
         size = min(INEQUALITY_BLOCK, INEQUALITY_CASES - lo)
-        blocks.append([np.broadcast_to(c, size) for c in block(size)])
+        blocks.append(block(size))
     *columns, ok = (np.concatenate(c) for c in zip(*blocks))
     rows = zip(range(INEQUALITY_CASES), *(c.tolist() for c in columns),
                ok.tolist())
@@ -543,7 +543,7 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
     cert_rows, close_rows, tilt_rows = [], [], []
     for delta in cfg.delta_list:
         _, _, certs = _delta_step(xt, delta, lambdas, keep_vectors=False)
-        xh = build_xhat(xt, FilterSpec(delta))
+        xh = build_xhat(xt, delta)
         cert_rows.extend(map(astuple, certs))
         close_rows.append((delta, closeness_norm(xh, grid_m.x)))
         _, rows = tilt_lipschitz(xh, cfg.gamma_list, anchors, grid_m)
@@ -639,7 +639,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except WanlocError as exc:
+    except (WanlocError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

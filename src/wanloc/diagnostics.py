@@ -209,17 +209,14 @@ def chern_number_kspace(t1, t2, phi, m):
     return int(n)
 
 
-def _per_case(*values):
-    """A float or bool for a single case, the (cases,) array for a block."""
-    return tuple(v if np.ndim(v) else np.asarray(v).item() for v in values)
-
-
 def lemma_decay_check(v, m, k, s1, s2, grid: SiteGrid):
     """Unit-box norm against the bracket-weighted bound; returns (lhs, rhs, pass).
 
-    One case is v (N,), m and k (2,) and scalar exponents; a block of cases
-    stacks them along a leading axis, v (cases, N), m and k (cases, 2) and
-    s1, s2 (cases,), and every result is then a (cases,) array.
+    A block of cases stacks them along a leading axis, v (cases, N), m and
+    k (cases, 2) and s1, s2 (cases,), and every result is then a (cases,)
+    array.  One case, v (N,), m and k (2,) and scalar exponents, broadcasts
+    the same way and gives numpy scalars: an np.float64 lhs and rhs and an
+    np.bool_ flag.
     """
     v = np.asarray(v)
     m, k = np.asarray(m), np.asarray(k)
@@ -232,7 +229,7 @@ def lemma_decay_check(v, m, k, s1, s2, grid: SiteGrid):
     den = (bracket(m[..., 0] - k[..., 0]) ** s1
            * bracket(m[..., 1] - k[..., 1]) ** s2)
     rhs = 2.0 ** (s1 + s2) * num / den
-    return _per_case(lhs, rhs, lhs <= rhs + 1e-12)
+    return lhs, rhs, lhs <= rhs + 1e-12
 
 
 def lemma_prod_sum_check(v, m, s1, s2, grid: SiteGrid):
@@ -249,7 +246,7 @@ def lemma_prod_sum_check(v, m, s1, s2, grid: SiteGrid):
     lhs = np.linalg.norm(ax ** s1 * ay ** s2 * v, axis=-1)
     rhs = (np.linalg.norm(ax ** (s1 + s2) * v, axis=-1)
            + np.linalg.norm(ay ** (s1 + s2) * v, axis=-1))
-    return _per_case(lhs, rhs, lhs <= rhs + 1e-12)
+    return lhs, rhs, lhs <= rhs + 1e-12
 
 
 @dataclass
@@ -279,14 +276,12 @@ def schur_row_sums(psi, m1, grid: SiteGrid) -> SchurReport:
     implied bound sqrt(sup_row * sup_col) always dominates the direct
     spectral norm.
 
-    `psi` is one basis (N, r) with its centre rows m1 (r,), giving a report
-    of floats, or a list of cases, one (N, r_i) basis and (r_i,) m1 each,
-    giving a report of (cases,) arrays.  The cases of a list are stacked by
-    rank, so it costs one eigvalsh per distinct r_i.
+    `psi` is a list of cases, one (N, r_i) basis and (r_i,) m1 each, and
+    every field of the report is a (cases,) array; one basis is a one-case
+    list.  The cases are stacked by rank, so it costs one eigvalsh per
+    distinct r_i.
     """
     x = grid.x.astype(float)
-    if isinstance(psi, np.ndarray):
-        return SchurReport(*_per_case(*_schur_stack(psi, np.asarray(m1), x)))
     ranks = np.array([W.shape[-1] for W in psi])
     out = np.empty((4, len(psi)))
     for r in np.unique(ranks):

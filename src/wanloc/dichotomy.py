@@ -238,10 +238,14 @@ def wannierize_band(V_j, y, xi_j):
 
 def check_bounded_density(centers, grid: SiteGrid | None = None):
     """Largest number of centres in the closed unit ball about any query
-    point: the bound M of the bounded-density condition.
+    point: a lower bound on the constant M of the bounded-density
+    condition, the `M=` of the `basis` stage.
 
-    Queries every centre and every integer grid point; the count function's
-    maxima occur within distance 1 of some centre, so this grid suffices.
+    Queries every centre and, given a grid, every integer grid point.  That
+    can miss the maximum: centres (0.05, 0.5) and (1.95, 0.5) on
+    make_grid(4, 1) give 1, yet the ball about (1.0, 0.5) holds both.  The
+    exact count would also query the points where two unit circles about
+    centres less than 2 apart meet.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if centers.size == 0:

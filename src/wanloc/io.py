@@ -46,17 +46,27 @@ def write_matrix(path, matrix):
 
 
 def read_matrix(path):
+    """The complex128 matrix of the WDMX file at `path`.  Raises ValueError
+    unless the file is the magic, the 16-byte shape header and exactly
+    rows * cols * 16 payload bytes; the message names both sizes."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != WDMX_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {WDMX_MAGIC!r}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(rows * cols * 16), dtype="<c16")
+        magic, header, payload = fh.read(4), fh.read(16), fh.read()
+    if magic != WDMX_MAGIC:
+        raise ValueError(f"bad magic {magic!r}, expected {WDMX_MAGIC!r}")
+    if len(header) != 16:
+        raise ValueError(f"WDMX header of {len(header)} bytes, expected 16")
+    rows, cols = struct.unpack("<QQ", header)
+    if len(payload) != rows * cols * 16:
+        raise ValueError(f"WDMX payload of {len(payload)} bytes, expected "
+                         f"{rows} x {cols} x 16 = {rows * cols * 16}")
+    data = np.frombuffer(payload, dtype="<c16")
     return data.reshape(rows, cols).astype(np.complex128)
 
 
 def fmt(value):
-    """Format one CSV cell; floats use shortest round-trip repr."""
+    """Format one CSV cell; floats use shortest round-trip repr.  A text
+    cell that holds a comma, a quote or a line break is quoted, its quotes
+    doubled (RFC 4180); no number needs it."""
     kind = type(value)   # the plain Python cells of `tolist()` rows first
     if kind is float:
         return repr(value)
@@ -64,11 +74,12 @@ def fmt(value):
         return str(value)
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(path, header, rows, meta=None):

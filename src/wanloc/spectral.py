@@ -95,9 +95,11 @@ class Projector:
     orthonormality check and the rank read `factor`.
 
     Every stage reads range(P) through V alone.  The N x N matrix P is
-    formed anew on each read and kept by nothing: it serves the tests, the
-    test-only `sqrt_resolvent` (which forms Q = I - P from it) and the
-    dense reference `GeneralizedWannierBasis.completeness_defect` that
+    the one product V V^H, formed anew on each read and kept by nothing.
+    It is not symmetrized: on real, mirror-path and complex projectors at 1
+    and 2 BLAS threads the product equals its conjugate transpose bit for
+    bit (tests/test_spectral.py).  It serves the tests, the test-only
+    `sqrt_resolvent` (which forms Q = I - P from it) and the dense reference `GeneralizedWannierBasis.completeness_defect` that
     perfbench gates on, and no stage of `construct`, `verify` or `chern`
     reads it; their span checks use `range_defect`.
     """
@@ -130,8 +132,7 @@ class Projector:
 
     @property
     def P(self):
-        P = self.V @ self.V.conj().T
-        return 0.5 * (P + P.conj().T)
+        return self.V @ self.V.conj().T
 
 
 def fermi_projector(model: TightBindingModel, fermi_energy: float) -> Projector:

@@ -37,17 +37,6 @@ def filter_fourier(xi):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Smoothing width in lattice units."""
-
-    delta: float = 8.0
-
-    def __post_init__(self):
-        if self.delta < 2.0:
-            raise ValueError(f"delta must be >= 2, got {self.delta}")
-
-
 @dataclass
 class XtildeOperator:
     matrix: np.ndarray = field(repr=False)
@@ -113,9 +102,10 @@ def build_xtilde(basis: GeneralizedWannierBasis, P: Projector) -> XtildeOperator
     return XtildeOperator(matrix=M, basis=basis)
 
 
-def _filter_rows(grid, spec: FilterSpec):
-    """The filter mask F as a function r -> F[r] of a row slice, so that
-    no N x N mask is formed.
+def _filter_rows(grid, delta):
+    """The filter mask F of width `delta` (lattice units) as a function
+    r -> F[r] of a row slice, so that no N x N mask is formed.  A width
+    below 2 raises ValueError.
 
     On the integer lattice the filter is exact: entry (i, j) is
     fhat(dx / delta) * fhat(dy / delta), so everything beyond distance
@@ -127,7 +117,9 @@ def _filter_rows(grid, spec: FilterSpec):
     F is the kron of row x_i of T_x and row y_i of T_y, each entry
     repeated over the orbitals: the same products as the full kron's.
     """
-    T_x, T_y = (filter_fourier(a / spec.delta)[np.abs(a[:, None] - a)]
+    if delta < 2.0:
+        raise ValueError(f"delta must be >= 2, got {delta}")
+    T_x, T_y = (filter_fourier(a / delta)[np.abs(a[:, None] - a)]
                 for a in map(np.arange, grid.shape))
     x, y, o = grid.x, grid.y, grid.orbitals_per_site
 
@@ -137,22 +129,22 @@ def _filter_rows(grid, spec: FilterSpec):
     return rows
 
 
-def xhat_slabs(xtilde: XtildeOperator, spec: FilterSpec):
+def xhat_slabs(xtilde: XtildeOperator, delta):
     """The rows of X-hat = Xtilde o F (`_filter_rows`) as an iterator over
     `row_slabs`: the products Xt[r] * F[r], one slab at a time, so that no
     N x N X-hat is formed.  `wanloc pipeline` writes xhat.wdmx from them,
     and `build_xhat` fills its matrix with them."""
-    mask = _filter_rows(xtilde.grid, spec)
+    mask = _filter_rows(xtilde.grid, delta)
     Xt = xtilde.matrix
     return (Xt[r] * mask(r) for r in row_slabs(len(Xt)))
 
 
-def build_xhat(xtilde: XtildeOperator, spec: FilterSpec) -> np.ndarray:
+def build_xhat(xtilde: XtildeOperator, delta) -> np.ndarray:
     """Entrywise filter smoothing of the surrogate: the N x N matrix
     X-hat = Xtilde o F, filled a row slab at a time from `xhat_slabs`.  F
     is real and even, so Hermiticity is preserved."""
     xh = np.empty_like(xtilde.matrix)
-    for r, slab in zip(row_slabs(len(xh)), xhat_slabs(xtilde, spec)):
+    for r, slab in zip(row_slabs(len(xh)), xhat_slabs(xtilde, delta)):
         xh[r] = slab
     return xh
 
@@ -261,8 +253,8 @@ class GapCertificate:
     passed: bool
 
 
-def certificate_coupling(xtilde: XtildeOperator, spec: FilterSpec):
-    """K = W^H (Xhat - Xtilde) W, the smoothing error at width `spec` in
+def certificate_coupling(xtilde: XtildeOperator, delta):
+    """K = W^H (Xhat - Xtilde) W, the smoothing error at width `delta` in
     the surrogate's basis W of range(P).  It depends on the filter width
     but not on lambda.
 
@@ -279,7 +271,7 @@ def certificate_coupling(xtilde: XtildeOperator, spec: FilterSpec):
     """
     W = xtilde.basis.psi
     Xt = xtilde.matrix
-    mask = _filter_rows(xtilde.grid, spec)
+    mask = _filter_rows(xtilde.grid, delta)
     DW = np.empty((len(Xt), W.shape[1]), dtype=np.result_type(Xt, W))
     for r in row_slabs(len(Xt)):
         defect = mask(r)
@@ -298,8 +290,7 @@ def gap_certificate(coupling, m1, lam, delta) -> GapCertificate:
     threshold of the mid-gap Neumann series.  In the surrogate's basis W of
     range(P), S P = W diag(|lam - m1|^{-1/2}) W^H, so the norm is that of
     the n x n Hermitian r K r with K the `coupling`
-    `certificate_coupling(xtilde, FilterSpec(delta))`; one K
-    serves every lam.
+    `certificate_coupling(xtilde, delta)`; one K serves every lam.
 
     By the expansion in `filter_fourier`, Xhat - Xtilde =
     -(3 / delta^2) Xtilde o (dx^2 + dy^2) + O(delta^-4), so the peak norm

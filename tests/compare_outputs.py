@@ -17,6 +17,7 @@ exits 0 when the directories agree and 1, listing the failures, when not.
 """
 
 import argparse
+import csv
 import fnmatch
 import os
 import re
@@ -108,10 +109,11 @@ def _compare_csv(path_a, path_b, name, tol):
     header = lines_a[1].split(",")
     keyed_by_stage = name == "report.csv"
     table = tol if isinstance(tol, dict) else {"*": tol}
-    for i, (la, lb) in enumerate(zip(lines_a[2:], lines_b[2:]), start=3):
-        row_a, row_b = la.split(","), lb.split(",")
+    # a quoted text cell may hold commas (`io.fmt`)
+    rows = zip(csv.reader(lines_a[2:]), csv.reader(lines_b[2:]))
+    for i, (row_a, row_b) in enumerate(rows, start=3):
         if len(row_a) != len(row_b):
-            return f"line {i}: {la!r} != {lb!r}"
+            return f"line {i}: {row_a!r} != {row_b!r}"
         for j, (a, b) in enumerate(zip(row_a, row_b)):
             key = row_a[0] if keyed_by_stage else header[j]
             failure = _compare_cell(a, b, _lookup(table, key))

@@ -7,7 +7,7 @@ import numpy as np
 
 import wanloc as wl
 from wanloc.cli import PipelineConfig, _delta_step, run_pipeline, run_verify
-from wanloc.xhat import FilterSpec, build_xhat, build_xtilde, filter_fourier
+from wanloc.xhat import build_xhat, build_xtilde, filter_fourier
 
 from suite_common import (DIS_PARAMS, DIS_SEED, MARKER_TRIVIAL_PARAMS,
                           SSH_PARAMS, TOPO_PARAMS, centroid)
@@ -86,7 +86,7 @@ def test_criterion_05_banded_structure(dis12_report):
     rep = dis12_report
     grid = rep.projector.grid
     xt = build_xtilde(rep.basis_initial, rep.projector)
-    xh = build_xhat(xt, FilterSpec(4.0))
+    xh = build_xhat(xt, 4.0)
     herm = np.linalg.norm(xh - xh.conj().T)
     scale = max(1.0, np.linalg.norm(xh))
     dx = np.abs(grid.x[:, None] - grid.x[None, :])
@@ -97,7 +97,7 @@ def test_criterion_05_banded_structure(dis12_report):
     Pa = wl.fermi_projector(atom, 0.0)
     ba = wl.relabel_to_lattice(wl.initial_basis(Pa))
     xta = build_xtilde(ba, Pa)
-    xha = build_xhat(xta, FilterSpec(4.0))
+    xha = build_xhat(xta, 4.0)
     diag_exact = np.array_equal(xha, xta.matrix)
     ok = (herm <= 1e-12 * scale and beyond.max(initial=0.0) == 0.0 and diag_exact)
     announce(5, ok, f"hermiticity={herm:.2e}, max |entry| beyond width="
@@ -111,7 +111,7 @@ def test_criterion_06_closeness_bounded_in_size(dis_projectors):
         model, P = dis_projectors[L]
         basis = wl.relabel_to_lattice(wl.initial_basis(P))
         xt = build_xtilde(basis, P)
-        xh = build_xhat(xt, FilterSpec(8.0))
+        xh = build_xhat(xt, 8.0)
         norms.append(wl.closeness_norm(xh, model.grid.x))
     spread = max(norms) / min(norms)
     ok = spread < 1.2
@@ -124,7 +124,7 @@ def test_criterion_07_tilt_response_linear(dis12_report):
     rep = dis12_report
     grid = rep.projector.grid
     xt = build_xtilde(rep.basis_initial, rep.projector)
-    xh = build_xhat(xt, FilterSpec(8.0))
+    xh = build_xhat(xt, 8.0)
     c = (grid.width - 1) / 2.0
     anchors = [(c, c), (c - 3, c - 3), (c + 3, c + 3)]
     gammas = (0.025, 0.05, 0.1, 0.2)

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import struct
@@ -18,7 +19,7 @@ from wanloc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERDICT,
                         run_pipeline, write_run)
 from wanloc.errors import ConfigError, WindowTooLargeError
 from wanloc.lattice import ROW_SLAB, TightBindingModel, make_grid
-from wanloc.xhat import FilterSpec, build_xhat
+from wanloc.xhat import build_xhat
 
 from suite_common import DIS_PARAMS, DIS_SEED, TOPO_PARAMS
 
@@ -229,7 +230,7 @@ def test_wdmx_slabbed_write_matches_the_one_shot_bytes(tmp_path, dis12_report,
         for delta in (4.0, 16.0):
             out = tmp_path / f"{dtype.__name__}-{delta:g}"
             write_run(RunReport(xtilde=xt, chosen_delta=delta), cfg, str(out))
-            io.write_matrix(str(path), build_xhat(xt, FilterSpec(delta)))
+            io.write_matrix(str(path), build_xhat(xt, delta))
             assert (out / "xhat.wdmx").read_bytes() == path.read_bytes()
 
 
@@ -240,6 +241,48 @@ def test_wdmx_rejects_bad_magic(tmp_path):
         io.read_matrix(str(path))
 
 
+def _wdmx_bytes(tmp_path, A):
+    path = tmp_path / "m.wdmx"
+    io.write_matrix(str(path), A)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [4, 10])
+def test_wdmx_rejects_a_cut_header(tmp_path, cut):
+    path, data = _wdmx_bytes(tmp_path, np.eye(2))
+    path.write_bytes(data[:cut])
+    with pytest.raises(ValueError, match=f"header of {cut - 4} bytes, "
+                                         "expected 16"):
+        io.read_matrix(str(path))
+
+
+def test_wdmx_rejects_a_shape_its_payload_cannot_hold(tmp_path):
+    path = tmp_path / "huge.wdmx"
+    path.write_bytes(b"WDMX" + struct.pack("<QQ", 2 ** 40, 2 ** 40) + b"\0" * 16)
+    with pytest.raises(ValueError, match=r"payload of 16 bytes, expected "
+                       r"1099511627776 x 1099511627776 x 16 = \d+"):
+        io.read_matrix(str(path))
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "trailing"])
+def test_wdmx_rejects_a_payload_of_the_wrong_size(tmp_path, extra):
+    path, data = _wdmx_bytes(tmp_path, np.eye(2))
+    path.write_bytes(data[:extra] if extra < 0 else data + b"\0" * extra)
+    with pytest.raises(ValueError, match=f"payload of {64 + extra} bytes, "
+                                         "expected 2 x 2 x 16 = 64"):
+        io.read_matrix(str(path))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1)])
+def test_wdmx_round_trip_at_the_edges_of_the_shape(tmp_path, shape):
+    A = np.arange(np.prod(shape)).reshape(shape) * (1.0 - 2.0j)
+    path, data = _wdmx_bytes(tmp_path, A)
+    assert len(data) == 20 + 16 * A.size
+    back = io.read_matrix(str(path))
+    assert back.shape == shape and back.dtype == np.complex128
+    assert np.array_equal(back, A)
+
+
 def test_csv_has_metadata_and_header(tmp_path):
     path = str(tmp_path / "t.csv")
     io.write_csv(path, ("a", "b"), [(1, 2.5), (3, 0.1)],
@@ -248,6 +291,41 @@ def test_csv_has_metadata_and_header(tmp_path):
     assert lines[0] == "# model=x seed=1 L=8 Delta=0"
     assert lines[1] == "a,b"
     assert lines[2] == "1,2.5"
+
+
+def test_csv_quotes_text_cells_that_need_it(tmp_path):
+    """RFC 4180: a cell with a comma, a quote or a line break is quoted,
+    its quotes doubled; numbers and plain text are written as they are."""
+    cells = ("a, b", 'say "hi"', "two\nlines", "plain", -1.5e-07, 3,
+             np.int64(4), True)
+    assert [io.fmt(c) for c in cells] == [
+        '"a, b"', '"say ""hi"""', '"two\nlines"', "plain", "-1.5e-07", "3",
+        "4", "1"]
+    path = str(tmp_path / "t.csv")
+    io.write_csv(path, [f"c{i}" for i in range(len(cells))], [cells])
+    with open(path, newline="") as fh:
+        fh.readline()
+        row, = csv.DictReader(fh)
+    assert list(row.values()) == [
+        "a, b", 'say "hi"', "two\nlines", "plain", "-1.5e-07", "3", "4", "1"]
+
+
+def test_error_message_with_commas_is_one_report_cell(tmp_path):
+    """The NoGapError of a Fermi energy on an eigenvalue names the two
+    bracketing eigenvalues with a comma between them; report.csv quotes
+    the cell, so every row reads back as two fields."""
+    cfg = write_config(tmp_path, "[model]\ntype = atomic\nL = 4\nm = 1.0\n\n"
+                                 "[pipeline]\nfermi_energy = 1.0\n")
+    out = tmp_path / "p"
+    assert main(["pipeline", cfg, "--out", str(out)]) == EXIT_VERDICT
+    with open(out / "report.csv", newline="") as fh:
+        fh.readline()
+        rows = list(csv.DictReader(fh))
+    assert all(None not in row and len(row) == 2 for row in rows)
+    outcomes = {row["stage"]: row["outcome"] for row in rows}
+    assert outcomes["error"] == ("NoGapError: E_F=1.0 within 1e-6 of spectrum "
+                                 "(bracketing eigenvalues -1.0, 1.0)")
+    assert outcomes["verdict"] == "stage-error"
 
 
 def test_model_subcommand_dumps_hamiltonian(tmp_path):
@@ -420,7 +498,8 @@ def test_negative_seed_flag_is_a_config_error(tmp_path):
 
 def test_verify_exit_code_on_inequality_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.diagnostics, "lemma_decay_check",
-                        lambda *a, **k: (1.0, 0.0, False))
+                        lambda v, *a: (np.ones(len(v)), np.zeros(len(v)),
+                                       np.zeros(len(v), dtype=bool)))
     cfg_path = write_config(tmp_path, "[model]\ntype = atomic\nL = 6\nm = 1.0\n")
     assert main(["verify", cfg_path, "--out", str(tmp_path / "v")]) == 3
 
@@ -505,6 +584,28 @@ def test_invariant_errors_end_in_documented_exit_codes(tmp_path, monkeypatch):
         assert main([command, cfg, "--out", str(tmp_path / command)]) == EXIT_RUNTIME
 
 
+def _out_of_memory(*args):
+    raise MemoryError("Unable to allocate 1.21 PiB for an array")
+
+
+def test_failed_allocation_ends_with_a_report_and_an_exit_code(tmp_path,
+                                                               monkeypatch):
+    """An array too large to allocate ends `pipeline` as a stage error, with
+    its report.csv, and the other commands with the runtime exit code."""
+    monkeypatch.setattr(cli, "build_disordered_insulator", _out_of_memory)
+    cfg = write_config(tmp_path, "[model]\ntype = disordered\nL = 6\n"
+                                 "gap = 2.0\nw = 0.5\n")
+    out = tmp_path / "p"
+    assert main(["pipeline", cfg, "--out", str(out)]) == EXIT_VERDICT
+    assert (out / "report.csv").read_text().splitlines()[2:] == [
+        "error,MemoryError: Unable to allocate 1.21 PiB for an array",
+        "verdict,stage-error"]
+    assert os.listdir(out) == ["report.csv"]
+    for command in ("verify", "chern", "model"):
+        assert main([command, cfg, "--out", str(tmp_path / command)]) \
+            == EXIT_RUNTIME
+
+
 def _wannierize_then(change):
     """`wannierize_band` with `change` applied to the vectors of each band."""
     wannierize = cli.wannierize_band
@@ -537,8 +638,11 @@ def test_final_basis_off_orthonormal_is_a_typed_stage_error(tmp_path,
     assert main(["pipeline", cfg, "--out", str(out)]) == EXIT_VERDICT
     text = (out / "report.csv").read_text()
     *_, error, verdict = text.splitlines()
-    assert error.startswith("error,IncompleteBasisError: basis of 36 functions "
-                            "does not span range(P) of rank 36: Gram defect ")
+    # the message holds a comma, so its cell is quoted
+    assert error.startswith('error,"IncompleteBasisError: basis of 36 '
+                            "functions does not span range(P) of rank 36: "
+                            "Gram defect ")
+    assert ", range defect " in error and error.endswith('"')
     assert verdict == "verdict,stage-error"
     assert "wannierize," not in text
     written = set(os.listdir(out))

@@ -6,6 +6,7 @@ reached, and its verdict is `stage-error` exactly when the report has an
 `error` row.  Config text that does not parse and an output path under a file
 are config errors in every subcommand."""
 
+import csv
 import os
 import tempfile
 
@@ -27,8 +28,8 @@ STAGE_FILES = {"model": {"hamiltonian.wdmx"}, "decay": {"decay.csv"},
 
 def report_rows(report_path):
     """The (stage, outcome) rows of a pipeline report.csv."""
-    with open(report_path) as fh:
-        return [tuple(line.rstrip("\n").split(",", 1)) for line in fh][2:]
+    with open(report_path, newline="") as fh:
+        return [tuple(row) for row in csv.reader(fh)][2:]
 
 
 def expected_files(report_path):

@@ -519,9 +519,9 @@ def test_schur_sums_atomic_basis_vanish():
     model = wl.build_haldane(4, 0.0, 0.0, 0.0, 1.0)
     P = wl.fermi_projector(model, 0.0)
     basis = wl.relabel_to_lattice(wl.initial_basis(P))
-    rep = wl.schur_row_sums(basis.psi, basis.m1, basis.grid)
-    assert rep.sup_row <= 1e-12
-    assert rep.direct_norm <= 1e-12
+    rep = wl.schur_row_sums([basis.psi], [basis.m1], basis.grid)
+    assert rep.sup_row[0] <= 1e-12
+    assert rep.direct_norm[0] <= 1e-12
 
 
 def test_schur_direct_norm_below_bound_randomized():
@@ -536,8 +536,8 @@ def test_schur_direct_norm_below_bound_randomized():
         basis = wl.GeneralizedWannierBasis(
             psi=W, centers=ms.astype(float), grid=grid,
             degeneracy=np.ones(r, dtype=int))
-        rep = wl.schur_row_sums(basis.psi, basis.m1, basis.grid)
-        assert rep.direct_norm <= rep.bound + 1e-9
+        rep = wl.schur_row_sums([basis.psi], [basis.m1], basis.grid)
+        assert rep.direct_norm[0] <= rep.bound[0] + 1e-9
 
 
 def test_schur_sums_stable_in_size():
@@ -546,7 +546,8 @@ def test_schur_sums_stable_in_size():
         model = wl.build_disordered_insulator(L, 2.0, 0.5, 0)
         P = wl.fermi_projector(model, 0.0)
         basis = wl.relabel_to_lattice(wl.initial_basis(P))
-        vals.append(wl.schur_row_sums(basis.psi, basis.m1, basis.grid).sup_row)
+        vals.append(
+            wl.schur_row_sums([basis.psi], [basis.m1], basis.grid).sup_row[0])
     assert vals[1] <= 1.2 * vals[0]
 
 

@@ -167,7 +167,7 @@ def test_band_blocks_span_the_projected_spectrum_subspaces(stack, request):
     in V coordinates."""
     _, P, _, xt = request.getfixturevalue(stack)
     spectrum, U, _ = _delta_step(xt, 4.0, [])
-    xh = wl.build_xhat(xt, wl.FilterSpec(4.0))
+    xh = wl.build_xhat(xt, 4.0)
     gaps = wl.detect_uniform_gaps(spectrum, d_min=0.25)
     assert isinstance(gaps, wl.GapStructure)
     bands = wl.band_projectors(fix_phases(xt.basis.psi @ U), gaps, P.grid)

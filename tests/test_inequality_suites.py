@@ -175,7 +175,7 @@ def test_schur_block_stacks_by_rank(monkeypatch):
     grid = make_grid(4, 1, ndim=2)
     ranks = (3, 5, 3, 8, 5, 3)
     psi, m1 = random_bases(np.random.default_rng(9), grid, ranks)
-    singles = [wl.schur_row_sums(W, c, grid) for W, c in zip(psi, m1)]
+    singles = [wl.schur_row_sums([W], [c], grid) for W, c in zip(psi, m1)]
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -190,7 +190,7 @@ def test_schur_block_stacks_by_rank(monkeypatch):
     for field in ("sup_row", "sup_col", "bound", "direct_norm"):
         got = getattr(block, field)
         assert got.shape == (len(ranks),)
-        np.testing.assert_allclose(got, [getattr(r, field) for r in singles],
+        np.testing.assert_allclose(got, [getattr(r, field)[0] for r in singles],
                                    rtol=1e-14, atol=0)
 
 
@@ -209,28 +209,15 @@ def test_qr_prefix_is_the_qr_of_the_leading_columns():
 # --- calling conventions ------------------------------------------------------
 
 
-def test_single_case_calls_return_python_scalars():
-    grid = make_grid(6, 1, ndim=2)
-    v = np.random.default_rng(10).standard_normal(grid.dimension) + 0j
-    for out in (wl.lemma_decay_check(v, (1, 2), (1, 3), 1.0, 2.5, grid),
-                wl.lemma_prod_sum_check(v, (1.5, 2.0), 0.5, 1.0, grid)):
-        assert [type(x) for x in out] == [float, float, bool]
-    psi, m1 = random_bases(np.random.default_rng(11), grid, (4,))
-    rep = wl.schur_row_sums(psi[0], m1[0], grid)
-    assert isinstance(rep, wl.SchurReport)
-    assert all(type(getattr(rep, f)) is float
-               for f in ("sup_row", "sup_col", "bound", "direct_norm"))
-
-
 def test_zero_schur_kernel_gives_exactly_zero():
     """Delta functions at sites whose x is their m1 leave K = 0."""
     grid = make_grid(4, 1, ndim=2)
     sites = [0, 5, 10, 15]
     W = np.eye(grid.dimension, dtype=complex)[:, sites]
     m1 = grid.x[sites].astype(float)
-    rep = wl.schur_row_sums(W, m1, grid)
-    assert (rep.sup_row, rep.sup_col, rep.bound, rep.direct_norm) \
-        == (0.0, 0.0, 0.0, 0.0)
+    rep = wl.schur_row_sums([W], [m1], grid)
+    assert (rep.sup_row[0], rep.sup_col[0], rep.bound[0],
+            rep.direct_norm[0]) == (0.0, 0.0, 0.0, 0.0)
     block = wl.schur_row_sums([W, W[:, :3]], [m1, m1[:3]], grid)
     for field in ("sup_row", "sup_col", "bound", "direct_norm"):
         assert np.array_equal(getattr(block, field), [0.0, 0.0])

@@ -62,9 +62,8 @@ def test_coupling_matches_the_dense_sandwich(stacks12):
     for _, basis, xt in stacks12:
         W = basis.psi
         for delta in (4.0, 16.0):
-            spec = wl.FilterSpec(delta)
-            ref = W.conj().T @ (wl.build_xhat(xt, spec) - xt.matrix) @ W
-            K = certificate_coupling(xt, spec)
+            ref = W.conj().T @ (wl.build_xhat(xt, delta) - xt.matrix) @ W
+            K = certificate_coupling(xt, delta)
             assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 

@@ -44,7 +44,7 @@ def test_range_factor_stages_stay_real(dis8_stack, dis12_report,
     kernel envelopes stay float64."""
     _, P, _, xt = dis8_stack
     assert xt.matrix.dtype == np.float64
-    assert certificate_coupling(xt, wl.FilterSpec(4.0)).dtype == np.float64
+    assert certificate_coupling(xt, 4.0).dtype == np.float64
     seen, site_maxima = [], spectral._site_maxima
 
     def spy(A, o):
@@ -73,7 +73,7 @@ def _pipeline(tmp_path, monkeypatch, twin):
     P, basis = report.projector, report.basis_initial
     lambdas = wl.gap_midpoints(0.0, 7.0)
     xt = wl.build_xtilde(basis, P)
-    xh = wl.build_xhat(xt, wl.FilterSpec(8.0))
+    xh = wl.build_xhat(xt, 8.0)
     _, tilt_rows = wl.tilt_lipschitz(xh, (0.05, 0.2), [(3.5, 3.5), (0.0, 7.0)],
                                      xt.grid)
     surveys = ([v for row in wl.sqrt_bound_survey(xt, lambdas) for v in row]

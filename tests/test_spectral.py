@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
@@ -8,7 +14,7 @@ from wanloc.errors import (InsufficientRangeError, NoGapError,
 from wanloc.lattice import TightBindingModel, make_grid
 from wanloc.spectral import Projector, kernel_envelope, matrix_decay_fit
 
-from suite_common import commutator
+from suite_common import DIS_PARAMS, DIS_SEED, TOPO_PARAMS, commutator
 
 
 def model_from_matrix(H, width, orbitals=1, ndim=2):
@@ -54,6 +60,45 @@ def test_projector_invariants_across_builders(dis_projectors, trivial_projectors
         assert np.linalg.norm(P.P @ P.P - P.P) <= 1e-10
         assert np.linalg.norm(P.P - P.P.conj().T) <= 1e-12
         assert abs(np.trace(P.P).real - P.rank) <= 1e-8
+
+
+HERMITIAN_PROBE = """
+import json, sys
+import numpy as np
+import wanloc as wl
+from suite_common import gauge_twin
+dis, topo = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+real = wl.build_disordered_insulator(8, dis["gap"], dis["w"], dis["seed"])
+haldane = wl.build_haldane(8, topo["t1"], topo["t2"], topo["phi"], topo["m"])
+out = {}
+for name, model in (("real", real), ("mirror", haldane),
+                    ("twin", gauge_twin(haldane))):
+    P = wl.fermi_projector(model, 0.0)
+    A = P.P
+    out[name] = [A.dtype.name, P.mirror is not None,
+                 bool(np.array_equal(A, A.conj().T))]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_projector_product_is_exactly_hermitian(threads):
+    """P.P is the one product V V^H, not symmetrized: it equals its
+    conjugate transpose bit for bit for a real projector, a mirror-path
+    complex one and a complex gauge twin without the mirror, at 1 and 2
+    BLAS threads (each in a fresh process, which fixes the thread count)."""
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(wl.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   [src, tests, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", HERMITIAN_PROBE,
+         json.dumps({**DIS_PARAMS, "seed": DIS_SEED}), json.dumps(TOPO_PARAMS)],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(done.stdout) == {"real": ["float64", False, True],
+                                       "mirror": ["complex128", True, True],
+                                       "twin": ["complex128", False, True]}
 
 
 @pytest.mark.parametrize("V", [np.array([[1.0], [1.0]]),

@@ -21,7 +21,7 @@ ALLOWED_RAISES = {
     ("io", "write_matrix", "ValueError"),
     ("io", "read_matrix", "ValueError"),
     ("lattice", "SiteGrid.__post_init__", "ValueError"),
-    ("xhat", "FilterSpec.__post_init__", "ValueError"),
+    ("xhat", "_filter_rows", "ValueError"),
     ("dichotomy", "__getattr__", "AttributeError"),
     ("spectral", "__getattr__", "AttributeError"),
 }

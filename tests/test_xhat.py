@@ -8,9 +8,9 @@ from wanloc.errors import (IncompleteBasisError, OutsideGapSetError,
 from wanloc.lattice import SiteGrid, make_grid
 from wanloc.spectral import Projector, orthonormality_defect, range_defect
 from wanloc.cli import _delta_step
-from wanloc.xhat import (FilterSpec, XtildeOperator, build_xhat, build_xtilde,
+from wanloc.xhat import (XtildeOperator, build_xhat, build_xtilde,
                          certificate_coupling, check_spans_range,
-                         gap_certificate, gap_distance)
+                         gap_certificate, gap_distance, xhat_slabs)
 
 from suite_common import commutator
 
@@ -35,9 +35,12 @@ def test_filter_normalization_and_support():
     assert np.allclose(wl.filter_fourier(xs), wl.filter_fourier(-xs))
 
 
-def test_filter_spec_minimum_width():
-    with pytest.raises(ValueError):
-        FilterSpec(1.5)
+@pytest.mark.parametrize("smooth", [build_xhat, certificate_coupling,
+                                    xhat_slabs])
+def test_filter_spec_minimum_width(smooth):
+    xt = random_xtilde(make_grid(4, 1, ndim=2))
+    with pytest.raises(ValueError, match="delta must be >= 2, got 1.5"):
+        smooth(xt, 1.5)
 
 
 # --- surrogate construction --------------------------------------------------
@@ -132,10 +135,10 @@ def test_xtilde_integer_projected_spectrum(dis8_stack):
 def test_xtilde_distance_to_position_respects_schur_bound(dis8_stack):
     model, P, basis, xt = dis8_stack
     X, _ = wl.position_operators(model)
-    rep = wl.schur_row_sums(basis.psi, basis.m1, basis.grid)
+    rep = wl.schur_row_sums([basis.psi], [basis.m1], basis.grid)
     comm = wl.operator_norm(commutator(X, P.P))
     direct = wl.operator_norm(xt.matrix - X)
-    assert direct <= rep.bound + 2.0 * comm + 1e-9
+    assert direct <= rep.bound[0] + 2.0 * comm + 1e-9
 
 
 def test_xtilde_rejects_incomplete_basis(dis8_stack):
@@ -152,13 +155,13 @@ def test_xtilde_rejects_incomplete_basis(dis8_stack):
 def test_xhat_of_diagonal_surrogate_is_identity_map():
     model, P, basis = atomic_setup()
     xt = build_xtilde(basis, P)
-    xh = build_xhat(xt, FilterSpec(4.0))
+    xh = build_xhat(xt, 4.0)
     assert np.array_equal(xh, xt.matrix)
 
 
 def test_xhat_entry_scaling_and_bandwidth(dis8_stack):
     _, _, _, xt = dis8_stack
-    xh = build_xhat(xt, FilterSpec(2.0))
+    xh = build_xhat(xt, 2.0)
     grid = xt.grid
     dx = np.abs(grid.x[:, None] - grid.x[None, :])
     dy = np.abs(grid.y[:, None] - grid.y[None, :])
@@ -169,15 +172,15 @@ def test_xhat_entry_scaling_and_bandwidth(dis8_stack):
     assert np.all(xh[(dx >= 2.0) | (dy >= 2.0)] == 0.0)
 
 
-def xhat_reference(xt, spec):
+def xhat_reference(xt, delta):
     """The filter evaluated on the N x N coordinate offsets, as `build_xhat`
     did before it took the 2L - 1 lattice offsets."""
     x = xt.grid.x.astype(float)
     y = xt.grid.y.astype(float)
     dx = x[:, None] - x[None, :]
     dy = y[:, None] - y[None, :]
-    return xt.matrix * (wl.filter_fourier(dx / spec.delta)
-                        * wl.filter_fourier(dy / spec.delta))
+    return xt.matrix * (wl.filter_fourier(dx / delta)
+                        * wl.filter_fourier(dy / delta))
 
 
 def random_xtilde(grid, seed=1):
@@ -196,8 +199,7 @@ def test_xhat_matches_offset_array_reference(delta, dis8_stack, ssh24):
            build_xtilde(wl.relabel_to_lattice(wl.initial_basis(P_ssh)),
                         P_ssh)]                             # 1-D SSH chain
     for xt in xts:
-        spec = FilterSpec(delta)
-        assert np.array_equal(build_xhat(xt, spec), xhat_reference(xt, spec))
+        assert np.array_equal(build_xhat(xt, delta), xhat_reference(xt, delta))
 
 
 @pytest.mark.parametrize("orbitals", [1, 2])
@@ -206,13 +208,13 @@ def test_xhat_on_a_chain_is_the_one_axis_mask(orbitals):
     xt = random_xtilde(make_grid(7, orbitals, ndim=1))
     i = np.arange(7)
     T = wl.filter_fourier(np.abs(i[:, None] - i) / 3.0)
-    assert np.array_equal(build_xhat(xt, FilterSpec(3.0)),
+    assert np.array_equal(build_xhat(xt, 3.0),
                           xt.matrix * np.kron(T, np.ones((orbitals, orbitals))))
 
 
 def test_xhat_hermitian(dis8_stack):
     _, _, _, xt = dis8_stack
-    xh = build_xhat(xt, FilterSpec(8.0))
+    xh = build_xhat(xt, 8.0)
     assert np.linalg.norm(xh - xh.conj().T) <= 1e-12 * max(
         1.0, np.linalg.norm(xh))
 
@@ -222,7 +224,7 @@ def test_xhat_hermitian(dis8_stack):
 def test_closeness_zero_in_atomic_limit():
     model, P, basis = atomic_setup()
     xt = build_xtilde(basis, P)
-    xh = build_xhat(xt, FilterSpec(4.0))
+    xh = build_xhat(xt, 4.0)
     assert wl.closeness_norm(xh, model.grid.x) <= 1e-10
 
 
@@ -232,7 +234,7 @@ def test_closeness_bounded_across_sizes(dis_projectors):
         model, P = dis_projectors[L]
         basis = wl.relabel_to_lattice(wl.initial_basis(P))
         xt = build_xtilde(basis, P)
-        xh = build_xhat(xt, FilterSpec(8.0))
+        xh = build_xhat(xt, 8.0)
         norms.append(wl.closeness_norm(xh, model.grid.x))
     assert max(norms) / min(norms) < 1.2
 
@@ -240,7 +242,7 @@ def test_closeness_bounded_across_sizes(dis_projectors):
 def test_closeness_approaches_unfiltered_distance_for_wide_filters(dis8_stack):
     model, _, _, xt = dis8_stack
     X, _ = wl.position_operators(model)
-    wide = build_xhat(xt, FilterSpec(1e5))
+    wide = build_xhat(xt, 1e5)
     assert abs(wl.closeness_norm(wide, model.grid.x)
                - wl.operator_norm(xt.matrix - X)) <= 1e-6
 
@@ -250,14 +252,14 @@ def test_closeness_approaches_unfiltered_distance_for_wide_filters(dis8_stack):
 def test_tilt_lipschitz_diagonal_operator_is_tilt_free():
     model, P, basis = atomic_setup()
     xt = build_xtilde(basis, P)
-    xh = build_xhat(xt, FilterSpec(4.0))
+    xh = build_xhat(xt, 4.0)
     sup, rows = wl.tilt_lipschitz(xh, (0.05, 0.1), [(2.0, 2.0)], model.grid)
     assert sup <= 1e-12
 
 
 def test_tilt_lipschitz_near_linear_scaling(dis8_stack):
     model, _, _, xt = dis8_stack
-    xh = build_xhat(xt, FilterSpec(8.0))
+    xh = build_xhat(xt, 8.0)
     anchors = [(3.5, 3.5)]
     _, rows = wl.tilt_lipschitz(xh, (0.05, 0.1), anchors, model.grid)
     norm_at = {g: n for (g, _, _, n, _) in rows}
@@ -271,7 +273,7 @@ def test_tilt_lipschitz_matches_svd_of_tilt_difference(stack, request):
     gives exactly zero."""
     model, _, _, xt = request.getfixturevalue(stack)
     grid = model.grid
-    xh = build_xhat(xt, FilterSpec(8.0))
+    xh = build_xhat(xt, 8.0)
     gammas = (0.0, 0.05, 0.2)
     anchors = [(3.5, 3.5), (0.0, 7.0)]
     sup, rows = wl.tilt_lipschitz(xh, gammas, anchors, grid)
@@ -289,7 +291,7 @@ def test_tilt_lipschitz_matches_svd_of_tilt_difference(stack, request):
 
 def test_tilt_lipschitz_uniform_in_anchor(dis8_stack):
     model, _, _, xt = dis8_stack
-    xh = build_xhat(xt, FilterSpec(8.0))
+    xh = build_xhat(xt, 8.0)
     sup_center, _ = wl.tilt_lipschitz(xh, (0.1,), [(3.5, 3.5)], model.grid)
     sup_shift, _ = wl.tilt_lipschitz(xh, (0.1,), [(8.5, 8.5)], model.grid)
     assert sup_shift / sup_center < 2.0
@@ -351,7 +353,7 @@ def test_sqrt_resolvent_rejects_basis_outside_range_p(dis8_stack):
 
 def test_gap_certificate_rejects_values_outside_gap_set(dis8_stack):
     _, _, basis, xt = dis8_stack
-    K = certificate_coupling(xt, FilterSpec(4.0))
+    K = certificate_coupling(xt, 4.0)
     with pytest.raises(OutsideGapSetError, match="lambda=1.0 outside"):
         gap_certificate(K, basis.m1, 1.0, 4.0)
 
@@ -359,11 +361,11 @@ def test_gap_certificate_rejects_values_outside_gap_set(dis8_stack):
 def test_gap_certificate_unfiltered_surrogate_is_exact(dis8_stack):
     _, P, basis, xt = dis8_stack
     # so wide that fhat is exactly 1 at every lattice offset: Xhat = Xtilde
-    spec = FilterSpec(1e200)
-    ident = build_xhat(xt, spec)
+    delta = 1e200
+    ident = build_xhat(xt, delta)
     assert np.array_equal(ident, xt.matrix)
     spectrum, _ = wl.projected_spectrum(P, ident)
-    cert = gap_certificate(certificate_coupling(xt, spec), basis.m1, 0.5, 8.0)
+    cert = gap_certificate(certificate_coupling(xt, delta), basis.m1, 0.5, 8.0)
     assert cert.snorm <= 1e-9
     assert gap_distance(spectrum, cert.lam) >= 0.25
     assert cert.passed
@@ -376,7 +378,7 @@ def test_gap_certificate_matches_full_sandwich(stack, all_pass, request):
     _, P, basis, xt = request.getfixturevalue(stack)
     lambdas = wl.gap_midpoints(0.0, 7.0)
     _, _, certs = _delta_step(xt, 4.0, lambdas)
-    xh = build_xhat(xt, FilterSpec(4.0))
+    xh = build_xhat(xt, 4.0)
     D = P.P @ (xh - xt.matrix) @ P.P
     for lam, cert in zip(lambdas, certs, strict=True):
         S = wl.sqrt_resolvent(lam, basis, P).matrix
@@ -394,7 +396,7 @@ def test_delta_step_spectrum_matches_projected_spectrum(stack, request):
     lambdas = wl.gap_midpoints(0.0, 7.0)
     for delta in (4.0, 8.0):
         spectrum, _, certs = _delta_step(xt, delta, lambdas)
-        ref, _ = wl.projected_spectrum(P, build_xhat(xt, FilterSpec(delta)))
+        ref, _ = wl.projected_spectrum(P, build_xhat(xt, delta))
         assert np.max(np.abs(spectrum - ref)) <= 1e-12
         for lam, cert in zip(lambdas, certs, strict=True):
             assert cert.min_gap_distance == pytest.approx(
@@ -413,7 +415,7 @@ def test_delta_step_eigenvectors_only_when_every_certificate_passes(
         spectrum, U, certs = _delta_step(xt, delta, lambdas)
         passed = all(c.passed for c in certs)
         assert (U is not None) == passed
-        M = np.diag(xt.basis.m1) + certificate_coupling(xt, FilterSpec(delta))
+        M = np.diag(xt.basis.m1) + certificate_coupling(xt, delta)
         ref, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
         assert np.max(np.abs(spectrum - ref)) <= 1e-12
         if passed:
