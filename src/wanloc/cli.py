@@ -110,8 +110,9 @@ class PipelineConfig:
             raise ConfigError(f"non-finite value of {', '.join(bad)}")
         if self.model_params.get("w", 0.0) < 0:
             raise ConfigError(f"w must be >= 0, got {self.model_params['w']}")
-        if self.d_min <= 0:
-            raise ConfigError(f"d_min must be > 0, got {self.d_min}")
+        for name, value in (("d_min", self.d_min), ("d_max", self.d_max)):
+            if value <= 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
         if self.L < 4:
             raise ConfigError(f"L must be >= 4, got {self.L}")
         for name in ("s_grid", "delta_list", "gamma_list"):
@@ -179,9 +180,14 @@ def parse_config(path) -> PipelineConfig:
                           seed=seed, **options)
 
 
+def model_params(cfg: PipelineConfig):
+    """The [model] parameters of `cfg` over the defaults of its type: the
+    one record of what `build_model` builds from."""
+    return {**MODELS[cfg.model_type][0], **cfg.model_params}
+
+
 def build_model(cfg: PipelineConfig):
-    defaults, build = MODELS[cfg.model_type]
-    return build(cfg.L, cfg.seed, {**defaults, **cfg.model_params})
+    return MODELS[cfg.model_type][1](cfg.L, cfg.seed, model_params(cfg))
 
 
 @dataclass
@@ -193,7 +199,6 @@ class RunReport:
     projector: object = None
     decay: object = None
     basis_initial: object = None
-    bounded_density: int | None = None
     xtilde: object = None
     certificates: list = field(default_factory=list)
     gaps: object = None
@@ -232,7 +237,7 @@ def _chern_reports(cfg, P):
     return diagnostics.chern_marker(P, sorted(set(windows)))
 
 
-def _delta_step(xt, delta, lambdas, keep_vectors=True):
+def _delta_step(xt, delta, lambdas):
     """The spectrum of P X-hat P at one width, with its n x n eigenvectors
     U in W coordinates, and the certificates at `lambdas`, all from one
     K = W^H (X-hat - X-tilde) W.  `build_xtilde` checked that the
@@ -240,16 +245,18 @@ def _delta_step(xt, delta, lambdas, keep_vectors=True):
     diag(m1) + K is P X-hat P in W coordinates; the band vectors are
     fix_phases(W U), formed only at the width the run keeps.  The
     certificate norms come first: U is computed only when every certificate
-    passes, the one case in which a run can keep the width, and when
-    `keep_vectors` asks for it; it is None otherwise.  K is taken from the
-    filter defect, so the step forms no N x N array: X-hat itself is left
-    to the callers that read it (`write_run` a row slab at a time,
-    `run_verify` whole)."""
+    passes, the one case in which a run can keep the width, and is None
+    otherwise.  `construct` and `run_verify` both call this step, so the
+    spectrum, and with it each certificate's gap distance, comes from the
+    same LAPACK driver in both and their certificate rows agree bit for
+    bit.  K is taken from the filter defect, so the step forms no N x N
+    array: X-hat itself is left to the callers that read it (`write_run` a
+    row slab at a time, `run_verify` whole)."""
     K = certificate_coupling(xt, delta)
     m1 = xt.basis.m1
     certs = [gap_certificate(K, m1, lam, delta) for lam in lambdas]
-    spectrum, U = hermitian_eigh(
-        np.diag(m1) + K, vectors=keep_vectors and all(c.passed for c in certs))
+    spectrum, U = hermitian_eigh(np.diag(m1) + K,
+                                 vectors=all(c.passed for c in certs))
     certs = [replace(c, min_gap_distance=gap_distance(spectrum, c.lam))
              for c in certs]
     return spectrum, U, certs
@@ -277,10 +284,10 @@ def _surrogate_stages(cfg, report):
     except InsufficientRangeError as exc:
         stages["decay"] = f"skipped ({exc})"
     basis = initial_basis(P, mode=cfg.basis_mode)
-    report.bounded_density = check_bounded_density(basis.centers, model.grid)
+    density = check_bounded_density(basis.centers, model.grid)
     report.basis_initial = basis = attach_moments(relabel_to_lattice(basis),
                                                   cfg.s_grid)
-    stages["basis"] = (f"ok n={basis.n_functions} M={report.bounded_density} "
+    stages["basis"] = (f"ok n={basis.n_functions} M={density} "
                        f"Msq={basis.max_degeneracy}")
     report.xtilde = build_xtilde(basis, P)
     stages["xtilde"] = "ok integer-spectrum"
@@ -542,7 +549,7 @@ def run_verify(cfg: PipelineConfig, out_dir=None):
 
     cert_rows, close_rows, tilt_rows = [], [], []
     for delta in cfg.delta_list:
-        _, _, certs = _delta_step(xt, delta, lambdas, keep_vectors=False)
+        _, _, certs = _delta_step(xt, delta, lambdas)
         xh = build_xhat(xt, delta)
         cert_rows.extend(map(astuple, certs))
         close_rows.append((delta, closeness_norm(xh, grid_m.x)))
@@ -578,7 +585,7 @@ def run_chern(cfg: PipelineConfig, out_dir=None):
     model = build_model(cfg)
     if model.grid.ndim != 2:
         raise ConfigError("chern requires a 2-D model")
-    grid, p = model.grid, model.params
+    grid = model.grid
     A, mirror = projector_operand(model)
     # nothing reads H from here on: on the mirror path dropping the model
     # frees the complex H before eigh allocates its buffers
@@ -586,6 +593,8 @@ def run_chern(cfg: PipelineConfig, out_dir=None):
     P = eigh_projector(A, mirror, grid, cfg.fermi_energy)
     oracle = ""
     if cfg.model_type in ("haldane", "atomic"):
+        # an atomic model is the Haldane model without hoppings
+        p = {"t1": 0.0, "t2": 0.0, "phi": 0.0, **model_params(cfg)}
         oracle = diagnostics.chern_number_kspace(p["t1"], p["t2"], p["phi"],
                                                  p["m"])
     reports = _chern_reports(cfg, P)

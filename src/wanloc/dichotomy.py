@@ -137,9 +137,11 @@ class GapStructure:
 
 @dataclass
 class GapDetectionFailure:
+    """Why a spectrum has no uniform gaps.  The reason is all that a run
+    reads or records of a failure; a ceiling failure names in it the
+    cluster diameter D and the ceiling d_max."""
+
     reason: str
-    d: float
-    D: float
 
 
 def detect_uniform_gaps(eigenvalues, d_min, d_max=None):
@@ -165,11 +167,10 @@ def detect_uniform_gaps(eigenvalues, d_min, d_max=None):
         d = math.inf
     span = float(evals[-1] - evals[0])
     if len(intervals) == 1 and D > 0.5 * span:
-        return GapDetectionFailure(reason="no uniform gaps", d=d, D=D)
+        return GapDetectionFailure(reason="no uniform gaps")
     if d_max is not None and D > d_max:
         return GapDetectionFailure(
-            reason=f"cluster diameter {D:.6g} exceeds ceiling {d_max:.6g}",
-            d=d, D=D)
+            reason=f"cluster diameter {D:.6g} exceeds ceiling {d_max:.6g}")
     xi = np.array([evals[idx].mean() for idx in members])
     return GapStructure(intervals=intervals, members=members, d=d, D=D, xi=xi)
 

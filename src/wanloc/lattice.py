@@ -101,15 +101,15 @@ def make_grid(width, orbitals_per_site, ndim=2):
 
 @dataclass(frozen=True)
 class TightBindingModel:
-    """A Hermitian Hamiltonian H on `grid`, with the parameters it was built
-    from.  H is float64 when every amplitude it is built from is real (the
+    """A Hermitian Hamiltonian H on `grid`.  The parameters it was built
+    from are not kept: the run's config holds them (`cli.build_model`).
+    H is float64 when every amplitude it is built from is real (the
     disordered insulator, the SSH chain, `build_haldane` at t2 = 0 or
     phi = 0 and so `build_atomic`) and complex128 otherwise, and the stages
     follow its dtype (`projector_operand`)."""
 
     grid: SiteGrid
     H: np.ndarray = field(repr=False)
-    params: dict
 
     def __post_init__(self):
         H = self.H
@@ -162,8 +162,9 @@ def build_haldane(L, t1, t2, phi, m_stagger):
 
     The cell-index hoppings are `haldane_bonds` (equivalent to the honeycomb
     under an orientation-preserving shear).  Staggered on-site +m on A, -m
-    on B.  The gap closes at |m| = 3*sqrt(3)*|t2 sin phi|; smaller |m| is
-    the topological regime.
+    on B.  The gap closes at |m| = 3*sqrt(3)*|t2 sin phi|; a smaller |m|
+    makes the insulator topological, and `chern_number_kspace` of the same
+    t1, t2, phi and m gives its Chern number.
 
     The x <-> y mirror S of the box (`xy_mirror`) maps the mass and every
     t1 bond onto itself and each t2*exp(i*phi) hop onto its conjugate, so
@@ -182,12 +183,7 @@ def build_haldane(L, t1, t2, phi, m_stagger):
     H[np.diag_indices(N)] += np.tile((m_stagger, -m_stagger), N // 2)
     for a, b, v, amp in bonds:
         _hop(H, grid, amp, a, b, v)
-
-    boundary = 3.0 * np.sqrt(3.0) * abs(t2 * np.sin(phi))
-    topological = abs(m_stagger) < boundary
-    params = {"type": "haldane", "L": L, "t1": t1, "t2": t2, "phi": phi,
-              "m": m_stagger, "regime": "topological" if topological else "trivial"}
-    return TightBindingModel(grid=grid, H=H, params=params)
+    return TightBindingModel(grid=grid, H=H)
 
 
 def build_disordered_insulator(L, gap, w, seed):
@@ -212,8 +208,7 @@ def build_disordered_insulator(L, gap, w, seed):
     for v in ((1, 0), (0, 1)):
         _hop(H, grid, gap / 32.0, 0, 1, v)
         _hop(H, grid, gap / 32.0, 1, 0, v)
-    params = {"type": "disordered", "L": L, "gap": gap, "w": w, "seed": seed}
-    return TightBindingModel(grid=grid, H=H, params=params)
+    return TightBindingModel(grid=grid, H=H)
 
 
 def build_ssh_chain(L, t1, t2):
@@ -226,8 +221,7 @@ def build_ssh_chain(L, t1, t2):
     H = np.zeros((N, N))
     _hop(H, grid, t1, 0, 1, (0, 0))
     _hop(H, grid, t2, 1, 0, (1, 0))
-    params = {"type": "ssh", "L": L, "t1": t1, "t2": t2}
-    return TightBindingModel(grid=grid, H=H, params=params)
+    return TightBindingModel(grid=grid, H=H)
 
 
 def build_atomic(L, m=1.0):

@@ -84,7 +84,9 @@ def hermitian_norm(A):
 @dataclass(frozen=True)
 class Projector:
     """Fermi projection P = V V^H, carried as the occupied eigenvectors from
-    `eigh`, with gap and grid metadata.
+    `eigh`, with gap and grid metadata.  The Fermi energy that chose the
+    columns is not kept: no stage past the eigensolve reads it, and the
+    run's config holds it.
 
     `factor` is what `eigh` returned over the occupied columns.  With
     `mirror` None it is V itself: float64 for a real H, complex128 for a
@@ -105,7 +107,6 @@ class Projector:
     """
 
     factor: np.ndarray = field(repr=False)
-    fermi_energy: float
     gap: float
     grid: SiteGrid
     mirror: np.ndarray | None = field(default=None, repr=False)
@@ -178,8 +179,10 @@ def projector_operand(model: TightBindingModel):
 def eigh_projector(A, mirror, grid: SiteGrid, fermi_energy: float) -> Projector:
     """The Projector of the operand A and mirror from `projector_operand`:
     one `eigh(A)`, whose eigenvectors below the Fermi energy become the
-    Projector's `factor`.  The Projector keeps R with the mirror and forms
-    V only when a stage asks for it; `chern_marker` works on R itself.
+    Projector's `factor`, and twice the distance from the Fermi energy to
+    the nearest eigenvalue its `gap`.  The Projector keeps R with the
+    mirror and forms V only when a stage asks for it; `chern_marker` works
+    on R itself.
     """
     evals, evecs = np.linalg.eigh(A)
     dist = np.abs(evals - fermi_energy)
@@ -195,7 +198,6 @@ def eigh_projector(A, mirror, grid: SiteGrid, fermi_energy: float) -> Projector:
     # a gather, not the view evecs[:, :n]: a view would keep all N columns
     # alive for as long as the Projector lives
     return Projector(factor=evecs[:, evals < fermi_energy],
-                     fermi_energy=fermi_energy,
                      gap=2.0 * float(dist[nearest]), grid=grid, mirror=mirror)
 
 
@@ -352,8 +354,9 @@ def envelope_decay_fit(dist, mags, grid: SiteGrid) -> DecayProfile:
     of an operand on `grid`, over the bins above its `decay_floor`."""
     off = dist > 0
     if off.any() and not np.any(mags[off]):
-        # off-diagonal kernel identically zero: compactly supported
-        return DecayProfile(C=float(mags[~off].max(initial=1.0)), gamma=math.inf,
+        # off-diagonal kernel identically zero: compactly supported, and C
+        # is its on-site peak (the distance-0 bin always exists)
+        return DecayProfile(C=float(mags[~off].max()), gamma=math.inf,
                             r_squared=1.0, samples=int(off.sum()),
                             flag="compact-support")
     usable = mags > decay_floor(mags.max(), grid.dimension)

@@ -18,7 +18,9 @@ from wanloc.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VERDICT,
                         construct, _default_anchors, main, parse_config,
                         run_pipeline, write_run)
 from wanloc.errors import ConfigError, WindowTooLargeError
-from wanloc.lattice import ROW_SLAB, TightBindingModel, make_grid
+from wanloc.lattice import (ROW_SLAB, TightBindingModel, build_atomic,
+                            build_disordered_insulator, build_haldane,
+                            build_ssh_chain, make_grid)
 from wanloc.xhat import build_xhat
 
 from suite_common import DIS_PARAMS, DIS_SEED, TOPO_PARAMS
@@ -119,6 +121,15 @@ def test_validation_rejects_nonpositive_d_min(tmp_path, d_min):
                         "d_min must be > 0")
 
 
+@pytest.mark.parametrize("d_max", ["0", "0.0", "-1.0"])
+def test_validation_rejects_nonpositive_d_max(tmp_path, d_max):
+    # a ceiling <= 0 would fail every width's gap detection, a wrong
+    # verdict on an insulator
+    assert_config_error(tmp_path,
+                        DIS6_MODEL + f"\n[pipeline]\nd_max = {d_max}\n",
+                        "d_max must be > 0")
+
+
 def test_parse_rejects_unknown_pipeline_key(tmp_path):
     # a misspelled delta_list must not fall back to the default widths
     assert_config_error(tmp_path, DIS6_MODEL + "\n[pipeline]\ndelta = 8\n",
@@ -146,7 +157,7 @@ def test_build_model_dispatch(tmp_path):
         tmp_path, "[model]\ntype = haldane\nL = 4\nt1 = 1.0\nt2 = 0.0\n"
                   "phi = 0.0\nm = 1.0\n"))
     model = build_model(cfg)
-    assert model.params["type"] == "haldane"
+    assert model.H.tobytes() == build_haldane(4, 1.0, 0.0, 0.0, 1.0).H.tobytes()
     assert model.grid.dimension == 32
 
 
@@ -154,6 +165,15 @@ def test_build_model_dispatch(tmp_path):
 GIVEN_PARAMS = {"haldane": {"t1": 0.8, "t2": 0.2, "phi": 1.1, "m": 0.4},
                 "disordered": {"gap": 3.0, "w": 0.25},
                 "ssh": {"t1": 0.4, "t2": 1.2}, "atomic": {"m": 2.0}}
+
+
+# each type's builder called directly, at L = 5 and seed 3, with every
+# parameter given
+DIRECT_BUILDS = {
+    "haldane": lambda p: build_haldane(5, p["t1"], p["t2"], p["phi"], p["m"]),
+    "disordered": lambda p: build_disordered_insulator(5, p["gap"], p["w"], 3),
+    "ssh": lambda p: build_ssh_chain(5, p["t1"], p["t2"]),
+    "atomic": lambda p: build_atomic(5, p["m"])}
 
 
 @pytest.mark.parametrize("model_type", sorted(MODELS))
@@ -164,10 +184,8 @@ def test_build_model_covers_every_type(model_type):
         cfg = PipelineConfig(model_type=model_type, L=5, model_params=given,
                              seed=3)
         model = build_model(cfg)
-        for name, value in {**defaults, **given}.items():
-            assert model.params[name] == value
-        assert model.params["type"] == ("haldane" if model_type == "atomic"
-                                        else model_type)
+        direct = DIRECT_BUILDS[model_type]({**defaults, **given})
+        assert model.H.tobytes() == direct.H.tobytes()
         assert model.grid.dimension == (10 if model_type == "ssh" else 50)
 
 
@@ -569,7 +587,7 @@ def _non_hermitian_model(cfg):
     model = build_model(cfg)
     H = model.H.copy()
     H[0, 1] += 1.0
-    return TightBindingModel(grid=model.grid, H=H, params=model.params)
+    return TightBindingModel(grid=model.grid, H=H)
 
 
 def test_invariant_errors_end_in_documented_exit_codes(tmp_path, monkeypatch):
@@ -676,6 +694,22 @@ def _config_file(name):
 
 
 TOPOLOGICAL_CFG = Path(_config_file("haldane_topological.cfg")).read_text()
+
+
+@pytest.mark.parametrize("name", ["disordered.cfg", "haldane_trivial.cfg"])
+def test_pipeline_and_verify_certificates_agree_on_every_shared_width(
+        tmp_path, name):
+    """`verify` solves each width by the step `pipeline` uses, so each row
+    of certificates.csv is, as text, the row of verify_certificates.csv at
+    its (lambda, Delta); pipeline stops at the first width it keeps."""
+    cfg = _config_file(name)
+    assert main(["pipeline", cfg, "--out", str(tmp_path / "p")]) == EXIT_OK
+    assert main(["verify", cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
+    pipe = (tmp_path / "p" / "certificates.csv").read_text().splitlines()
+    ver = (tmp_path / "v" / "verify_certificates.csv").read_text().splitlines()
+    assert pipe[:2] == ver[:2] and len(pipe) > 2
+    by_key = {tuple(row.split(",")[:2]): row for row in ver[2:]}
+    assert [by_key[tuple(row.split(",")[:2])] for row in pipe[2:]] == pipe[2:]
 
 
 def _files(path):

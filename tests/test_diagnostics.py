@@ -403,8 +403,7 @@ def test_real_form_chern_marker_matches_the_complex_formula(L):
         assert P.mirror is not None
         got = wl.chern_marker(P, windows)
         # the same projector carried as its complex V: the complex formula
-        complex_P = Projector(factor=P.V, fermi_energy=0.0, gap=P.gap,
-                              grid=P.grid)
+        complex_P = Projector(factor=P.V, gap=P.gap, grid=P.grid)
         want = wl.chern_marker(complex_P, windows)
         for g, w in zip(got, want, strict=True):
             assert g.value == pytest.approx(w.value, rel=1e-12, abs=1e-12)
@@ -558,7 +557,7 @@ def test_sqrt_bound_survey_atomic_closed_form():
     grid = make_grid(4, 1, ndim=2)
     N = grid.dimension
     V = np.eye(N, 1, dtype=complex)     # occupied site at x = 0
-    proj = Projector(factor=V, fermi_energy=0.0, gap=1.0, grid=grid)
+    proj = Projector(factor=V, gap=1.0, grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=V.copy(),
                                        centers=np.zeros((1, 2)), grid=grid,
                                        degeneracy=np.ones(1, dtype=int))
@@ -570,8 +569,8 @@ def test_sqrt_bound_survey_atomic_closed_form():
 def test_sqrt_bound_survey_empty_projector():
     grid = make_grid(4, 1, ndim=2)
     N = grid.dimension
-    proj = Projector(factor=np.zeros((N, 0), dtype=complex),
-                     fermi_energy=-10.0, gap=1.0, grid=grid)
+    proj = Projector(factor=np.zeros((N, 0), dtype=complex), gap=1.0,
+                     grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.zeros((N, 0), dtype=complex),
                                        centers=np.zeros((0, 2)), grid=grid,
                                        degeneracy=np.ones(0, dtype=int))

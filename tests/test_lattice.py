@@ -32,17 +32,13 @@ def test_haldane_real_symmetric_with_mass_gap():
     assert ev[half] - ev[half - 1] == pytest.approx(2.0, abs=1e-6)
 
 
-def test_haldane_regime_label_matches_gap_closing_oracle():
+def test_haldane_bulk_gap_closes_at_the_documented_boundary_mass():
     t2, phi = 1.0 / 3.0, np.pi / 2.0
     boundary = 3.0 * np.sqrt(3.0) * abs(t2 * np.sin(phi))
     # the bulk gap closes only at the claimed boundary mass
     assert bulk_min_gap(1.0, t2, phi, boundary) < 1e-8
     assert bulk_min_gap(1.0, t2, phi, boundary - 0.3) > 0.1
     assert bulk_min_gap(1.0, t2, phi, boundary + 0.3) > 0.1
-    topo = wl.build_haldane(8, 1.0, t2, phi, 0.0)
-    assert topo.params["regime"] == "topological"
-    triv = wl.build_haldane(8, 1.0, t2, phi, boundary + 0.3)
-    assert triv.params["regime"] == "trivial"
 
 
 def test_haldane_atomic_limit_is_diagonal():
@@ -183,7 +179,7 @@ def test_grids_built_alike_are_equal_and_hash_equal():
 def test_model_rejects_non_hermitian_hamiltonian():
     H = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NotHermitianError, match="not Hermitian"):
-        TightBindingModel(grid=make_grid(2, 1, ndim=1), H=H, params={})
+        TightBindingModel(grid=make_grid(2, 1, ndim=1), H=H)
 
 
 @pytest.mark.parametrize("eps, hermitian", [(1e-14, True), (1e-9, False)])
@@ -201,11 +197,11 @@ def test_hermiticity_defect_spans_every_row_slab(eps, hermitian):
         assert (np.linalg.norm(H - H.conj().T) <= HERMITICITY_RTOL
                 * np.linalg.norm(H)) == hermitian
         if hermitian:
-            TightBindingModel(grid=model.grid, H=H, params={})
+            TightBindingModel(grid=model.grid, H=H)
             continue
         with pytest.raises(NotHermitianError,
                            match=f"{np.sqrt(2.0) * eps:.3e}"):
-            TightBindingModel(grid=model.grid, H=H, params={})
+            TightBindingModel(grid=model.grid, H=H)
 
 
 def reference_haldane(L, t1, t2, phi, m):

@@ -190,9 +190,8 @@ def complex_reference(model, fermi_energy=0.0):
     """Eigenvalues and Projector from a direct complex eigh of H."""
     evals, evecs = np.linalg.eigh(model.H)
     gap = 2.0 * float(np.min(np.abs(evals - fermi_energy)))
-    return evals, Projector(factor=evecs[:, evals < fermi_energy],
-                                 fermi_energy=fermi_energy, gap=gap,
-                                 grid=model.grid)
+    return evals, Projector(factor=evecs[:, evals < fermi_energy], gap=gap,
+                            grid=model.grid)
 
 
 @pytest.mark.parametrize("L", [6, 8])

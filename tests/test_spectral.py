@@ -19,14 +19,12 @@ from suite_common import DIS_PARAMS, DIS_SEED, TOPO_PARAMS, commutator
 
 def model_from_matrix(H, width, orbitals=1, ndim=2):
     grid = make_grid(width, orbitals_per_site=orbitals, ndim=ndim)
-    return TightBindingModel(grid=grid, H=np.asarray(H, dtype=complex),
-                             params={"type": "custom"})
+    return TightBindingModel(grid=grid, H=np.asarray(H, dtype=complex))
 
 
 def test_fermi_projector_diagonal_hamiltonian():
     grid = make_grid(2, 1, ndim=1)
-    model = TightBindingModel(grid=grid, H=np.diag([-1.0 + 0j, 1.0]),
-                              params={})
+    model = TightBindingModel(grid=grid, H=np.diag([-1.0 + 0j, 1.0]))
     P = wl.fermi_projector(model, 0.0)
     assert np.allclose(P.P, np.diag([1.0, 0.0]))
     assert P.rank == 1
@@ -35,8 +33,7 @@ def test_fermi_projector_diagonal_hamiltonian():
 
 def test_fermi_projector_closed_form_two_level():
     grid = make_grid(2, 1, ndim=1)
-    model = TightBindingModel(grid=grid, H=np.array([[0, 1], [1, 0]], dtype=complex),
-                              params={})
+    model = TightBindingModel(grid=grid, H=np.array([[0, 1], [1, 0]], dtype=complex))
     P = wl.fermi_projector(model, 0.0)
     assert np.allclose(P.P, 0.5 * np.array([[1, -1], [-1, 1]]), atol=1e-12)
 
@@ -49,8 +46,7 @@ def test_fermi_projector_ssh_half_filling_rank():
 
 def test_fermi_projector_rejects_fermi_on_eigenvalue():
     grid = make_grid(2, 1, ndim=1)
-    model = TightBindingModel(grid=grid, H=np.diag([0.0 + 0j, 1.0]),
-                              params={})
+    model = TightBindingModel(grid=grid, H=np.diag([0.0 + 0j, 1.0]))
     with pytest.raises(NoGapError):
         wl.fermi_projector(model, 1e-8)
 
@@ -106,7 +102,7 @@ def test_projector_product_is_exactly_hermitian(threads):
 def test_projector_rejects_non_orthonormal_basis(V):
     grid = make_grid(2, 1, ndim=1)
     with pytest.raises(NotOrthonormalError):
-        Projector(factor=V, fermi_energy=0.0, gap=1.0, grid=grid)
+        Projector(factor=V, gap=1.0, grid=grid)
 
 
 def test_mirror_projector_checks_orthonormality_of_its_factor():
@@ -115,8 +111,7 @@ def test_mirror_projector_checks_orthonormality_of_its_factor():
     R = P.factor.copy()
     R[0, 0] += 1e-6
     with pytest.raises(NotOrthonormalError, match="not orthonormal"):
-        Projector(factor=R, fermi_energy=0.0, gap=P.gap, grid=P.grid,
-                  mirror=P.mirror)
+        Projector(factor=R, gap=P.gap, grid=P.grid, mirror=P.mirror)
 
 
 def test_tilt_zero_gamma_is_identity():
@@ -171,6 +166,16 @@ def test_kernel_decay_atomic_is_compact_support():
     prof = wl.kernel_decay_fit(P)
     assert prof.flag == "compact-support"
     assert prof.gamma == np.inf
+    assert prof.C == 1.0
+
+
+def test_kernel_decay_compact_support_amplitude_is_the_onsite_peak():
+    """A compact kernel's C is its largest entry at distance 0, also below
+    1: the t2 = 0 SSH projector holds one dimer per cell, entries +-1/2."""
+    P = wl.fermi_projector(wl.build_ssh_chain(12, 1.0, 0.0), 0.0)
+    prof = wl.kernel_decay_fit(P)
+    assert prof.flag == "compact-support"
+    assert prof.C == pytest.approx(0.5, rel=1e-12)
 
 
 def test_kernel_decay_constant_kernel_flagged_no_decay():

@@ -54,8 +54,7 @@ def test_xtilde_atomic_equals_position():
 
 def test_xtilde_single_function_origin_center():
     grid = SiteGrid(width=1, orbitals_per_site=1, ndim=2)
-    P = Projector(factor=np.eye(1, dtype=complex), fermi_energy=0.0,
-                  gap=1.0, grid=grid)
+    P = Projector(factor=np.eye(1, dtype=complex), gap=1.0, grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.eye(1, dtype=complex),
                                        centers=np.zeros((1, 2)), grid=grid,
                                        degeneracy=np.ones(1, dtype=int))
@@ -311,8 +310,7 @@ def test_gap_set_membership_and_midpoints():
 
 def test_sqrt_resolvent_single_function():
     grid = SiteGrid(width=1, orbitals_per_site=1, ndim=2)
-    P = Projector(factor=np.eye(1, dtype=complex), fermi_energy=0.0,
-                  gap=1.0, grid=grid)
+    P = Projector(factor=np.eye(1, dtype=complex), gap=1.0, grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.eye(1, dtype=complex),
                                        centers=np.zeros((1, 2)), grid=grid,
                                        degeneracy=np.ones(1, dtype=int))
@@ -323,8 +321,8 @@ def test_sqrt_resolvent_single_function():
 def test_sqrt_resolvent_empty_projector_is_scaled_identity():
     grid = make_grid(4, 1, ndim=2)
     N = grid.dimension
-    P = Projector(factor=np.zeros((N, 0), dtype=complex),
-                  fermi_energy=-10.0, gap=1.0, grid=grid)
+    P = Projector(factor=np.zeros((N, 0), dtype=complex), gap=1.0,
+                  grid=grid)
     basis = wl.GeneralizedWannierBasis(psi=np.zeros((N, 0), dtype=complex),
                                        centers=np.zeros((0, 2)), grid=grid,
                                        degeneracy=np.ones(0, dtype=int))
@@ -423,19 +421,6 @@ def test_delta_step_eigenvectors_only_when_every_certificate_passes(
             assert np.array_equal(spectrum, ref)
         for cert in certs:
             assert cert.min_gap_distance == np.min(np.abs(spectrum - cert.lam))
-
-
-def test_delta_step_without_vectors_keeps_the_certificates(dis8_stack):
-    """keep_vectors=False forms no U even where every certificate passes,
-    and leaves the certificate norms as they are."""
-    _, _, _, xt = dis8_stack
-    lambdas = wl.gap_midpoints(0.0, 7.0)
-    spectrum, U, certs = _delta_step(xt, 4.0, lambdas)
-    bare, no_U, bare_certs = _delta_step(xt, 4.0, lambdas, keep_vectors=False)
-    assert U is not None and no_U is None
-    assert np.max(np.abs(bare - spectrum)) <= 1e-12
-    assert [c.snorm for c in bare_certs] == [c.snorm for c in certs]
-    assert [c.passed for c in bare_certs] == [c.passed for c in certs]
 
 
 def test_gap_certificate_norm_decreases_with_filter_width(dis8_stack):
